@@ -29,6 +29,7 @@ from .perturbation import (
     complex_shift_from_resonances,
     fractional_shift_closed,
     fractional_shift_quadrature,
+    geometry_factor,
     geometry_factor_conventional,
     geometry_factor_derived,
     geometry_factor_printed,
@@ -37,7 +38,14 @@ from .perturbation import (
     sample_energy_midpoint,
     sample_energy_quadrature,
 )
-from .synth import SynthConfig, forward_load, lorentzian_trace, model_shift, synth_campaign
+from .synth import (
+    SynthConfig,
+    campaign_traces,
+    forward_load,
+    lorentzian_trace,
+    model_shift,
+    synth_campaign,
+)
 from .traceio import (
     FrequencyTrace,
     Resonance,
@@ -66,6 +74,7 @@ __all__ = [
     "Resonance",
     "SampleSpec",
     "SynthConfig",
+    "campaign_traces",
     "complex_shift_from_resonances",
     "effective_width",
     "find_resonances",
@@ -73,6 +82,7 @@ __all__ = [
     "forward_load",
     "fractional_shift_closed",
     "fractional_shift_quadrature",
+    "geometry_factor",
     "geometry_factor_conventional",
     "geometry_factor_derived",
     "geometry_factor_printed",

@@ -17,11 +17,10 @@ import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .cavity import CavitySpec, ModeSpec, guided_wavelength, resonant_frequency, stored_field_norm
+from .cavity import CavitySpec, ModeSpec, guided_wavelength, resonant_frequency
 from .errors import (
     ConfigurationError,
     FitFailureError,
@@ -30,19 +29,19 @@ from .errors import (
     UnphysicalResultError,
 )
 from .perturbation import (
+    MODELS,
     ComplexPermeability,
-    GeometryFactor,
     InteractionChoice,
     SampleSpec,
     complex_shift_from_resonances,
+    geometry_factor,
     geometry_factor_conventional,
-    geometry_factor_derived,
-    geometry_factor_printed,
     invert_conventional,
     invert_permeability,
-    sample_energy_quadrature,
 )
-from .synth import SynthConfig, synth_campaign
+# imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
+from .perturbation import geometry_factor_derived, sample_energy_quadrature  # noqa: F401
+from .synth import SynthConfig, campaign_traces, synth_campaign
 from .traceio import (
     FrequencyTrace,
     Resonance,
@@ -157,8 +156,8 @@ def load_config(path: str | Path) -> RunConfig:
     if q_method not in ("lorentzian-fit", "three-db"):
         raise ConfigurationError("extraction.q_method must be 'lorentzian-fit' or 'three-db'")
     model = ext.get("model", "quadrature")
-    if model not in ("quadrature", "derived", "printed"):
-        raise ConfigurationError("extraction.model must be 'quadrature', 'derived', or 'printed'")
+    if model not in MODELS:
+        raise ConfigurationError(f"extraction.model must be one of {list(MODELS)}")
     extraction = ExtractionOptions(
         q_method=q_method,
         interaction=interaction,
@@ -210,20 +209,6 @@ def load_materials(path: str | Path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def geometry_factor_for(cfg: RunConfig) -> GeometryFactor:
-    """Geometry factor selected by the configured extraction model."""
-    ext = cfg.extraction
-    if ext.model == "quadrature":
-        integral = sample_energy_quadrature(
-            cfg.cavity, cfg.sample, cfg.mode, ext.interaction, ext.cells_per_axis
-        )
-        value = integral / stored_field_norm(cfg.cavity, cfg.mode)
-        return GeometryFactor(value, f"quadrature-{ext.interaction.value}")
-    if ext.model == "derived":
-        return geometry_factor_derived(cfg.cavity, cfg.sample, cfg.mode, ext.interaction)
-    return geometry_factor_printed(cfg.cavity, cfg.sample, cfg.mode)
-
-
 def extract_trace_resonances(cfg: RunConfig, trace: FrequencyTrace) -> list[Resonance]:
     """Detected resonances of a trace with the configured Q method."""
     ext = cfg.extraction
@@ -261,7 +246,10 @@ def extract_report(
         raise NoPairableResonanceError(
             f"found {len(empties)} empty / {len(loadeds)} loaded resonances"
         )
-    g = geometry_factor_for(cfg)
+    ext = cfg.extraction
+    g = geometry_factor(
+        cfg.cavity, cfg.sample, cfg.mode, ext.model, ext.interaction, ext.cells_per_axis
+    )
     g_conv = geometry_factor_conventional(cfg.cavity, cfg.sample, cfg.mode)
     mu_rs = cfg.cavity.mu_rs
     pairs = []
@@ -285,7 +273,7 @@ def extract_report(
             entry["mu_re_conventional"] = mu_conv.mu_re
             entry["mu_im_conventional"] = mu_conv.mu_im
             entry["tan_dm_conventional"] = mu_conv.tan_dm
-        except (UnphysicalResultError, PermeameterError):
+        except PermeameterError:
             entry["mu_re_conventional"] = None
             entry["mu_im_conventional"] = None
             entry["tan_dm_conventional"] = None
@@ -312,49 +300,39 @@ def _sweep_config(cfg: RunConfig, empty: Resonance) -> SynthConfig:
     )
 
 
-def run_campaign(cfg: RunConfig, roster: list[dict], out_dir: str | Path, campaign: str):
+def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTrace]:
     empty = _empty_resonance(cfg)
+    ext = cfg.extraction
     table = [(m["name"], m["mu"]) for m in roster]
-    return synth_campaign(
-        cfg.cavity,
-        cfg.sample,
-        cfg.mode,
-        table,
-        empty,
-        _sweep_config(cfg, empty),
-        out_dir,
-        campaign=campaign,
-        model=cfg.extraction.model,
-        choice=cfg.extraction.interaction,
-        cells_per_axis=cfg.extraction.cells_per_axis,
+    return campaign_traces(
+        cfg.cavity, cfg.sample, cfg.mode, table, empty, _sweep_config(cfg, empty),
+        ext.model, ext.interaction, ext.cells_per_axis,
     )
 
 
+def run_campaign(cfg: RunConfig, roster: list[dict], out_dir: str | Path, campaign: str):
+    return synth_campaign(_roster_traces(cfg, roster), out_dir, campaign)
+
+
 def compare_rows(cfg: RunConfig, roster: list[dict]) -> list[dict]:
-    """Synthesize the roster, re-extract each material, tabulate both methods."""
-    with tempfile.TemporaryDirectory(prefix="permeameter_") as tmp:
-        files = run_campaign(cfg, roster, tmp, "compare")
-        empty_trace = parse_touchstone(files["empty"].read_bytes(), source="empty")
-        rows = []
-        for m in roster:
-            loaded_trace = parse_touchstone(
-                files[m["name"]].read_bytes(), source=m["name"]
-            )
-            report = extract_report(cfg, empty_trace, loaded_trace)
-            pair = report["pairs"][0]
-            rows.append(
-                {
-                    "material": m["name"],
-                    "mu_re_actual": m["mu"].mu_re,
-                    "mu_re_conventional": pair["mu_re_conventional"],
-                    "mu_re_modified": pair["mu_re"],
-                    "tan_dm_actual": m["mu"].tan_dm,
-                    "tan_dm_conventional": pair["tan_dm_conventional"],
-                    "tan_dm_modified": pair["tan_dm"],
-                    "note": m["note"],
-                }
-            )
-        return rows
+    """Synthesize the roster, extract each material in memory, tabulate both methods."""
+    traces = _roster_traces(cfg, roster)
+    rows = []
+    for m in roster:
+        pair = extract_report(cfg, traces["empty"], traces[m["name"]])["pairs"][0]
+        rows.append(
+            {
+                "material": m["name"],
+                "mu_re_actual": m["mu"].mu_re,
+                "mu_re_conventional": pair["mu_re_conventional"],
+                "mu_re_modified": pair["mu_re"],
+                "tan_dm_actual": m["mu"].tan_dm,
+                "tan_dm_conventional": pair["tan_dm_conventional"],
+                "tan_dm_modified": pair["tan_dm"],
+                "note": m["note"],
+            }
+        )
+    return rows
 
 
 COMPARE_COLUMNS = [
@@ -383,25 +361,30 @@ def compare_csv(rows: list[dict]) -> str:
 
 
 def quadcheck_report(cfg: RunConfig) -> dict:
-    """All geometry-factor routes side by side with relative deviations."""
+    """All geometry-factor routes side by side with relative deviations.
+
+    The printed form covers even n only; for odd n it and its deviation
+    are reported as None.
+    """
     cavity, sample, mode = cfg.cavity, cfg.sample, cfg.mode
-    norm = stored_field_norm(cavity, mode)
-    report: dict = {"g_printed": geometry_factor_printed(cavity, sample, mode).value}
+
+    def g(model: str, choice: InteractionChoice = InteractionChoice.TRANSVERSE_HZ) -> float:
+        return geometry_factor(
+            cavity, sample, mode, model, choice, cfg.extraction.cells_per_axis
+        ).value
+
+    g_printed = g("printed") if mode.is_even else None
+    report: dict = {"g_printed": g_printed}
     for choice in InteractionChoice:
         tag = choice.value
-        g_d = geometry_factor_derived(cavity, sample, mode, choice).value
-        g_q = (
-            sample_energy_quadrature(
-                cavity, sample, mode, choice, cfg.extraction.cells_per_axis
-            )
-            / norm
-        )
+        g_d = g("derived", choice)
+        g_q = g("quadrature", choice)
         report[f"g_derived_{tag}"] = g_d
         report[f"g_quadrature_{tag}"] = g_q
         report[f"deviation_derived_vs_quadrature_{tag}"] = abs(g_q - g_d) / g_d if g_d else None
     g_ref = report["g_derived_transverse-hz"]
     report["deviation_printed_vs_derived_transverse-hz"] = (
-        abs(report["g_printed"] - g_ref) / g_ref if g_ref else None
+        abs(g_printed - g_ref) / g_ref if g_ref and g_printed is not None else None
     )
     report["g_conventional"] = geometry_factor_conventional(cavity, sample, mode).value
     return report
@@ -529,13 +512,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
         "--config", "-c", help=f"run-config JSON path (or set ${CONFIG_ENV})", **kwargs
     )
     parser.add_argument("--seed", type=int, help="override synth seed", **kwargs)
-    if top_level:
-        parser.add_argument("--json", action="store_true", help="machine-readable output")
-    else:
-        parser.add_argument(
-            "--json", action="store_true", default=argparse.SUPPRESS,
-            help="machine-readable output",
-        )
+    parser.add_argument("--json", action="store_true", help="machine-readable output", **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:

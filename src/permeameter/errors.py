@@ -16,7 +16,7 @@ class DomainError(PermeameterError, ValueError):
 
 
 class UnsupportedModeError(PermeameterError, ValueError):
-    """Closed-form path requested for a mode it does not cover (odd n)."""
+    """Printed closed form requested for an odd mode index, which it does not cover."""
 
 
 class AccuracyError(PermeameterError, ArithmeticError):

@@ -11,8 +11,9 @@ couples the sample to the TE10n mode:
     energy with Richardson acceleration over grid doublings.
 
 The two routes cross-check each other; extraction defaults to the
-quadrature-backed value.  Sign conventions (time factor e^{+j w t},
-mu_r = mu_re - j mu_im):
+quadrature-backed value.  geometry_factor is the one place a model name
+("quadrature", "derived" or "printed") selects a route.  Sign
+conventions (time factor e^{+j w t}, mu_r = mu_re - j mu_im):
 
     shift = -(mu_r / (2 mu_rs) - 1/2) * g
     re(shift) = (f_loaded - f_empty) / f_loaded  (< 0 when mu_re > 1)
@@ -39,6 +40,7 @@ import numpy as np
 from .cavity import CavitySpec, ModeSpec, guided_wavelength, stored_field_norm, wavenumbers
 from .errors import (
     AccuracyError,
+    ConfigurationError,
     DegenerateGeometryError,
     InvalidGeometryError,
     SuspiciousPairingWarning,
@@ -54,6 +56,9 @@ QUADRATURE_RTOL = 1e-6
 
 #: Maximum number of grid doublings before giving up.
 MAX_DOUBLINGS = 3
+
+#: Geometry-factor models that geometry_factor accepts by name.
+MODELS = ("quadrature", "derived", "printed")
 
 
 class InteractionChoice(str, Enum):
@@ -163,13 +168,6 @@ def _check_sample(cavity: CavitySpec, sample: SampleSpec) -> None:
         raise InvalidGeometryError("thickness exceeds cavity height_h")
 
 
-def _require_even(mode: ModeSpec, what: str) -> None:
-    if not mode.is_even:
-        raise UnsupportedModeError(
-            f"{what} is defined for even mode indices only (got n={mode.n})"
-        )
-
-
 def geometry_factor_printed(
     cavity: CavitySpec, sample: SampleSpec, mode: ModeSpec
 ) -> GeometryFactor:
@@ -181,7 +179,10 @@ def geometry_factor_printed(
     this form is reported as a diagnostic (see cli quadcheck) and never
     silently preferred for extraction.
     """
-    _require_even(mode, "printed geometry factor")
+    if not mode.is_even:
+        raise UnsupportedModeError(
+            f"printed geometry factor is defined for even mode indices only (got n={mode.n})"
+        )
     _check_sample(cavity, sample)
     a = cavity.a_eff
     k_x, k_z = wavenumbers(cavity, mode)
@@ -204,21 +205,21 @@ def geometry_factor_derived(
 ) -> GeometryFactor:
     """Closed-form sample/cavity energy ratio for the selected components.
 
-    Exact integrals over the centered box (width w, even n):
+    Exact integrals over the centered box (width w, any n):
 
-        int sin^2(k x) = (w/2)(1 + sinc(k w))   across the x half-wave
+        int sin^2(k x) = (w/2)(1 + sinc(k w))          across the x half-wave
         int cos^2(k x) = (w/2)(1 - sinc(k w))
-        int cos^2(k z) = (w/2)(1 + sinc(k w))   across the z standing wave
-        int sin^2(k z) = (w/2)(1 - sinc(k w))
+        int cos^2(k z) = (w/2)(1 + (-1)^n sinc(k w))   across the z standing wave
+        int sin^2(k z) = (w/2)(1 - (-1)^n sinc(k w))
 
-    divided by the whole-cavity field norm.
+    divided by the whole-cavity field norm.  The parity factor (-1)^n is
+    cos(n pi) from centering the box at l/2.
     """
-    _require_even(mode, "derived geometry factor")
     _check_sample(cavity, sample)
     k_x, k_z = wavenumbers(cavity, mode)
     l1, a1, t = sample.extent_x_l1, sample.extent_z_a1, sample.thickness
     sinc_x = _sinc(k_x * l1)
-    sinc_z = _sinc(k_z * a1)
+    sinc_z = (1.0 if mode.is_even else -1.0) * _sinc(k_z * a1)
     ix_sin = (l1 / 2.0) * (1.0 + sinc_x)  # int sin^2(k_x x) dx over the bar
     ix_cos = (l1 / 2.0) * (1.0 - sinc_x)
     iz_cos = (a1 / 2.0) * (1.0 + sinc_z)  # int cos^2(k_z z) dz over the bar
@@ -340,6 +341,31 @@ def sample_energy_quadrature(
     )
 
 
+def geometry_factor(
+    cavity: CavitySpec,
+    sample: SampleSpec,
+    mode: ModeSpec,
+    model: str = "quadrature",
+    choice: InteractionChoice = InteractionChoice.TRANSVERSE_HZ,
+    cells_per_axis: int = 64,
+) -> GeometryFactor:
+    """Geometry factor of the named model, one of MODELS.
+
+    "quadrature" integrates the selected |H|^2 numerically (provenance
+    quadrature-<choice>), "derived" is the closed form for the same
+    components, "printed" the published form (choice does not apply).
+    """
+    if model == "quadrature":
+        integral = sample_energy_quadrature(cavity, sample, mode, choice, cells_per_axis)
+        value = integral / stored_field_norm(cavity, mode)
+        return GeometryFactor(value, f"quadrature-{choice.value}")
+    if model == "derived":
+        return geometry_factor_derived(cavity, sample, mode, choice)
+    if model == "printed":
+        return geometry_factor_printed(cavity, sample, mode)
+    raise ConfigurationError(f"unknown geometry-factor model {model!r}; expected one of {MODELS}")
+
+
 def shift_complex(mu_r: ComplexPermeability, mu_rs: complex, g_value: float) -> complex:
     """Raw complex shift -(mu_r/(2 mu_rs) - 1/2) * g, unvalidated."""
     return -(mu_r.as_complex / (2.0 * complex(mu_rs)) - 0.5) * g_value
@@ -356,12 +382,11 @@ def fractional_shift_quadrature(
     """Fractional shift from direct numerical integration of the field energy.
 
     -(1/2) (mu_r/mu_rs - 1) * (box integral of selected |H|^2) / norm.
-    Works for any mode index (odd n included); the closed forms are the
-    even-n specialization.
+    Works for any mode index, as does the derived closed form it
+    cross-checks; only the printed form is even-n only.
     """
-    integral = sample_energy_quadrature(cavity, sample, mode, choice, cells_per_axis)
-    g = integral / stored_field_norm(cavity, mode)
-    delta = shift_complex(mu_r, cavity.mu_rs, g)
+    g = geometry_factor(cavity, sample, mode, "quadrature", choice, cells_per_axis)
+    delta = shift_complex(mu_r, cavity.mu_rs, g.value)
     return FractionalShift(delta.real, delta.imag)
 
 

@@ -9,27 +9,24 @@ with optional seeded noise renders the scattering trace.  Coupling
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .cavity import CavitySpec, ModeSpec
 from .errors import ConfigurationError, ModelBreakdownError
-from .cavity import stored_field_norm
 from .perturbation import (
     ComplexPermeability,
     FractionalShift,
     InteractionChoice,
     SampleSpec,
-    geometry_factor_derived,
-    geometry_factor_printed,
-    sample_energy_quadrature,
+    geometry_factor,
     shift_complex,
 )
+# imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
+from .perturbation import geometry_factor_derived, sample_energy_quadrature  # noqa: F401
 from .traceio import FrequencyTrace, Resonance, write_touchstone
-
-FORWARD_MODELS = ("quadrature", "derived", "printed")
 
 
 @dataclass(frozen=True)
@@ -56,30 +53,6 @@ class SynthConfig:
             raise ConfigurationError("seed must fit in 64 bits")
 
 
-def _model_delta(
-    cavity: CavitySpec,
-    sample: SampleSpec,
-    mode: ModeSpec,
-    mu_r: ComplexPermeability,
-    model: str,
-    choice: InteractionChoice,
-    cells_per_axis: int,
-) -> complex:
-    """Raw complex shift for the selected forward model tag."""
-    if model == "quadrature":
-        integral = sample_energy_quadrature(cavity, sample, mode, choice, cells_per_axis)
-        g_value = integral / stored_field_norm(cavity, mode)
-    elif model == "derived":
-        g_value = geometry_factor_derived(cavity, sample, mode, choice).value
-    elif model == "printed":
-        g_value = geometry_factor_printed(cavity, sample, mode).value
-    else:
-        raise ConfigurationError(
-            f"unknown forward model {model!r}; expected one of {FORWARD_MODELS}"
-        )
-    return shift_complex(mu_r, cavity.mu_rs, g_value)
-
-
 def model_shift(
     cavity: CavitySpec,
     sample: SampleSpec,
@@ -90,7 +63,8 @@ def model_shift(
     cells_per_axis: int = 64,
 ) -> FractionalShift:
     """Fractional shift for the selected forward model tag."""
-    delta = _model_delta(cavity, sample, mode, mu_r, model, choice, cells_per_axis)
+    g = geometry_factor(cavity, sample, mode, model, choice, cells_per_axis)
+    delta = shift_complex(mu_r, cavity.mu_rs, g.value)
     return FractionalShift(delta.real, delta.imag)
 
 
@@ -109,7 +83,8 @@ def forward_load(
     f_loaded = f_empty / (1 - re); 1/Q_loaded = 1/Q_empty + 2 im, on
     unloaded Q.  Coupling is copied from the empty state.
     """
-    delta = _model_delta(cavity, sample, mode, mu_r, model, choice, cells_per_axis)
+    g = geometry_factor(cavity, sample, mode, model, choice, cells_per_axis)
+    delta = shift_complex(mu_r, cavity.mu_rs, g.value)
     if delta.real >= 1:
         raise ModelBreakdownError(
             f"fractional shift re = {delta.real:.4g} >= 1; perturbation assumption violated"
@@ -154,50 +129,46 @@ def _item_seed(base_seed: int, label: str) -> int:
     return (base_seed ^ zlib.crc32(label.encode("utf-8"))) % 2**64
 
 
-def synth_campaign(
+def campaign_traces(
     cavity: CavitySpec,
     sample: SampleSpec,
     mode: ModeSpec,
     sample_table: list[tuple[str, ComplexPermeability]],
     empty: Resonance,
     cfg: SynthConfig,
-    out_dir: str | Path,
-    campaign: str = "campaign",
     model: str = "quadrature",
     choice: InteractionChoice = InteractionChoice.TRANSVERSE_HZ,
     cells_per_axis: int = 64,
-) -> dict[str, Path]:
-    """Write one Touchstone file per material plus the empty-cavity file.
+) -> dict[str, FrequencyTrace]:
+    """One trace per material plus the empty-cavity trace, in memory.
 
-    Returns {label: path}; the empty trace is keyed "empty".  Labels may
+    Returns {label: trace}; the empty trace is keyed "empty".  Labels may
     not collide with it or each other.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     labels = [name for name, _ in sample_table]
     if len(set(labels)) != len(labels) or "empty" in labels:
         raise ConfigurationError("material labels must be unique and not 'empty'")
 
-    written: dict[str, Path] = {}
+    def trace(label: str, res: Resonance) -> FrequencyTrace:
+        return lorentzian_trace(res, replace(cfg, seed=_item_seed(cfg.seed, label)))
 
-    def emit(label: str, res: Resonance) -> None:
-        item_cfg = SynthConfig(
-            cfg.f_start,
-            cfg.f_stop,
-            cfg.n_points,
-            cfg.noise_floor_db,
-            _item_seed(cfg.seed, label),
-            cfg.il_linear,
-        )
-        trace = lorentzian_trace(res, item_cfg)
-        path = out / f"{campaign}_{label}.s2p"
-        path.write_bytes(write_touchstone(trace, fmt="RI"))
-        written[label] = path
-
-    emit("empty", empty)
+    traces = {"empty": trace("empty", empty)}
     for name, mu_r in sample_table:
         loaded = forward_load(
             cavity, sample, mode, mu_r, empty, model, choice, cells_per_axis
         )
-        emit(name, loaded)
+        traces[name] = trace(name, loaded)
+    return traces
+
+
+def synth_campaign(
+    traces: dict[str, FrequencyTrace], out_dir: str | Path, campaign: str = "campaign"
+) -> dict[str, Path]:
+    """Write each trace as <campaign>_<label>.s2p in RI format; returns {label: path}."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: dict[str, Path] = {}
+    for label, trace in traces.items():
+        written[label] = out / f"{campaign}_{label}.s2p"
+        written[label].write_bytes(write_touchstone(trace, fmt="RI"))
     return written

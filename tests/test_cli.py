@@ -96,6 +96,23 @@ class TestSynth:
             blobs.append((out_dir / "campaign_X.s2p").read_bytes())
         assert blobs[0] != blobs[1]
 
+    def test_failing_roster_writes_no_files(
+        self, capsys, tmp_path, config_file, materials_file
+    ):
+        # the middle material shifts the resonance out of the sweep window
+        roster = [
+            {"name": "U", "mu_re": 1.2, "tan_dm": 0.04},
+            {"name": "huge", "mu_re": 1e4},
+            {"name": "X", "mu_re": 1.5, "tan_dm": 0.05},
+        ]
+        out_dir = tmp_path / "camp"
+        code, _, err = run(
+            capsys, "--config", str(config_file()), "synth",
+            "--materials", str(materials_file(roster)), "--out-dir", str(out_dir),
+        )
+        assert code == 2 and "margin" in err
+        assert list(out_dir.glob("*.s2p")) == []
+
     def test_unwritable_out_dir_exit_2(self, capsys, tmp_path, config_file, materials_file):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -213,6 +230,33 @@ class TestCompare:
             payloads.append(out_csv.read_bytes())
         assert payloads[0] == payloads[1]
 
+    @pytest.mark.parametrize("noise", [None, -90.0])
+    def test_rows_match_extract_on_synth_files(
+        self, capsys, tmp_path, config_file, materials_file, noise
+    ):
+        # compare extracts in memory; the numbers must be those of the
+        # Touchstone files that synth writes for the same config
+        cfg, mats = str(config_file(synth={"noise_floor_db": noise})), str(materials_file())
+        code, out, _ = run(capsys, "--config", cfg, "--json", "compare",
+                           "--materials", mats, "--out-csv", str(tmp_path / "t.csv"))
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        out_dir = tmp_path / "camp"
+        code, _, _ = run(capsys, "--config", cfg, "synth",
+                         "--materials", mats, "--out-dir", str(out_dir))
+        assert code == 0
+        assert len(rows) == 6
+        for row in rows:
+            code, out, _ = run(
+                capsys, "--config", cfg, "--json", "extract",
+                str(out_dir / "campaign_empty.s2p"),
+                str(out_dir / f"campaign_{row['material']}.s2p"),
+            )
+            assert code == 0
+            pair = json.loads(out)["pairs"][0]
+            assert row["mu_re_modified"] == pair["mu_re"]
+            assert row["tan_dm_modified"] == pair["tan_dm"]
+
     def test_empty_roster_header_only(self, capsys, tmp_path, config_file, materials_file):
         out_csv = tmp_path / "empty.csv"
         code, _, _ = run(
@@ -250,6 +294,20 @@ class TestQuadcheck:
         code, out, _ = run(capsys, "--config", str(config_file()), "quadcheck")
         assert code == 0
         assert "g_printed" in out and "deviation" in out
+
+    def test_odd_mode_printed_not_applicable(self, capsys, config_file):
+        cfg = str(config_file(mode={"n": 3}))
+        code, out, _ = run(capsys, "--config", cfg, "--json", "quadcheck")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["g_printed"] is None
+        assert doc["deviation_printed_vs_derived_transverse-hz"] is None
+        for choice in ("axial-hx", "transverse-hz", "both-components"):
+            assert doc[f"g_derived_{choice}"] > 0
+            assert doc[f"deviation_derived_vs_quadrature_{choice}"] < 1e-7
+        code, out, _ = run(capsys, "--config", cfg, "quadcheck")
+        assert code == 0
+        assert out.count("n/a") == 2
 
     def test_sample_shrink_scaling(self, capsys, config_file):
         big = config_file()

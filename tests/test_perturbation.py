@@ -18,6 +18,7 @@ from permeameter import (
     complex_shift_from_resonances,
     fractional_shift_closed,
     fractional_shift_quadrature,
+    geometry_factor,
     geometry_factor_conventional,
     geometry_factor_derived,
     geometry_factor_printed,
@@ -36,6 +37,7 @@ from permeameter.errors import (
     UnphysicalResultError,
     UnsupportedModeError,
 )
+from permeameter.perturbation import MODELS
 
 CHOICES = list(InteractionChoice)
 
@@ -133,12 +135,13 @@ class TestGeometryFactorDerived:
     def test_matches_oracle_asymmetric_case(self, choice):
         cavity = CavitySpec(0.022, 0.071, 0.0008, 6.15)
         sample = SampleSpec(0.013, 0.009, 0.0005)
-        mode = ModeSpec(2)
-        g = geometry_factor_derived(cavity, sample, mode, choice)
-        oracle = box_energy_dblquad(cavity, sample, mode, choice) / stored_field_norm(
-            cavity, mode
-        )
-        assert g.value == pytest.approx(oracle, rel=1e-10)
+        for n in (2, 1, 3, 5):
+            mode = ModeSpec(n)
+            g = geometry_factor_derived(cavity, sample, mode, choice)
+            oracle = box_energy_dblquad(cavity, sample, mode, choice) / stored_field_norm(
+                cavity, mode
+            )
+            assert g.value == pytest.approx(oracle, rel=1e-10), n
 
     def test_provenance_tags(self, worked_cavity, worked_sample, mode4):
         tags = {
@@ -147,11 +150,16 @@ class TestGeometryFactorDerived:
         }
         assert tags == {"derived-axial", "derived-transverse", "derived-both"}
 
-    def test_odd_mode_rejected(self, worked_cavity, worked_sample):
-        with pytest.raises(UnsupportedModeError):
-            geometry_factor_derived(
-                worked_cavity, worked_sample, ModeSpec(1), InteractionChoice.BOTH
-            )
+    def test_odd_modes_match_oracle(self, worked_cavity, worked_sample):
+        # the centered z integrals carry a (-1)^n parity factor
+        for n in (1, 3, 5):
+            mode = ModeSpec(n)
+            for choice in CHOICES:
+                g = geometry_factor_derived(worked_cavity, worked_sample, mode, choice)
+                oracle = box_energy_dblquad(
+                    worked_cavity, worked_sample, mode, choice
+                ) / stored_field_norm(worked_cavity, mode)
+                assert g.value == pytest.approx(oracle, rel=1e-10), (n, choice)
 
     def test_sample_exceeding_cavity_rejected(self, worked_cavity, mode4):
         with pytest.raises(InvalidGeometryError, match="extent_x_l1"):
@@ -180,6 +188,19 @@ class TestGeometryFactorDerived:
             ).value == pytest.approx(
                 geometry_factor_derived(cavity, sample, mode, choice).value, rel=1e-9
             )
+
+
+class TestGeometryFactorEntryPoint:
+    @pytest.mark.parametrize("choice", CHOICES)
+    def test_models_match_direct_calls(self, worked_cavity, worked_sample, mode4, choice):
+        args = (worked_cavity, worked_sample, mode4)
+        got = {model: geometry_factor(*args, model, choice, 32) for model in MODELS}
+        assert got["quadrature"] == GeometryFactor(
+            sample_energy_quadrature(*args, choice, 32) / stored_field_norm(worked_cavity, mode4),
+            f"quadrature-{choice.value}",
+        )
+        assert got["derived"] == geometry_factor_derived(*args, choice)
+        assert got["printed"] == geometry_factor_printed(*args)
 
 
 class TestQuadratureShift:

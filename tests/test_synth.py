@@ -6,9 +6,11 @@ from permeameter import (
     ComplexPermeability,
     GeometryFactor,
     InteractionChoice,
+    FrequencyTrace,
     Resonance,
     SampleSpec,
     SynthConfig,
+    campaign_traces,
     complex_shift_from_resonances,
     find_resonances,
     fit_lorentzian,
@@ -162,32 +164,38 @@ class TestCampaign:
             ("X", ComplexPermeability.from_loss_tangent(1.5, 0.05)),
         ]
 
+    def traces(self, cavity, sample, mode, empty, table):
+        return campaign_traces(cavity, sample, mode, table, empty, sweep_for(empty))
+
     def test_file_roster(
         self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance
     ):
-        files = synth_campaign(
-            worked_cavity, worked_sample, mode4, self.table(), empty_resonance,
-            sweep_for(empty_resonance), tmp_path, campaign="bench",
+        traces = self.traces(
+            worked_cavity, worked_sample, mode4, empty_resonance, self.table()
         )
+        assert set(traces) == {"empty", "U", "X"}
+        assert all(isinstance(t, FrequencyTrace) for t in traces.values())
+        files = synth_campaign(traces, tmp_path, campaign="bench")
         assert set(files) == {"empty", "U", "X"}
         assert files["U"].name == "bench_U.s2p"
         assert all(p.exists() for p in files.values())
 
     def test_empty_roster(self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance):
-        files = synth_campaign(
-            worked_cavity, worked_sample, mode4, [], empty_resonance,
-            sweep_for(empty_resonance), tmp_path,
-        )
+        traces = self.traces(worked_cavity, worked_sample, mode4, empty_resonance, [])
+        assert set(traces) == {"empty"}
+        files = synth_campaign(traces, tmp_path)
         assert set(files) == {"empty"}
 
     def test_duplicate_labels_rejected(
-        self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance
+        self, worked_cavity, worked_sample, mode4, empty_resonance
     ):
         table = [("A", ComplexPermeability(1.2, 0.0))] * 2
         with pytest.raises(ConfigurationError):
-            synth_campaign(
-                worked_cavity, worked_sample, mode4, table, empty_resonance,
-                sweep_for(empty_resonance), tmp_path,
+            self.traces(worked_cavity, worked_sample, mode4, empty_resonance, table)
+        with pytest.raises(ConfigurationError):
+            self.traces(
+                worked_cavity, worked_sample, mode4, empty_resonance,
+                [("empty", ComplexPermeability(1.2, 0.0))],
             )
 
     def test_full_loop_recovery(
@@ -195,8 +203,8 @@ class TestCampaign:
     ):
         # trace -> fit -> unload -> shift -> invert recovers the input mu
         files = synth_campaign(
-            worked_cavity, worked_sample, mode4, self.table(), empty_resonance,
-            sweep_for(empty_resonance), tmp_path,
+            self.traces(worked_cavity, worked_sample, mode4, empty_resonance, self.table()),
+            tmp_path,
         )
         empty_trace = parse_touchstone(files["empty"].read_bytes())
         fit_empty = fit_lorentzian(empty_trace, find_resonances(empty_trace)[0])
