@@ -3,7 +3,14 @@
 Verbs: modes, synth, extract, compare, quadcheck.  One JSON config file
 (lengths in millimeters) describes the cavity, sample, mode, and method
 options; see the README for the schema.  The config path comes from
---config or the PERMEAMETER_CONFIG environment variable.
+--config or the PERMEAMETER_CONFIG environment variable.  The common
+flags (--config, --seed, --json) work before or after the verb; a value
+given after the verb overrides one given before it.
+
+Config and materials values are type-checked: a number is a JSON number
+(not a string, boolean or null), and the integer keys (mode.n,
+cells_per_axis, n_points, seed) take JSON integers only.  A malformed
+value is a config error that names its key.
 
 Exit codes: 0 success, 2 config/parse error, 3 no pairable resonance,
 4 unphysical extraction result.
@@ -17,7 +24,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .cavity import CavitySpec, ModeSpec, guided_wavelength, resonant_frequency
@@ -91,102 +98,115 @@ class RunConfig:
     synth: SynthOptions = field(default_factory=SynthOptions)
 
 
-def _mm(section: dict, key: str, where: str) -> float:
+def _read_json(path: str | Path, what: str):
     try:
-        value = section[key]
-    except KeyError:
-        raise ConfigurationError(f"missing {where}.{key}") from None
-    if not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where}.{key} must be a number (millimeters)")
-    return float(value) * MM
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _opt_mm(section: dict, key: str) -> float | None:
-    value = section.get(key)
-    return None if value is None else float(value) * MM
+def _section(doc: dict, name: str, required: bool = True) -> dict:
+    if required and name not in doc:
+        raise ConfigurationError(f"missing config section {name!r}")
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config section {name!r} must be an object")
+    return section
+
+
+_REQUIRED = object()
+
+
+def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: bool = False):
+    """section[key] as a float, or as an int for an integer key.
+
+    An absent key takes `default`; a key whose default is None may also be
+    null.  An integer key takes JSON integers only, other keys any JSON
+    number; a key ending in _mm is a length in millimeters, returned in
+    meters.  Anything else raises a ConfigurationError naming the key.
+    """
+    value = section.get(key, default)
+    if integer:
+        if type(value) is int:
+            return value
+        raise ConfigurationError(f"{where}.{key} must be an integer")
+    if value is _REQUIRED:
+        raise ConfigurationError(f"missing {where}.{key}")
+    if value is None and default is None:
+        return None
+    # type(), not isinstance: JSON true and false are bools, an int subclass
+    if type(value) not in (int, float):
+        unit = " (millimeters)" if key.endswith("_mm") else ""
+        raise ConfigurationError(f"{where}.{key} must be a number{unit}")
+    return float(value) * MM if key.endswith("_mm") else float(value)
+
+
+def _options(cls, section: dict, where: str, **given):
+    """`cls` with the fields in `given`, and every other field read as a
+    number from `section`, defaulting to the value in `cls()`; a field
+    whose default is an int is an integer key."""
+    defaults = cls()
+    for f in fields(cls):
+        if f.name not in given:
+            default = getattr(defaults, f.name)
+            given[f.name] = _number(section, f.name, where, default, isinstance(default, int))
+    return cls(**given)
 
 
 def _as_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigurationError("mu_rs must be a number or a [re, im] pair")
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    if any(type(part) not in (int, float) for part in parts):
+        raise ConfigurationError("mu_rs must be a number or a [re, im] pair")
+    return complex(float(parts[0]), float(parts[1]))
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate the run-configuration JSON document."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}") from None
-    for section in ("cavity", "sample", "mode"):
-        if section not in doc:
-            raise ConfigurationError(f"missing config section {section!r}")
-    cav = doc["cavity"]
+    doc = _read_json(path, "config")
+    if not isinstance(doc, dict):
+        raise ConfigurationError("config must be a JSON object")
+    cav, smp, mod = (_section(doc, name) for name in ("cavity", "sample", "mode"))
     cavity = CavitySpec(
-        width_a=_mm(cav, "width_a_mm", "cavity"),
-        length_l=_mm(cav, "length_l_mm", "cavity"),
-        height_h=_mm(cav, "height_h_mm", "cavity"),
-        eps_r=float(cav.get("eps_r", 1.0)),
+        width_a=_number(cav, "width_a_mm", "cavity"),
+        length_l=_number(cav, "length_l_mm", "cavity"),
+        height_h=_number(cav, "height_h_mm", "cavity"),
+        eps_r=_number(cav, "eps_r", "cavity", 1.0),
         mu_rs=_as_complex(cav.get("mu_rs", 1.0)),
-        via_diameter_d=_opt_mm(cav, "via_diameter_d_mm"),
-        via_pitch_p=_opt_mm(cav, "via_pitch_p_mm"),
+        via_diameter_d=_number(cav, "via_diameter_d_mm", "cavity", None),
+        via_pitch_p=_number(cav, "via_pitch_p_mm", "cavity", None),
     )
-    smp = doc["sample"]
     sample = SampleSpec(
-        extent_x_l1=_mm(smp, "extent_x_l1_mm", "sample"),
-        extent_z_a1=_mm(smp, "extent_z_a1_mm", "sample"),
-        thickness=_mm(smp, "thickness_mm", "sample"),
+        extent_x_l1=_number(smp, "extent_x_l1_mm", "sample"),
+        extent_z_a1=_number(smp, "extent_z_a1_mm", "sample"),
+        thickness=_number(smp, "thickness_mm", "sample"),
     )
-    n = doc["mode"].get("n")
-    if not isinstance(n, int):
-        raise ConfigurationError("mode.n must be an integer")
-    mode = ModeSpec(n=n)
-    ext = doc.get("extraction", {})
+    mode = ModeSpec(n=_number(mod, "n", "mode", integer=True))
+    ext = _section(doc, "extraction", required=False)
+    defaults = ExtractionOptions()
     try:
-        interaction = InteractionChoice(ext.get("interaction", "transverse-hz"))
+        interaction = InteractionChoice(ext.get("interaction", defaults.interaction))
     except ValueError:
         raise ConfigurationError(
             f"extraction.interaction must be one of {[c.value for c in InteractionChoice]}"
         ) from None
-    q_method = ext.get("q_method", "lorentzian-fit")
+    q_method = ext.get("q_method", defaults.q_method)
     if q_method not in ("lorentzian-fit", "three-db"):
         raise ConfigurationError("extraction.q_method must be 'lorentzian-fit' or 'three-db'")
-    model = ext.get("model", "quadrature")
+    model = ext.get("model", defaults.model)
     if model not in MODELS:
         raise ConfigurationError(f"extraction.model must be one of {list(MODELS)}")
-    extraction = ExtractionOptions(
-        q_method=q_method,
-        interaction=interaction,
-        model=model,
-        min_prominence_db=float(ext.get("min_prominence_db", 3.0)),
-        window_bandwidths=float(ext.get("window_bandwidths", 5.0)),
-        cells_per_axis=int(ext.get("cells_per_axis", 64)),
+    extraction = _options(
+        ExtractionOptions, ext, "extraction", q_method=q_method, interaction=interaction, model=model
     )
-    syn = doc.get("synth", {})
-    noise = syn.get("noise_floor_db")
-    synth = SynthOptions(
-        q0_empty=float(syn.get("q0_empty", 800.0)),
-        il_linear=float(syn.get("il_linear", 0.3)),
-        n_points=int(syn.get("n_points", 4001)),
-        span_bandwidths=float(syn.get("span_bandwidths", 40.0)),
-        noise_floor_db=None if noise is None else float(noise),
-        seed=int(syn.get("seed", 0)),
-    )
+    synth = _options(SynthOptions, _section(doc, "synth", required=False), "synth")
     return RunConfig(cavity, sample, mode, extraction, synth)
 
 
 def load_materials(path: str | Path) -> list[dict]:
     """Materials roster: JSON array of {name, mu_re, tan_dm|mu_im, note?}."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read materials file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"materials file is not valid JSON: {exc}") from None
+    doc = _read_json(path, "materials file")
     if isinstance(doc, dict):
         doc = doc.get("materials")
     if not isinstance(doc, list):
@@ -195,11 +215,12 @@ def load_materials(path: str | Path) -> list[dict]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "name" not in entry or "mu_re" not in entry:
             raise ConfigurationError(f"materials[{i}] needs 'name' and 'mu_re'")
-        mu_re = float(entry["mu_re"])
+        where = f"materials[{i}]"
+        mu_re = _number(entry, "mu_re", where)
         if "mu_im" in entry:
-            mu = ComplexPermeability(mu_re, float(entry["mu_im"]))
+            mu = ComplexPermeability(mu_re, _number(entry, "mu_im", where))
         else:
-            mu = ComplexPermeability.from_loss_tangent(mu_re, float(entry.get("tan_dm", 0.0)))
+            mu = ComplexPermeability.from_loss_tangent(mu_re, _number(entry, "tan_dm", where, 0.0))
         roster.append({"name": str(entry["name"]), "mu": mu, "note": entry.get("note", "")})
     return roster
 
@@ -310,10 +331,6 @@ def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTra
     )
 
 
-def run_campaign(cfg: RunConfig, roster: list[dict], out_dir: str | Path, campaign: str):
-    return synth_campaign(_roster_traces(cfg, roster), out_dir, campaign)
-
-
 def compare_rows(cfg: RunConfig, roster: list[dict]) -> list[dict]:
     """Synthesize the roster, extract each material in memory, tabulate both methods."""
     traces = _roster_traces(cfg, roster)
@@ -391,112 +408,96 @@ def quadcheck_report(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns the --json document and the human-readable text
 # ---------------------------------------------------------------------------
 
 
-def cmd_modes(cfg: RunConfig, max_n: int, as_json: bool) -> int:
+def _text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def cmd_modes(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
+    if args.max_n < 0:
+        raise ConfigurationError("--max-n must be >= 0")
     rows = []
-    for n in range(1, max_n + 1):
+    lines = [f"{'n':>3}  {'f (GHz)':>10}  {'lambda_g (mm)':>14}  even"]
+    for n in range(1, args.max_n + 1):
         mode = ModeSpec(n)
-        rows.append(
-            {
-                "n": n,
-                "f_hz": resonant_frequency(cfg.cavity, mode),
-                "lambda_g_m": guided_wavelength(cfg.cavity, mode),
-                "even": mode.is_even,
-            }
+        row = {
+            "n": n,
+            "f_hz": resonant_frequency(cfg.cavity, mode),
+            "lambda_g_m": guided_wavelength(cfg.cavity, mode),
+            "even": mode.is_even,
+        }
+        rows.append(row)
+        lines.append(
+            f"{n:>3}  {row['f_hz'] / 1e9:>10.6f}  "
+            f"{row['lambda_g_m'] * 1e3:>14.4f}  {'*' if mode.is_even else ''}"
         )
-    if as_json:
-        print(json.dumps({"modes": rows}, indent=2))
-        return EXIT_OK
-    print(f"{'n':>3}  {'f (GHz)':>10}  {'lambda_g (mm)':>14}  even")
-    for row in rows:
-        marker = "*" if row["even"] else ""
-        print(
-            f"{row['n']:>3}  {row['f_hz'] / 1e9:>10.6f}  "
-            f"{row['lambda_g_m'] * 1e3:>14.4f}  {marker}"
-        )
-    return EXIT_OK
+    return {"modes": rows}, _text(lines)
 
 
-def cmd_synth(cfg: RunConfig, materials_path: str, out_dir: str, campaign: str, as_json: bool) -> int:
-    roster = load_materials(materials_path)
+def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
+    traces = _roster_traces(cfg, load_materials(args.materials))
     try:
-        files = run_campaign(cfg, roster, out_dir, campaign)
+        files = synth_campaign(traces, args.out_dir, args.campaign)
     except OSError as exc:
-        raise ConfigurationError(f"cannot write to {out_dir!r}: {exc}") from None
-    if as_json:
-        print(json.dumps({"files": {k: str(v) for k, v in files.items()}}, indent=2))
-    else:
-        for label, path in files.items():
-            print(f"{label}: {path}")
-    return EXIT_OK
+        raise ConfigurationError(f"cannot write to {args.out_dir!r}: {exc}") from None
+    document = {"files": {label: str(path) for label, path in files.items()}}
+    return document, _text([f"{label}: {path}" for label, path in files.items()])
 
 
-def _print_extract_human(report: dict) -> None:
+def _extract_text(report: dict) -> str:
+    lines = []
     for i, pair in enumerate(report["pairs"], start=1):
         e, s = pair["empty"], pair["loaded"]
-        print(f"pair {i}:")
-        print(
+        lines += [
+            f"pair {i}:",
             f"  empty : f0 = {e['f0_hz'] / 1e9:.6f} GHz  Q0 = {e['q_unloaded']:.1f}"
-            f"  IL = {e['il_linear']:.4f}  ({e['method']})"
-        )
-        print(
+            f"  IL = {e['il_linear']:.4f}  ({e['method']})",
             f"  loaded: f0 = {s['f0_hz'] / 1e9:.6f} GHz  Q0 = {s['q_unloaded']:.1f}"
-            f"  IL = {s['il_linear']:.4f}  ({s['method']})"
-        )
-        print(f"  shift : re = {pair['shift_re']:+.6e}  im = {pair['shift_im']:+.6e}")
-        print(f"  g     : {pair['g_value']:.6e}  ({pair['g_provenance']})")
-        print(f"  modified    : mu' = {pair['mu_re']:.6f}  tan_dm = {pair['tan_dm']:.6f}")
+            f"  IL = {s['il_linear']:.4f}  ({s['method']})",
+            f"  shift : re = {pair['shift_re']:+.6e}  im = {pair['shift_im']:+.6e}",
+            f"  g     : {pair['g_value']:.6e}  ({pair['g_provenance']})",
+            f"  modified    : mu' = {pair['mu_re']:.6f}  tan_dm = {pair['tan_dm']:.6f}",
+        ]
         if pair["mu_re_conventional"] is None:
-            print("  conventional: (inversion failed)")
+            lines.append("  conventional: (inversion failed)")
         else:
-            print(
+            lines.append(
                 f"  conventional: mu' = {pair['mu_re_conventional']:.6f}"
                 f"  tan_dm = {pair['tan_dm_conventional']:.6f}"
             )
+    return _text(lines)
 
 
-def cmd_extract(cfg: RunConfig, empty_path: str, loaded_path: str, as_json: bool) -> int:
-    empty_trace = parse_touchstone(Path(empty_path).read_bytes(), source=empty_path)
-    loaded_trace = parse_touchstone(Path(loaded_path).read_bytes(), source=loaded_path)
+def cmd_extract(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
+    empty_trace = parse_touchstone(Path(args.empty_s2p).read_bytes(), source=args.empty_s2p)
+    loaded_trace = parse_touchstone(Path(args.loaded_s2p).read_bytes(), source=args.loaded_s2p)
     report = extract_report(cfg, empty_trace, loaded_trace)
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        _print_extract_human(report)
-    return EXIT_OK
+    return report, _extract_text(report)
 
 
-def cmd_compare(cfg: RunConfig, materials_path: str, out_csv: str, as_json: bool) -> int:
-    if Path(out_csv).resolve() == Path(materials_path).resolve():
+def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
+    if Path(args.out_csv).resolve() == Path(args.materials).resolve():
         raise ConfigurationError("--out-csv must differ from --materials")
-    roster = load_materials(materials_path)
-    rows = compare_rows(cfg, roster)
+    rows = compare_rows(cfg, load_materials(args.materials))
     text = compare_csv(rows)
     try:
-        Path(out_csv).write_text(text)
+        Path(args.out_csv).write_text(text)
     except OSError as exc:
-        raise ConfigurationError(f"cannot write {out_csv!r}: {exc}") from None
-    if as_json:
-        print(json.dumps({"rows": rows, "csv_path": out_csv}, indent=2))
-    else:
-        print(text, end="")
-    return EXIT_OK
+        raise ConfigurationError(f"cannot write {args.out_csv!r}: {exc}") from None
+    return {"rows": rows, "csv_path": args.out_csv}, text
 
 
-def cmd_quadcheck(cfg: RunConfig, as_json: bool) -> int:
+def cmd_quadcheck(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
     report = quadcheck_report(cfg)
-    if as_json:
-        print(json.dumps(report, indent=2))
-        return EXIT_OK
-    print("geometry factors:")
+    lines = ["geometry factors:"]
     for key in sorted(report):
         value = report[key]
         shown = "n/a" if value is None else f"{value:.9e}"
-        print(f"  {key:<48} {shown}")
-    return EXIT_OK
+        lines.append(f"  {key:<48} {shown}")
+    return report, _text(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -504,73 +505,65 @@ def cmd_quadcheck(cfg: RunConfig, as_json: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    # registered on the top level and on every verb so the flags work in
-    # either position; the verb copies must not clobber earlier values
-    kwargs = {} if top_level else {"default": argparse.SUPPRESS}
-    parser.add_argument(
-        "--config", "-c", help=f"run-config JSON path (or set ${CONFIG_ENV})", **kwargs
-    )
-    parser.add_argument("--seed", type=int, help="override synth seed", **kwargs)
-    parser.add_argument("--json", action="store_true", help="machine-readable output", **kwargs)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the common flags go on the top level and on every verb, so they work
+    # in either position; nothing is set unless given, so a value given
+    # after the verb overrides one given before it
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", "-c", help=f"run-config JSON path (or set ${CONFIG_ENV})")
+    common.add_argument("--seed", type=int, help="override synth seed")
+    common.add_argument("--json", action="store_true", help="machine-readable output")
     parser = argparse.ArgumentParser(
         prog="permeameter",
         description="Complex-permeability extraction from resonator S-parameter traces.",
+        parents=[common],
     )
-    _add_common_flags(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("modes", help="list TE10n resonances")
-    _add_common_flags(p, top_level=False)
+    p = sub.add_parser("modes", parents=[common], help="list TE10n resonances")
     p.add_argument("--max-n", type=int, default=4)
+    p.set_defaults(run=cmd_modes)
 
-    p = sub.add_parser("synth", help="synthesize a Touchstone campaign")
-    _add_common_flags(p, top_level=False)
+    p = sub.add_parser("synth", parents=[common], help="synthesize a Touchstone campaign")
     p.add_argument("--materials", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--campaign", default="campaign")
+    p.set_defaults(run=cmd_synth)
 
-    p = sub.add_parser("extract", help="extract permeability from two traces")
-    _add_common_flags(p, top_level=False)
+    p = sub.add_parser("extract", parents=[common], help="extract permeability from two traces")
     p.add_argument("empty_s2p")
     p.add_argument("loaded_s2p")
+    p.set_defaults(run=cmd_extract)
 
-    p = sub.add_parser("compare", help="synthesize, re-extract, and tabulate a roster")
-    _add_common_flags(p, top_level=False)
+    p = sub.add_parser(
+        "compare", parents=[common], help="synthesize, re-extract, and tabulate a roster"
+    )
     p.add_argument("--materials", required=True)
     p.add_argument("--out-csv", required=True)
+    p.set_defaults(run=cmd_compare)
 
-    p = sub.add_parser("quadcheck", help="report geometry-factor route deviations")
-    _add_common_flags(p, top_level=False)
+    p = sub.add_parser("quadcheck", parents=[common], help="report geometry-factor route deviations")
+    p.set_defaults(run=cmd_quadcheck)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config_path = args.config or os.environ.get(CONFIG_ENV)
+        config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
         if not config_path:
             raise ConfigurationError(
                 f"no config given; use --config or set ${CONFIG_ENV}"
             )
         cfg = load_config(config_path)
-        if args.seed is not None:
-            cfg = replace(cfg, synth=replace(cfg.synth, seed=args.seed))
-        if args.command == "modes":
-            if args.max_n < 0:
-                raise ConfigurationError("--max-n must be >= 0")
-            return cmd_modes(cfg, args.max_n, args.json)
-        if args.command == "synth":
-            return cmd_synth(cfg, args.materials, args.out_dir, args.campaign, args.json)
-        if args.command == "extract":
-            return cmd_extract(cfg, args.empty_s2p, args.loaded_s2p, args.json)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.materials, args.out_csv, args.json)
-        return cmd_quadcheck(cfg, args.json)
+        seed = getattr(args, "seed", None)
+        if seed is not None:
+            cfg = replace(cfg, synth=replace(cfg.synth, seed=seed))
+        document, text = args.run(cfg, args)
+        if getattr(args, "json", False):
+            text = json.dumps(document, indent=2) + "\n"
+        print(text, end="")
+        return EXIT_OK
     except NoPairableResonanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_RESONANCE

@@ -1,14 +1,19 @@
-"""The benchmark wraps program functions where their callers look them up.
+"""The benchmark uses program names that tier-1 does not otherwise run.
 
-perfbench/spans.py lists those lookup sites in WRAP_POINTS; a traced run
-fails at start-up if any of them is missing, so each must resolve.
+perfbench/spans.py lists the lookup sites it wraps in WRAP_POINTS; a
+traced run fails at start-up if any of them is missing, so each must
+resolve.  The other perfbench scripts import names from the program, and
+perfbench/stages.py is not run by the test suite, so those imports are
+checked here too.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_wrap_points_resolve():
@@ -21,4 +26,39 @@ def test_wrap_points_resolve():
         for module, attr, _ in spans.WRAP_POINTS
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
+    assert missing == []
+
+
+def _program_names(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for every `from permeameter... import name` in a file,
+    and every attribute read off a module bound by `import permeameter... as x`."""
+    tree = ast.parse(path.read_text())
+    names, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("permeameter"):
+            names |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            aliases |= {
+                alias.asname: alias.name
+                for alias in node.names
+                if alias.asname and alias.name.startswith("permeameter")
+            }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            names.add((aliases[node.value.id], node.attr))
+    return names
+
+
+def test_benchmark_imports_resolve():
+    names = set().union(*(_program_names(path) for path in PERFBENCH.glob("*.py")))
+    assert {("permeameter.cli", "extract_report"), ("permeameter.cli", "main")} <= names
+    missing = sorted(
+        (module, name)
+        for module, name in names
+        if not hasattr(importlib.import_module(module), name)
+    )
     assert missing == []

@@ -329,3 +329,51 @@ class TestQuadcheck:
         )
         for key in ("g_printed", "g_derived_transverse-hz"):
             assert doc_big[key] / doc_small[key] > 1000.0
+
+
+@pytest.mark.parametrize(
+    "overrides, roster, key",
+    [
+        ({"cavity": {"eps_r": "x"}}, None, "cavity.eps_r"),
+        ({"extraction": {"min_prominence_db": "abc"}}, None, "extraction.min_prominence_db"),
+        ({"synth": {"n_points": "x"}}, None, "synth.n_points"),
+        ({"synth": {"seed": 1.7}}, None, "synth.seed"),
+        ({"synth": {"noise_floor_db": True}}, None, "synth.noise_floor_db"),
+        (
+            {"cavity": {"via_diameter_d_mm": "0.5", "via_pitch_p_mm": 1.0}},
+            None,
+            "cavity.via_diameter_d_mm",
+        ),
+        ({"mode": [4]}, None, "'mode'"),
+        ({}, [{"name": "U", "mu_re": "1.5"}], "materials[0].mu_re"),
+    ],
+)
+def test_malformed_value_exit_2_names_key(
+    capsys, tmp_path, config_file, materials_file, overrides, roster, key
+):
+    # an exception escaping main is the traceback a user would see
+    code, out, err = run(
+        capsys, "--config", str(config_file(**overrides)), "compare",
+        "--materials", str(materials_file(roster)), "--out-csv", str(tmp_path / "t.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert key in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--seed", "--json"])
+def test_common_flag_before_or_after_verb(capsys, tmp_path, config_file, materials_file, flag):
+    config = config_file(synth={"noise_floor_db": -90.0})
+    other = tmp_path / "other.json"
+    other.write_text(config.read_text().replace('"n": 4', '"n": 2'))
+    value = {"--config": [str(config)], "--seed": ["3"], "--json": []}
+    stale = {"--config": [str(other)], "--seed": ["4"], "--json": []}[flag]
+    rest = [arg for name, args in value.items() if name != flag for arg in (name, *args)]
+    verb = ["compare", "--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv")]
+    given = [flag, *value[flag]]
+    before = run(capsys, *rest, *given, *verb)
+    assert before[0] == 0
+    assert run(capsys, *rest, *verb, *given) == before
+    # a value after the verb overrides one before it
+    assert run(capsys, *rest, flag, *stale, *verb, *given) == before
+    if stale:
+        assert run(capsys, *rest, flag, *stale, *verb) != before
