@@ -33,7 +33,6 @@ from .perturbation import (
     geometry_factor_conventional,
     geometry_factor_derived,
     geometry_factor_printed,
-    invert_conventional,
     invert_permeability,
     sample_energy_midpoint,
     sample_energy_quadrature,
@@ -43,7 +42,6 @@ from .synth import (
     campaign_traces,
     forward_load,
     lorentzian_trace,
-    model_shift,
     synth_campaign,
 )
 from .traceio import (
@@ -87,11 +85,9 @@ __all__ = [
     "geometry_factor_derived",
     "geometry_factor_printed",
     "guided_wavelength",
-    "invert_conventional",
     "invert_permeability",
     "lorentzian_trace",
     "mode_field",
-    "model_shift",
     "pair_resonances",
     "parse_touchstone",
     "q_3db",

@@ -7,9 +7,10 @@ options; see the README for the schema.  The config path comes from
 flags (--config, --seed, --json) work before or after the verb; a value
 given after the verb overrides one given before it.
 
-Config and materials values are type-checked: a number is a JSON number
-(not a string, boolean or null), and the integer keys (mode.n,
-cells_per_axis, n_points, seed) take JSON integers only.  A malformed
+Config and materials values are type-checked: a number is a finite JSON
+number (not a string, boolean or null, nor the NaN and Infinity that
+Python's json reads), and the integer keys (mode.n, cells_per_axis,
+n_points, seed) take JSON integers only.  A malformed
 value is a config error that names its key.
 
 Exit codes: 0 success, 2 config/parse error, 3 no pairable resonance,
@@ -22,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -43,7 +45,6 @@ from .perturbation import (
     complex_shift_from_resonances,
     geometry_factor,
     geometry_factor_conventional,
-    invert_conventional,
     invert_permeability,
 )
 # imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
@@ -119,13 +120,23 @@ def _section(doc: dict, name: str, required: bool = True) -> dict:
 _REQUIRED = object()
 
 
+def _finite(value: int | float, name: str) -> float:
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be a finite number")
+    return number
+
+
 def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: bool = False):
     """section[key] as a float, or as an int for an integer key.
 
     An absent key takes `default`; a key whose default is None may also be
-    null.  An integer key takes JSON integers only, other keys any JSON
-    number; a key ending in _mm is a length in millimeters, returned in
-    meters.  Anything else raises a ConfigurationError naming the key.
+    null.  An integer key takes JSON integers only, other keys any finite
+    JSON number; a key ending in _mm is a length in millimeters, returned
+    in meters.  Anything else raises a ConfigurationError naming the key.
     """
     value = section.get(key, default)
     if integer:
@@ -140,7 +151,8 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: boo
     if type(value) not in (int, float):
         unit = " (millimeters)" if key.endswith("_mm") else ""
         raise ConfigurationError(f"{where}.{key} must be a number{unit}")
-    return float(value) * MM if key.endswith("_mm") else float(value)
+    number = _finite(value, f"{where}.{key}")
+    return number * MM if key.endswith("_mm") else number
 
 
 def _options(cls, section: dict, where: str, **given):
@@ -159,7 +171,7 @@ def _as_complex(value) -> complex:
     parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
     if any(type(part) not in (int, float) for part in parts):
         raise ConfigurationError("mu_rs must be a number or a [re, im] pair")
-    return complex(float(parts[0]), float(parts[1]))
+    return complex(*(_finite(part, "cavity.mu_rs") for part in parts))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -277,6 +289,10 @@ def extract_report(
     for empty_res, loaded_res in pair_resonances(empties, loadeds):
         shift = complex_shift_from_resonances(empty_res, loaded_res)
         mu_mod = invert_permeability(shift, g, mu_rs)
+        try:
+            mu_conv = invert_permeability(shift, g_conv, mu_rs)
+        except PermeameterError:
+            mu_conv = None
         entry = {
             "empty": _resonance_dict(empty_res),
             "loaded": _resonance_dict(loaded_res),
@@ -289,44 +305,34 @@ def extract_report(
             "tan_dm": mu_mod.tan_dm,
             "g_conventional": g_conv.value,
         }
-        try:
-            mu_conv = invert_conventional(shift, cfg.cavity, cfg.sample, cfg.mode, mu_rs)
-            entry["mu_re_conventional"] = mu_conv.mu_re
-            entry["mu_im_conventional"] = mu_conv.mu_im
-            entry["tan_dm_conventional"] = mu_conv.tan_dm
-        except PermeameterError:
-            entry["mu_re_conventional"] = None
-            entry["mu_im_conventional"] = None
-            entry["tan_dm_conventional"] = None
+        for part in ("mu_re", "mu_im", "tan_dm"):
+            entry[f"{part}_conventional"] = None if mu_conv is None else getattr(mu_conv, part)
         pairs.append(entry)
     return {"pairs": pairs}
 
 
-def _empty_resonance(cfg: RunConfig) -> Resonance:
-    f0 = resonant_frequency(cfg.cavity, cfg.mode)
-    q0 = cfg.synth.q0_empty
-    il = cfg.synth.il_linear
-    return Resonance(f0, q0 * (1.0 - il), q0, il, method="model")
-
-
-def _sweep_config(cfg: RunConfig, empty: Resonance) -> SynthConfig:
-    span = cfg.synth.span_bandwidths * empty.f0 / empty.q_loaded
-    return SynthConfig(
-        f_start=empty.f0 - span / 2.0,
-        f_stop=empty.f0 + span / 2.0,
-        n_points=cfg.synth.n_points,
-        noise_floor_db=cfg.synth.noise_floor_db,
-        seed=cfg.synth.seed,
-        il_linear=cfg.synth.il_linear,
-    )
-
-
 def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTrace]:
-    empty = _empty_resonance(cfg)
-    ext = cfg.extraction
+    """Empty-cavity and per-material traces of the roster, in memory.
+
+    The sweep is centered on the modeled empty resonance and spans
+    span_bandwidths of its loaded bandwidth.
+    """
+    syn, ext = cfg.synth, cfg.extraction
+    f0 = resonant_frequency(cfg.cavity, cfg.mode)
+    q0 = syn.q0_empty
+    empty = Resonance(f0, q0 * (1.0 - syn.il_linear), q0, syn.il_linear, method="model")
+    span = syn.span_bandwidths * f0 / empty.q_loaded
+    sweep = SynthConfig(
+        f_start=f0 - span / 2.0,
+        f_stop=f0 + span / 2.0,
+        n_points=syn.n_points,
+        noise_floor_db=syn.noise_floor_db,
+        seed=syn.seed,
+        il_linear=syn.il_linear,
+    )
     table = [(m["name"], m["mu"]) for m in roster]
     return campaign_traces(
-        cfg.cavity, cfg.sample, cfg.mode, table, empty, _sweep_config(cfg, empty),
+        cfg.cavity, cfg.sample, cfg.mode, table, empty, sweep,
         ext.model, ext.interaction, ext.cells_per_axis,
     )
 
@@ -337,18 +343,17 @@ def compare_rows(cfg: RunConfig, roster: list[dict]) -> list[dict]:
     rows = []
     for m in roster:
         pair = extract_report(cfg, traces["empty"], traces[m["name"]])["pairs"][0]
-        rows.append(
-            {
-                "material": m["name"],
-                "mu_re_actual": m["mu"].mu_re,
-                "mu_re_conventional": pair["mu_re_conventional"],
-                "mu_re_modified": pair["mu_re"],
-                "tan_dm_actual": m["mu"].tan_dm,
-                "tan_dm_conventional": pair["tan_dm_conventional"],
-                "tan_dm_modified": pair["tan_dm"],
-                "note": m["note"],
-            }
+        values = (
+            m["name"],
+            m["mu"].mu_re,
+            pair["mu_re_conventional"],
+            pair["mu_re"],
+            m["mu"].tan_dm,
+            pair["tan_dm_conventional"],
+            pair["tan_dm"],
+            m["note"],
         )
+        rows.append(dict(zip(COMPARE_COLUMNS, values, strict=True)))
     return rows
 
 

@@ -386,8 +386,7 @@ def fractional_shift_quadrature(
     cross-checks; only the printed form is even-n only.
     """
     g = geometry_factor(cavity, sample, mode, "quadrature", choice, cells_per_axis)
-    delta = shift_complex(mu_r, cavity.mu_rs, g.value)
-    return FractionalShift(delta.real, delta.imag)
+    return fractional_shift_closed(mu_r, cavity.mu_rs, g)
 
 
 def fractional_shift_closed(
@@ -449,15 +448,3 @@ def invert_permeability(
         )
     return ComplexPermeability(mu_re, mu_im)
 
-
-def invert_conventional(
-    shift: FractionalShift,
-    cavity: CavitySpec,
-    sample: SampleSpec,
-    mode: ModeSpec,
-    mu_rs: complex,
-) -> ComplexPermeability:
-    """Baseline inversion with the uniform-maximum-field factor."""
-    return invert_permeability(
-        shift, geometry_factor_conventional(cavity, sample, mode), mu_rs
-    )

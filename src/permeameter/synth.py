@@ -18,7 +18,6 @@ from .cavity import CavitySpec, ModeSpec
 from .errors import ConfigurationError, ModelBreakdownError
 from .perturbation import (
     ComplexPermeability,
-    FractionalShift,
     InteractionChoice,
     SampleSpec,
     geometry_factor,
@@ -51,21 +50,6 @@ class SynthConfig:
             raise ConfigurationError("il_linear must be in (0, 1)")
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in 64 bits")
-
-
-def model_shift(
-    cavity: CavitySpec,
-    sample: SampleSpec,
-    mode: ModeSpec,
-    mu_r: ComplexPermeability,
-    model: str = "quadrature",
-    choice: InteractionChoice = InteractionChoice.TRANSVERSE_HZ,
-    cells_per_axis: int = 64,
-) -> FractionalShift:
-    """Fractional shift for the selected forward model tag."""
-    g = geometry_factor(cavity, sample, mode, model, choice, cells_per_axis)
-    delta = shift_complex(mu_r, cavity.mu_rs, g.value)
-    return FractionalShift(delta.real, delta.imag)
 
 
 def forward_load(

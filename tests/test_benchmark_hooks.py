@@ -2,14 +2,15 @@
 
 perfbench/spans.py lists the lookup sites it wraps in WRAP_POINTS; a
 traced run fails at start-up if any of them is missing, so each must
-resolve.  The other perfbench scripts import names from the program, and
-perfbench/stages.py is not run by the test suite, so those imports are
-checked here too.
+resolve.  The other perfbench scripts import names from the program and
+call them, and perfbench/stages.py is not run by the test suite, so those
+imports, and the arguments of those calls, are checked here too.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -62,3 +63,51 @@ def test_benchmark_imports_resolve():
         if not hasattr(importlib.import_module(module), name)
     )
     assert missing == []
+
+
+def _program_calls(path: Path):
+    """(file:line, callee, call node) for every call in a file whose callee is
+    a name imported from permeameter, or an attribute (chain) of one or of an
+    imported permeameter module."""
+    tree = ast.parse(path.read_text())
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("permeameter"):
+            module = importlib.import_module(node.module)
+            roots |= {alias.asname or alias.name: getattr(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("permeameter"):
+                    importlib.import_module(alias.name)
+                    # `import permeameter.cli` binds the name `permeameter`
+                    local = alias.asname or alias.name.split(".")[0]
+                    roots[local] = importlib.import_module(alias.name if alias.asname else local)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.insert(0, func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id in roots:
+            callee = roots[func.id]
+            for attr in chain:
+                callee = getattr(callee, attr)
+            yield f"{path.name}:{node.lineno}", callee, node
+
+
+def test_benchmark_calls_bind():
+    calls = [call for path in sorted(PERFBENCH.glob("*.py")) for call in _program_calls(path)]
+    callees = {callee.__name__ for _, callee, _ in calls}
+    assert {"SynthConfig", "forward_load", "extract_report", "load_config", "main"} <= callees
+    unbound = []
+    for where, callee, node in calls:
+        keywords = [keyword.arg for keyword in node.keywords]
+        if None in keywords or any(isinstance(arg, ast.Starred) for arg in node.args):
+            unbound.append(f"{where}: *args or **kwargs cannot be checked")
+            continue
+        try:
+            inspect.signature(callee).bind(*[None] * len(node.args), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{where}: {callee.__qualname__}: {exc}")
+    assert unbound == []

@@ -241,6 +241,8 @@ class TestCompare:
                            "--materials", mats, "--out-csv", str(tmp_path / "t.csv"))
         assert code == 0
         rows = json.loads(out)["rows"]
+        header = (tmp_path / "t.csv").read_text().splitlines()[0].split(",")
+        assert all(list(row) == header for row in rows)
         out_dir = tmp_path / "camp"
         code, _, _ = run(capsys, "--config", cfg, "synth",
                          "--materials", mats, "--out-dir", str(out_dir))
@@ -346,6 +348,13 @@ class TestQuadcheck:
         ),
         ({"mode": [4]}, None, "'mode'"),
         ({}, [{"name": "U", "mu_re": "1.5"}], "materials[0].mu_re"),
+        # Python's json reads NaN and Infinity; a number must be finite
+        ({"cavity": {"length_l_mm": float("inf")}}, None, "cavity.length_l_mm"),
+        ({"synth": {"q0_empty": float("nan")}}, None, "synth.q0_empty"),
+        ({"synth": {"noise_floor_db": float("-inf")}}, None, "synth.noise_floor_db"),
+        ({"cavity": {"mu_rs": [1.0, float("nan")]}}, None, "cavity.mu_rs"),
+        ({"cavity": {"eps_r": 10**400}}, None, "cavity.eps_r"),  # beyond the float range
+        ({}, [{"name": "U", "mu_re": float("nan")}], "materials[0].mu_re"),
     ],
 )
 def test_malformed_value_exit_2_names_key(

@@ -15,10 +15,10 @@ from permeameter import (
     find_resonances,
     fit_lorentzian,
     forward_load,
+    fractional_shift_quadrature,
     geometry_factor_printed,
     invert_permeability,
     lorentzian_trace,
-    model_shift,
     parse_touchstone,
     resonant_frequency,
     sample_energy_quadrature,
@@ -98,7 +98,7 @@ class TestForwardLoad:
         mu = ComplexPermeability.from_loss_tangent(1.4, 0.06)
         loaded = forward_load(worked_cavity, worked_sample, mode4, mu, empty_resonance)
         measured = complex_shift_from_resonances(empty_resonance, loaded)
-        modeled = model_shift(worked_cavity, worked_sample, mode4, mu)
+        modeled = fractional_shift_quadrature(worked_cavity, worked_sample, mode4, mu)
         assert measured.re == pytest.approx(modeled.re, rel=1e-12)
         assert measured.im == pytest.approx(modeled.im, rel=1e-12)
 
