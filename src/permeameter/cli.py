@@ -315,7 +315,10 @@ def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTra
     """Empty-cavity and per-material traces of the roster, in memory.
 
     The sweep is centered on the modeled empty resonance and spans
-    span_bandwidths of its loaded bandwidth.
+    span_bandwidths of its loaded bandwidth.  campaign_traces widens it
+    where a modelled loaded resonance inside it is too broad for the
+    3-bandwidth margin, as with axial-hx or both-components on a lossy
+    material; a resonance shifted out of the sweep is still an error.
     """
     syn, ext = cfg.synth, cfg.extraction
     f0 = resonant_frequency(cfg.cavity, cfg.mode)

@@ -9,6 +9,7 @@ with optional seeded noise renders the scattering trace.  Coupling
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -82,6 +83,14 @@ def forward_load(
     return Resonance(f_loaded, q_loaded, q_unloaded, empty.il_linear, method="model")
 
 
+#: Bandwidths of sweep that a synthesized resonance needs on either side.
+MARGIN_BANDWIDTHS = 3.0
+
+
+def _margin(res: Resonance) -> float:
+    return MARGIN_BANDWIDTHS * (res.f0 / res.q_loaded)
+
+
 def lorentzian_trace(res: Resonance, cfg: SynthConfig) -> FrequencyTrace:
     """Single-resonance transmission trace on a uniform frequency grid.
 
@@ -90,11 +99,11 @@ def lorentzian_trace(res: Resonance, cfg: SynthConfig) -> FrequencyTrace:
     is complex Gaussian with RMS 10^(noise_floor_db/20), reproducible
     for a fixed seed.
     """
-    bw = res.f0 / res.q_loaded
-    if not (cfg.f_start + 3.0 * bw <= res.f0 <= cfg.f_stop - 3.0 * bw):
+    margin = _margin(res)
+    if not (cfg.f_start + margin <= res.f0 <= cfg.f_stop - margin):
         raise ConfigurationError(
-            f"resonance at {res.f0:.6g} Hz needs 3 bandwidths "
-            f"({3 * bw:.6g} Hz) of margin inside ({cfg.f_start:.6g}, {cfg.f_stop:.6g})"
+            f"resonance at {res.f0:.6g} Hz needs {MARGIN_BANDWIDTHS:g} bandwidths "
+            f"({margin:.6g} Hz) of margin inside ({cfg.f_start:.6g}, {cfg.f_stop:.6g})"
         )
     f = np.linspace(cfg.f_start, cfg.f_stop, cfg.n_points)
     u = (f - res.f0) / res.f0
@@ -127,22 +136,45 @@ def campaign_traces(
     """One trace per material plus the empty-cavity trace, in memory.
 
     Returns {label: trace}; the empty trace is keyed "empty".  Labels may
-    not collide with it or each other.
+    not collide with it or each other.  Every trace shares one grid: cfg's,
+    widened where a modelled resonance inside it lacks the margin that
+    lorentzian_trace demands (see _widened).
     """
     labels = [name for name, _ in sample_table]
     if len(set(labels)) != len(labels) or "empty" in labels:
         raise ConfigurationError("material labels must be unique and not 'empty'")
 
-    def trace(label: str, res: Resonance) -> FrequencyTrace:
-        return lorentzian_trace(res, replace(cfg, seed=_item_seed(cfg.seed, label)))
-
-    traces = {"empty": trace("empty", empty)}
+    resonances = {"empty": empty}
     for name, mu_r in sample_table:
-        loaded = forward_load(
+        resonances[name] = forward_load(
             cavity, sample, mode, mu_r, empty, model, choice, cells_per_axis
         )
-        traces[name] = trace(name, loaded)
-    return traces
+    sweep = _widened(cfg, resonances.values())
+    return {
+        label: lorentzian_trace(res, replace(sweep, seed=_item_seed(cfg.seed, label)))
+        for label, res in resonances.items()
+    }
+
+
+def _widened(cfg: SynthConfig, resonances: Iterable[Resonance]) -> SynthConfig:
+    """cfg with each edge moved out only as far as a resonance needs.
+
+    A resonance inside the sweep that lacks MARGIN_BANDWIDTHS on one side
+    moves that edge to one bandwidth beyond its margin, so rounding cannot
+    fail the margin check of lorentzian_trace.  A resonance outside the
+    sweep moves nothing and is left for that check to reject.
+    """
+    f_start, f_stop = cfg.f_start, cfg.f_stop
+    for res in resonances:
+        if not cfg.f_start < res.f0 < cfg.f_stop:
+            continue
+        margin = _margin(res)
+        reach = margin + res.f0 / res.q_loaded
+        if cfg.f_start + margin > res.f0:
+            f_start = min(f_start, res.f0 - reach)
+        if res.f0 > cfg.f_stop - margin:
+            f_stop = max(f_stop, res.f0 + reach)
+    return replace(cfg, f_start=f_start, f_stop=f_stop)
 
 
 def synth_campaign(

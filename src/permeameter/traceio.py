@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import (
     FitFailureError,
@@ -253,13 +252,72 @@ def write_csv(trace: FrequencyTrace) -> str:
 def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> list[int]:
     """Indices of |S21| (dB) local maxima with at least the given prominence.
 
-    Prominence is the height above the higher of the two flanking
-    minima; first/last samples never qualify.  Sorted by frequency.
+    The rule is that of ``scipy.signal.find_peaks(s21_db, prominence=p)``,
+    and the indices are the same on every trace:
+
+    * a peak is a sample, or a plateau of equal samples, with a strictly
+      lower sample on either side; a plateau is reported at its
+      midpoint, rounded down, so the first and last samples never
+      qualify;
+    * each base walks out from the peak until it meets a sample strictly
+      higher than the peak, or the trace edge, and takes the lowest
+      sample it passed;
+    * the prominence is the peak level minus the higher of the two
+      bases, and a peak qualifies when its prominence is >= p.
+
+    Sorted by frequency.
     """
     if not min_prominence_db > 0:
         raise InvalidGeometryError("min_prominence_db must be > 0")
-    peaks, _ = find_peaks(trace.s21_db, prominence=min_prominence_db)
-    return [int(i) for i in peaks]
+    db = trace.s21_db
+    step = np.diff(db)
+    runs = None
+    if not step.all():
+        # one sample per run of equal samples, so a plateau is one maximum;
+        # done only when needed, as it costs more than the whole search on
+        # a typical noiseless trace
+        runs = np.flatnonzero(np.concatenate(([True], step != 0)))
+        db = db[runs]
+        step = np.diff(db)
+    rising = step > 0
+    # no step is zero now, so "not rising" is falling
+    peaks = np.flatnonzero(rising[:-1] & ~rising[1:]) + 1
+    if not peaks.size:
+        return []
+    heights = db[peaks]
+    # gaps[k]: lowest sample between peak k-1 (or the left edge) and peak k;
+    # gaps[-1]: lowest sample right of the last peak
+    gaps = np.minimum.reduceat(db, np.concatenate(([0], peaks))).tolist()
+    levels = heights.tolist()
+    left = _base_levels(levels, gaps[:-1])
+    right = _base_levels(levels[::-1], gaps[:0:-1])[::-1]
+    found = peaks[heights - np.maximum(left, right) >= min_prominence_db]
+    if runs is not None:
+        ends = np.append(runs[1:], len(trace)) - 1
+        found = (runs[found] + ends[found]) // 2
+    return [int(i) for i in found]
+
+
+def _base_levels(levels: list[float], gaps: list[float]) -> list[float]:
+    """Base of each peak on one side, walking against the list order.
+
+    gaps[k] is the lowest sample between peak k and the peak (or trace
+    edge) before it.  The stack holds the earlier peaks not yet passed
+    by a walk, each with its own base; their levels strictly decrease
+    from the bottom.  A walk from a new peak passes every stacked peak
+    no higher than it and takes their bases, so each peak is pushed and
+    popped once, O(peaks) per trace rather than O(samples x peaks).
+    """
+    stack = [(math.inf, 0.0)]
+    out = []
+    for level, base in zip(levels, gaps):
+        while stack[-1][0] <= level:
+            passed = stack.pop()[1]
+            if passed < base:
+                base = passed
+        stack.append((level, base))
+        out.append(base)
+    return out
 
 
 def _parabolic_vertex(f: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:

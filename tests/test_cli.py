@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permeameter
 from permeameter import (
     Resonance,
     SynthConfig,
@@ -259,6 +264,23 @@ class TestCompare:
             assert row["mu_re_modified"] == pair["mu_re"]
             assert row["tan_dm_modified"] == pair["tan_dm"]
 
+    @pytest.mark.parametrize("interaction", ["axial-hx", "both-components"])
+    def test_broad_loaded_resonance_widens_the_sweep(
+        self, capsys, tmp_path, config_file, materials_file, interaction
+    ):
+        # g ~ 0.032: lossy W (Q_L ~ 110) lacks the 3-bandwidth margin inside
+        # the span_bandwidths window of the empty resonance
+        cfg = str(config_file(extraction={"interaction": interaction}))
+        code, out, err = run(capsys, "--config", cfg, "--json", "compare",
+                             "--materials", str(materials_file()),
+                             "--out-csv", str(tmp_path / "t.csv"))
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 6
+        for row in rows:
+            assert row["mu_re_modified"] == pytest.approx(row["mu_re_actual"], rel=1e-6)
+            assert row["tan_dm_modified"] == pytest.approx(row["tan_dm_actual"], rel=1e-6)
+
     def test_empty_roster_header_only(self, capsys, tmp_path, config_file, materials_file):
         out_csv = tmp_path / "empty.csv"
         code, _, _ = run(
@@ -386,3 +408,21 @@ def test_common_flag_before_or_after_verb(capsys, tmp_path, config_file, materia
     assert run(capsys, *rest, flag, *stale, *verb, *given) == before
     if stale:
         assert run(capsys, *rest, flag, *stale, *verb) != before
+
+
+def test_import_loads_no_scipy():
+    # every CLI run pays for what its import pulls in, and scipy.signal
+    # was most of that start-up
+    src = str(Path(permeameter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    probe = (
+        "import sys, permeameter.cli, permeameter; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -198,6 +198,26 @@ class TestCampaign:
                 [("empty", ComplexPermeability(1.2, 0.0))],
             )
 
+    def test_sweep_widens_only_where_a_resonance_lacks_margin(
+        self, worked_cavity, worked_sample, mode4, empty_resonance
+    ):
+        cfg = sweep_for(empty_resonance)
+        grid = np.linspace(cfg.f_start, cfg.f_stop, cfg.n_points)
+        traces = self.traces(
+            worked_cavity, worked_sample, mode4, empty_resonance, self.table()
+        )
+        assert all(np.array_equal(t.freqs, grid) for t in traces.values())
+        # axial-hx: a lossy bar broadens and pulls the loaded resonance down
+        # until the low edge lacks 3 of its bandwidths
+        lossy = [("W", ComplexPermeability.from_loss_tangent(1.6, 0.1))]
+        traces = campaign_traces(
+            worked_cavity, worked_sample, mode4, lossy, empty_resonance, cfg,
+            choice=InteractionChoice.AXIAL_HX,
+        )
+        freqs = traces["W"].freqs
+        assert freqs[0] < cfg.f_start and freqs[-1] == cfg.f_stop
+        assert np.array_equal(traces["empty"].freqs, freqs)
+
     def test_full_loop_recovery(
         self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance
     ):

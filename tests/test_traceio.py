@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from permeameter import (
     FrequencyTrace,
@@ -203,6 +204,39 @@ class TestFindResonances:
     def test_prominence_validation(self):
         with pytest.raises(InvalidGeometryError):
             find_resonances(two_peak_trace(), 0.0)
+
+    # find_resonances promises scipy's find_peaks(prominence=p) peaks exactly;
+    # coarse levels make plateaus, ties and equal neighbouring maxima common
+    @given(
+        levels=st.lists(
+            st.one_of(
+                st.integers(-4, 4).map(float),
+                st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        p=st.sampled_from([1e-9, 0.1, 0.5, 1.0, 2.0, 3.0]),
+    )
+    @example(levels=[0, 3, 1, 3, 0], p=3.0)  # a base walk passes an equal peak
+    @example(levels=[0, 2, 2, 2, 2, 0], p=1.0)  # plateau midpoint, rounded down
+    @example(levels=[2, 2, 0, 1, 1], p=0.5)  # plateaus at the edges never qualify
+    @example(levels=[0, 2, 1, 2, 0, 1, 0], p=1.0)  # prominence exactly p qualifies
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy_find_peaks(self, levels, p):
+        db = np.array(levels)
+        trace = FrequencyTrace(1e9 + np.arange(len(db)) * 1e6, 10 ** (db / 20))
+        expected = find_peaks(trace.s21_db, prominence=p)[0].tolist()
+        assert find_resonances(trace, p) == expected
+
+    @pytest.mark.parametrize("n_points", [4001, 40001])
+    @pytest.mark.parametrize("noise_db", [-110.0, -60.0])
+    def test_matches_scipy_find_peaks_on_noisy_traces(self, n_points, noise_db):
+        # up to ~13000 noise maxima: deep stacks that short arrays never reach
+        trace = lorentz_trace(7.5e9, 560.0, 0.3, n_points, noise_db=noise_db, seed=7)
+        for p in (0.01, 0.5, 3.0):
+            expected = find_peaks(trace.s21_db, prominence=p)[0].tolist()
+            assert find_resonances(trace, p) == expected
 
 
 class TestQ3db:
