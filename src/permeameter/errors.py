@@ -56,7 +56,7 @@ class InsufficientSpanError(PermeameterError, ValueError):
 
 
 class FitFailureError(PermeameterError, ArithmeticError):
-    """Resonance fit diverged; carries the bandwidth-method fallback if any."""
+    """Resonance fit failed; carries the bandwidth-method fallback if any."""
 
     def __init__(self, message: str, fallback=None):
         super().__init__(message)

@@ -375,21 +375,26 @@ def q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     return Resonance.from_loaded(f0, q_loaded, il, method="three-db")
 
 
-def _lorentzian_mag2(f: np.ndarray, f0: float, q: float, il: float) -> np.ndarray:
-    u = (f - f0) / f0
-    return il**2 / (1.0 + 4.0 * q**2 * u**2)
-
-
 def fit_lorentzian(
     trace: FrequencyTrace, peak_index: int, window_bandwidths: float = 5.0
 ) -> Resonance:
-    """Least-squares Lorentzian refinement of a resonance.
+    """Closed-form Lorentzian refinement of a resonance.
 
-    Fits |S21|^2 = IL^2 / (1 + 4 Q^2 ((f - f0)/f0)^2) over a window of
-    window_bandwidths 3-dB bandwidths centered on the peak, starting
-    from the bandwidth-method estimate.  Levenberg-Marquardt on scaled
-    parameters; stops when the relative parameter change drops below
-    1e-10 or after 100 iterations.  Divergence raises FitFailureError
+    |S21|^2 = IL^2 / (1 + 4 Q^2 ((f - f0)/f0)^2), so 1/|S21|^2 is exactly
+    a quadratic p(x) = c0 + c1 x + c2 x^2 in x = (f - f_s)/h, where f_s is
+    the bandwidth-method f0 and h half of a window of window_bandwidths
+    3-dB bandwidths centered on it.  Only the magnitude is fitted, so a
+    phase offset or an uncalibrated cable delay leaves the result exact.
+    Two weighted linear least-squares passes, no iteration:
+
+    1. rows weighted by |S21|^6, the inverse variance of 1/|S21|^2 under
+       additive complex noise; the residuals give the noise power
+       P = mean((1/|S21|^2 - p)^2 / (2 p^3));
+    2. a refit of 1/|S21|^2 - P p^2 with model weights p^-3, which removes
+       the noise bias E[1/|S21 + n|^2] = p + P p^2.
+
+    At the vertex x_v: f0 = f_s + h x_v, IL = p(x_v)^(-1/2) and
+    Q = (f0 / 2h) sqrt(c2 / p(x_v)).  A failed fit raises FitFailureError
     carrying the bandwidth-method result as fallback (when available).
     """
     if window_bandwidths < 3:
@@ -398,78 +403,58 @@ def fit_lorentzian(
     f = trace.freqs
     try:
         fallback = q_3db(trace, peak_index)
-        f0, q, il = fallback.f0, fallback.q_loaded, fallback.il_linear
+        f_s, bandwidth = fallback.f0, fallback.f0 / fallback.q_loaded
     except (InsufficientSpanError, InvalidGeometryError):
-        # crude starting point; the fit either rescues it or reports failure
-        i = min(max(peak_index, 0), len(f) - 1)
-        f0 = f[i]
-        q = f0 / (f[-1] - f[0])
-        il = min(float(np.max(np.abs(trace.s21))), 0.999)
-        if il <= 0:
-            raise FitFailureError("trace has no transmission to fit", None) from None
-
-    half_span = 0.5 * window_bandwidths * f0 / q
-    mask = (f >= f0 - half_span) & (f <= f0 + half_span)
+        # crude starting window; the fit either rescues it or reports failure
+        f_s, bandwidth = f[min(max(peak_index, 0), len(f) - 1)], f[-1] - f[0]
+    h = 0.5 * window_bandwidths * bandwidth
+    mask = (f >= f_s - h) & (f <= f_s + h)
     if mask.sum() < 4:
         raise FitFailureError("fewer than 4 samples in the fit window", fallback)
-    fw = f[mask]
     y = np.abs(trace.s21[mask]) ** 2
     if np.max(y) - np.min(y) <= 1e-12 * np.max(y):
         raise FitFailureError("no curvature in the fit window", fallback)
-
-    scale = np.array([f0, q, il])
-    p = np.ones(3)
-    lam = 1e-3
-
-    def residuals(params: np.ndarray) -> np.ndarray:
-        f0_, q_, il_ = params * scale
-        return y - _lorentzian_mag2(fw, f0_, q_, il_)
-
-    def gradient(params: np.ndarray) -> np.ndarray:
-        # d(model)/d(params), columns scaled like the parameters
-        f0_, q_, il_ = params * scale
-        u = (fw - f0_) / f0_
-        den = 1.0 + 4.0 * q_**2 * u**2
-        d_f0 = il_**2 * 8.0 * q_**2 * u * fw / (f0_**2 * den**2)
-        d_q = -(il_**2) * 8.0 * q_ * u**2 / den**2
-        d_il = 2.0 * il_ / den
-        return np.column_stack([d_f0 * scale[0], d_q * scale[1], d_il * scale[2]])
-
-    r = residuals(p)
-    cost = float(r @ r)
-    for _ in range(100):
-        jac = gradient(p)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        try:
-            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), jtr)
-        except np.linalg.LinAlgError:
-            raise FitFailureError("singular normal equations", fallback) from None
-        p_new = p + step
-        if not np.all(np.isfinite(p_new)):
-            raise FitFailureError("parameters diverged to non-finite values", fallback)
-        r_new = residuals(p_new)
-        cost_new = float(r_new @ r_new)
-        if not math.isfinite(cost_new):
-            raise FitFailureError("cost diverged to non-finite values", fallback)
-        if cost_new <= cost:
-            rel_change = float(np.max(np.abs(step) / np.maximum(np.abs(p_new), 1e-30)))
-            p, r, cost = p_new, r_new, cost_new
-            lam = max(lam / 4.0, 1e-12)
-            if rel_change < 1e-10:
-                break
-        else:
-            lam *= 8.0
-            if lam > 1e12:
-                raise FitFailureError("damping exploded without progress", fallback)
-
-    f0_fit, q_fit, il_fit = p * scale
+    # a zero or extreme sample turns into inf or nan here, and then into a
+    # FitFailureError from the checks below rather than a warning
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        powers = np.vander((f[mask] - f_s) / h, 3, increasing=True)
+        # pass 1 scales each row by |S21|^3, so its target 1/|S21|^2 becomes |S21|
+        _, p = _quadratic_pass(powers, y**1.5, np.sqrt(y), fallback)
+        noise = np.mean((1.0 / y - p) ** 2 / (2.0 * p**3))
+        root_w = p**-1.5
+        (c0, c1, c2), _ = _quadratic_pass(
+            powers, root_w, (1.0 / y - noise * p**2) * root_w, fallback
+        )
+        x_v = -c1 / (2.0 * c2)
+        p_v = c0 + 0.5 * c1 * x_v
+        f0_fit = f_s + h * x_v
+        q_fit = f0_fit / (2.0 * h) * np.sqrt(c2 / p_v)
+        il_fit = p_v**-0.5
     if not (q_fit > 0 and f0_fit > 0 and 0 < il_fit < 1):
         raise FitFailureError(
             f"fit left the valid region (f0={f0_fit:.6g}, Q={q_fit:.6g}, IL={il_fit:.6g})",
             fallback,
         )
     return Resonance.from_loaded(f0_fit, q_fit, il_fit, method="lorentzian-fit")
+
+
+def _quadratic_pass(
+    powers: np.ndarray, root_w: np.ndarray, target: np.ndarray, fallback
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares quadratic with rows scaled by root_w: (coefficients, model).
+
+    target is already scaled.  The model is 1/|S21|^2, so it must be
+    positive over the window; the next step divides by its powers.
+    """
+    rows = powers * root_w[:, None]
+    try:
+        coef = np.linalg.solve(rows.T @ rows, rows.T @ target)
+    except np.linalg.LinAlgError:
+        raise FitFailureError("singular normal equations", fallback) from None
+    model = powers @ coef
+    if not np.all(model > 0):
+        raise FitFailureError("fitted 1/|S21|^2 is not positive over the window", fallback)
+    return coef, model
 
 
 def unload_q(q_loaded: float, il_linear: float) -> float:
