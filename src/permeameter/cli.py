@@ -40,6 +40,7 @@ from .errors import (
 from .perturbation import (
     MODELS,
     ComplexPermeability,
+    GeometryFactor,
     InteractionChoice,
     SampleSpec,
     complex_shift_from_resonances,
@@ -275,14 +276,24 @@ def extract_report(
     """Permeability extraction report for one empty/loaded trace pair."""
     empties = extract_trace_resonances(cfg, empty_trace)
     loadeds = extract_trace_resonances(cfg, loaded_trace)
+    return _pair_report(cfg, _model_g(cfg), empties, loadeds)
+
+
+def _model_g(cfg: RunConfig) -> GeometryFactor:
+    ext = cfg.extraction
+    return geometry_factor(
+        cfg.cavity, cfg.sample, cfg.mode, ext.model, ext.interaction, ext.cells_per_axis
+    )
+
+
+def _pair_report(
+    cfg: RunConfig, g: GeometryFactor, empties: list[Resonance], loadeds: list[Resonance]
+) -> dict:
+    """Pair the resonances and invert each pair with g and the conventional factor."""
     if not empties or not loadeds:
         raise NoPairableResonanceError(
             f"found {len(empties)} empty / {len(loadeds)} loaded resonances"
         )
-    ext = cfg.extraction
-    g = geometry_factor(
-        cfg.cavity, cfg.sample, cfg.mode, ext.model, ext.interaction, ext.cells_per_axis
-    )
     g_conv = geometry_factor_conventional(cfg.cavity, cfg.sample, cfg.mode)
     mu_rs = cfg.cavity.mu_rs
     pairs = []
@@ -343,9 +354,12 @@ def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTra
 def compare_rows(cfg: RunConfig, roster: list[dict]) -> list[dict]:
     """Synthesize the roster, extract each material in memory, tabulate both methods."""
     traces = _roster_traces(cfg, roster)
+    g = _model_g(cfg)
+    empties = extract_trace_resonances(cfg, traces["empty"])
     rows = []
     for m in roster:
-        pair = extract_report(cfg, traces["empty"], traces[m["name"]])["pairs"][0]
+        loadeds = extract_trace_resonances(cfg, traces[m["name"]])
+        pair = _pair_report(cfg, g, empties, loadeds)["pairs"][0]
         values = (
             m["name"],
             m["mu"].mu_re,

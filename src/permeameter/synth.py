@@ -69,7 +69,12 @@ def forward_load(
     unloaded Q.  Coupling is copied from the empty state.
     """
     g = geometry_factor(cavity, sample, mode, model, choice, cells_per_axis)
-    delta = shift_complex(mu_r, cavity.mu_rs, g.value)
+    return _loaded(mu_r, cavity.mu_rs, g.value, empty)
+
+
+def _loaded(mu_r: ComplexPermeability, mu_rs: complex, g_value: float, empty: Resonance) -> Resonance:
+    """forward_load's resonance for a geometry factor already computed."""
+    delta = shift_complex(mu_r, mu_rs, g_value)
     if delta.real >= 1:
         raise ModelBreakdownError(
             f"fractional shift re = {delta.real:.4g} >= 1; perturbation assumption violated"
@@ -144,11 +149,10 @@ def campaign_traces(
     if len(set(labels)) != len(labels) or "empty" in labels:
         raise ConfigurationError("material labels must be unique and not 'empty'")
 
+    g = geometry_factor(cavity, sample, mode, model, choice, cells_per_axis)
     resonances = {"empty": empty}
     for name, mu_r in sample_table:
-        resonances[name] = forward_load(
-            cavity, sample, mode, mu_r, empty, model, choice, cells_per_axis
-        )
+        resonances[name] = _loaded(mu_r, cavity.mu_rs, g.value, empty)
     sweep = _widened(cfg, resonances.values())
     return {
         label: lorentzian_trace(res, replace(sweep, seed=_item_seed(cfg.seed, label)))

@@ -371,7 +371,8 @@ def q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     f_hi = _crossing(f, db, i, target, +1)
     f0, peak_db = _parabolic_vertex(f, db, i)
     q_loaded = f0 / (f_hi - f_lo)
-    il = 10.0 ** (peak_db / 20.0)
+    with np.errstate(over="ignore"):  # a vertex far above the samples: unload_q rejects inf
+        il = 10.0 ** (peak_db / 20.0)
     return Resonance.from_loaded(f0, q_loaded, il, method="three-db")
 
 

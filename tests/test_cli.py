@@ -281,6 +281,29 @@ class TestCompare:
             assert row["mu_re_modified"] == pytest.approx(row["mu_re_actual"], rel=1e-6)
             assert row["tan_dm_modified"] == pytest.approx(row["tan_dm_actual"], rel=1e-6)
 
+    def test_per_roster_work_runs_once(
+        self, capsys, monkeypatch, tmp_path, config_file, materials_file
+    ):
+        # one empty-trace extraction and one g per roster in compare_rows,
+        # plus the one g of synthesis, for the 6 materials
+        calls = {}
+        for module, name in [
+            (permeameter.cli, "find_resonances"),
+            (permeameter.cli, "fit_lorentzian"),
+            (permeameter.perturbation, "sample_energy_quadrature"),
+        ]:
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        code, _, err = run(
+            capsys, "--config", str(config_file()), "compare",
+            "--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv"),
+        )
+        assert code == 0, err
+        assert calls == {"find_resonances": 7, "fit_lorentzian": 7, "sample_energy_quadrature": 2}
+
     def test_empty_roster_header_only(self, capsys, tmp_path, config_file, materials_file):
         out_csv = tmp_path / "empty.csv"
         code, _, _ = run(

@@ -245,6 +245,28 @@ class TestQuadratureShift:
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("choice", CHOICES)
+    def test_midpoint_matches_outer_product_sum(self, worked_cavity, worked_sample, n, choice):
+        # the product of 1-D sums against the m x m grid it factors
+        mode = ModeSpec(n)
+        k_x, k_z = wavenumbers(worked_cavity, mode)
+        a, l = worked_cavity.a_eff, worked_cavity.length_l
+        l1, a1 = worked_sample.extent_x_l1, worked_sample.extent_z_a1
+        for m in (8, 64, 512):
+            x = (a - l1) / 2 + (np.arange(m) + 0.5) * (l1 / m)
+            z = (l - a1) / 2 + (np.arange(m) + 0.5) * (a1 / m)
+            hx2 = k_z**2 * np.outer(np.sin(k_x * x) ** 2, np.cos(k_z * z) ** 2)
+            hz2 = k_x**2 * np.outer(np.cos(k_x * x) ** 2, np.sin(k_z * z) ** 2)
+            grid = {
+                InteractionChoice.AXIAL_HX: hx2,
+                InteractionChoice.TRANSVERSE_HZ: hz2,
+                InteractionChoice.BOTH: hx2 + hz2,
+            }[choice]
+            reference = float(grid.sum()) * (l1 / m) * (a1 / m) * worked_sample.thickness
+            got = sample_energy_midpoint(worked_cavity, worked_sample, mode, choice, m)
+            assert got == pytest.approx(reference, rel=1e-14, abs=0)
+
     def test_lossless_high_mu_moves_down(self, worked_cavity, worked_sample, mode4):
         shift = fractional_shift_quadrature(
             worked_cavity, worked_sample, mode4, ComplexPermeability(2.0, 0.0)

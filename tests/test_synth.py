@@ -26,6 +26,7 @@ from permeameter import (
     synth_campaign,
     write_csv,
 )
+from permeameter import synth
 from permeameter.errors import ConfigurationError, ModelBreakdownError
 
 
@@ -217,6 +218,30 @@ class TestCampaign:
         freqs = traces["W"].freqs
         assert freqs[0] < cfg.f_start and freqs[-1] == cfg.f_stop
         assert np.array_equal(traces["empty"].freqs, freqs)
+
+    @pytest.mark.parametrize("choice", list(InteractionChoice))
+    def test_loaded_resonances_are_forward_load_bit_for_bit(
+        self, monkeypatch, worked_cavity, worked_sample, mode4, empty_resonance, choice
+    ):
+        rendered = []  # empty first, then the table in order
+
+        def record(res, cfg):
+            rendered.append(res)
+            return lorentzian_trace(res, cfg)
+
+        monkeypatch.setattr(synth, "lorentzian_trace", record)
+        campaign_traces(
+            worked_cavity, worked_sample, mode4, self.table(), empty_resonance,
+            sweep_for(empty_resonance), choice=choice,
+        )
+        assert len(rendered) == 1 + len(self.table())
+        for (_, mu), got in zip(self.table(), rendered[1:]):
+            expected = forward_load(
+                worked_cavity, worked_sample, mode4, mu, empty_resonance, choice=choice
+            )
+            assert got.f0 == expected.f0
+            assert got.q_loaded == expected.q_loaded
+            assert got.q_unloaded == expected.q_unloaded
 
     def test_full_loop_recovery(
         self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,17 @@ class TestQ3db:
         with pytest.raises(InsufficientSpanError) as err:
             q_3db(clipped, int(np.argmax(np.abs(clipped.s21))))
         assert err.value.side == "left"
+
+    def test_vertex_far_above_the_samples_is_over_coupled(self):
+        # a 2 Hz step beside a 40 MHz one: the parabola through the three
+        # samples peaks near +3e7 dB, whose linear level overflows to inf
+        f = np.array([1.0e9, 1.0e9 + 2.0, 1.0e9 + 4e7, 1.0e9 + 8e7])
+        trace = FrequencyTrace(f, 10 ** (np.array([-30.0, -24.0, -30.0, -40.0]) / 20))
+        assert find_resonances(trace, 0.5) == [1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverCoupledError):
+                q_3db(trace, 1)
 
     def test_db_offset_leaves_q_unchanged(self):
         trace = lorentz_trace(7.5e9, 500.0, 0.5, 1001)
