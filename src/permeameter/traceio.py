@@ -3,9 +3,10 @@
 Accepted file grammar (Touchstone v1.0, two ports):
 
     ! comment lines anywhere; trailing '!' comments allowed on any line
-    # <unit> S <fmt> R <z0>      one option line, case-insensitive,
-                                 unit in {HZ, KHZ, MHZ, GHZ},
-                                 fmt in {RI, MA, DB}
+    # [unit] [S] [fmt] [R z0]    one option line, case-insensitive, tokens
+                                 in any order, each optional (defaults
+                                 GHZ S MA R 50), unit in {HZ, KHZ, MHZ,
+                                 GHZ}, fmt in {RI, MA, DB}
     f  S11 S11  S21 S21  S12 S12  S22 S22     nine numbers per row,
                                               v1 column order
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -33,6 +35,9 @@ from .errors import (
 
 FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 FORMATS = ("RI", "MA", "DB")
+#: What each option-line token sets; "R" is followed by the impedance.
+OPTION_TOKENS = {**dict.fromkeys(FREQ_UNITS, "unit"), **dict.fromkeys(FORMATS, "format"),
+                 "S": "parameter type", "R": "reference impedance"}
 
 HALF_POWER_DB = 10.0 * math.log10(2.0)  # 3.0103 dB
 DB_FLOOR = -400.0  # clamp for log of zero magnitudes
@@ -117,85 +122,128 @@ class Resonance:
 # ---------------------------------------------------------------------------
 
 
-def _pair_to_complex(a: float, b: float, fmt: str) -> complex:
-    if fmt == "RI":
-        return complex(a, b)
-    phase = math.radians(b)
-    mag = a if fmt == "MA" else 10.0 ** (a / 20.0)
-    return mag * complex(math.cos(phase), math.sin(phase))
+def _number(token: str) -> float:
+    """float(token), but only for what np.loadtxt also reads: ASCII with
+    no '_' digit separator."""
+    if token.isascii() and "_" not in token:
+        return float(token)
+    raise ValueError(f"could not convert string to float: {token!r}")
+
+
+def _content_lines(lines: list[str], start: int = 0):
+    """(1-based number, text) of each line after `start` that has text
+    once its '!' comment is cut; a v2 keyword line is rejected."""
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        line = raw.split("!", 1)[0].strip()
+        if line.startswith("["):
+            raise TouchstoneParseError(lineno, f"keyword {line.split()[0]!r} is Touchstone v2; "
+                                       "only v1.0 is supported")
+        if line:
+            yield lineno, line
+
+
+def _option_line(lineno: int, line: str) -> tuple[str, str, float]:
+    """(unit, format, z0) of an option line."""
+    found: dict = {}
+    tokens = iter(line[1:].split())
+    for tok in tokens:
+        key = tok.upper()
+        kind = OPTION_TOKENS.get(key)
+        if key in ("Y", "Z", "H", "G"):
+            raise TouchstoneParseError(lineno, f"unsupported parameter type {tok!r}")
+        if kind is None:
+            raise TouchstoneParseError(lineno, f"unknown option token {tok!r}: expected a frequency"
+                                       " unit, S, a format (RI, MA, DB) or R <z0>")
+        if kind in found:
+            raise TouchstoneParseError(lineno, f"{kind} given twice")
+        if key == "R":
+            z_tok = next(tokens, "")
+            try:
+                key = _number(z_tok)
+            except ValueError:
+                raise TouchstoneParseError(lineno, f"bad reference impedance {z_tok!r}") from None
+            if not 0 < key < math.inf:
+                raise TouchstoneParseError(lineno, "reference impedance must be finite and > 0")
+        found[kind] = key
+    return found.get("unit", "GHZ"), found.get("format", "MA"), found.get("reference impedance", 50.0)
+
+
+def _to_complex(a: np.ndarray, b: np.ndarray, fmt: str) -> np.ndarray:
+    """One column pair as complex, each value as Python's complex(a, b) or
+    mag * complex(cos, sin) gives it; OverflowError past ~6165 dB."""
+    if fmt != "RI":
+        cos, sin = np.cos(np.radians(b)), np.sin(np.radians(b))
+        # Python's float power, as np.power can miss it by one ulp
+        mag = a if fmt == "MA" else np.array([10.0 ** v for v in (a / 20.0).tolist()])
+        # (mag + 0j) * (cos + j sin), as CPython up to 3.13 multiplies a float
+        # by a complex: the zero terms set the sign of a zero part
+        a, b = mag * cos - 0.0 * sin, mag * sin + 0.0 * cos
+    out = np.empty(len(a), dtype=complex)
+    out.real, out.imag = a, b
+    return out
 
 
 def parse_touchstone(data: bytes | str, source: str = "") -> FrequencyTrace:
-    """Parse a Touchstone v1.0 two-port file into a FrequencyTrace."""
+    """Parse a Touchstone v1.0 two-port file into a FrequencyTrace.
+
+    The lines up to the option line are read one by one, and the data
+    rows after it in one np.loadtxt pass, checked as whole arrays.  Only
+    when a check fails are the data lines walked again, to raise the
+    error of the first offending line with its line number.
+    """
     text = data.decode("latin-1") if isinstance(data, bytes) else data
-    unit = fmt = None
-    z0 = 50.0
-    freqs: list[float] = []
-    s11: list[complex] = []
-    s21: list[complex] = []
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            raise TouchstoneParseError(
-                lineno, f"keyword {line.split()[0]!r} is Touchstone v2; only v1.0 is supported"
-            )
+    lines = text.splitlines()
+    for start, line in _content_lines(lines):
+        if not line.startswith("#"):
+            raise TouchstoneParseError(start, "data row before the option line")
+        unit, fmt, z0 = _option_line(start, line)
+        break
+    else:
+        raise TouchstoneParseError(max(len(lines), 1), "missing option line")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty data block warns: "no data rows" below
+            rows = np.loadtxt(lines[start:], comments="!", ndmin=2)
+        with np.errstate(over="ignore"):  # an overflow fails the isfinite check
+            freqs = rows[:, 0] * FREQ_UNITS[unit]
+        valid = rows.shape[1] == 9 and len(rows) and np.isfinite(rows).all()
+        if not (valid and np.isfinite(freqs).all() and (np.diff(freqs) > 0).all()):
+            raise ValueError("a data row is rejected")
+        s11 = _to_complex(rows[:, 1], rows[:, 2], fmt)
+        s21 = _to_complex(rows[:, 3], rows[:, 4], fmt)
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(lines, start, unit, fmt)
+    return FrequencyTrace(freqs, s21, s11, z0=z0, fmt=fmt, source=source)
+
+
+def _raise_first_bad_row(lines: list[str], start: int, unit: str, fmt: str) -> NoReturn:
+    """Raise the error of the first data line after line `start` that
+    parse_touchstone's one pass rejects, or else "no data rows"."""
+    last = -math.inf
+    for lineno, line in _content_lines(lines, start):
         if line.startswith("#"):
-            if fmt is not None:
-                raise TouchstoneParseError(lineno, "multiple option lines")
-            tokens = line[1:].split()
-            if len(tokens) != 5:
-                raise TouchstoneParseError(
-                    lineno, "option line must read '# <unit> S <fmt> R <z0>'"
-                )
-            u, s_tok, f_tok, r_tok, z_tok = (t.upper() for t in tokens)
-            if u not in FREQ_UNITS:
-                raise TouchstoneParseError(lineno, f"unknown frequency unit {tokens[0]!r}")
-            if s_tok != "S":
-                raise TouchstoneParseError(lineno, f"unsupported parameter type {tokens[1]!r}")
-            if f_tok not in FORMATS:
-                raise TouchstoneParseError(lineno, f"unknown format token {tokens[2]!r}")
-            if r_tok != "R":
-                raise TouchstoneParseError(lineno, f"expected 'R', got {tokens[3]!r}")
-            try:
-                z0 = float(z_tok)
-            except ValueError:
-                raise TouchstoneParseError(lineno, f"bad reference impedance {tokens[4]!r}") from None
-            if not z0 > 0:
-                raise TouchstoneParseError(lineno, "reference impedance must be > 0")
-            unit, fmt = u, f_tok
-            continue
-        if fmt is None:
-            raise TouchstoneParseError(lineno, "data row before the option line")
+            raise TouchstoneParseError(lineno, "multiple option lines")
         fields = line.split()
         if len(fields) != 9:
-            raise TouchstoneParseError(
-                lineno, f"expected 9 numbers per row, got {len(fields)}"
-            )
+            raise TouchstoneParseError(lineno, f"expected 9 numbers per row, got {len(fields)}")
         try:
-            nums = [float(tok) for tok in fields]
+            nums = [_number(tok) for tok in fields]
         except ValueError as exc:
             raise TouchstoneParseError(lineno, f"bad number: {exc}") from None
         if not all(math.isfinite(v) for v in nums):
             raise TouchstoneParseError(lineno, "non-finite number in data row")
         f_hz = nums[0] * FREQ_UNITS[unit]
-        if freqs and f_hz <= freqs[-1]:
-            raise TouchstoneParseError(
-                lineno, f"frequency {f_hz:.6g} Hz not strictly increasing"
-            )
-        freqs.append(f_hz)
-        s11.append(_pair_to_complex(nums[1], nums[2], fmt))
-        s21.append(_pair_to_complex(nums[3], nums[4], fmt))
-    if fmt is None:
-        raise TouchstoneParseError(max(last_line, 1), "missing option line")
-    if not freqs:
-        raise TouchstoneParseError(max(last_line, 1), "no data rows")
-    return FrequencyTrace(
-        np.array(freqs), np.array(s21), np.array(s11), z0=z0, fmt=fmt, source=source
-    )
+        if not math.isfinite(f_hz):
+            raise TouchstoneParseError(lineno, f"frequency {fields[0]} {unit} overflows in Hz")
+        if f_hz <= last:
+            raise TouchstoneParseError(lineno, f"frequency {f_hz:.6g} Hz not strictly increasing")
+        last = f_hz
+        if fmt == "DB":
+            try:
+                _to_complex(np.array(nums[1:5:2]), np.array(nums[2:5:2]), fmt)
+            except OverflowError:
+                raise TouchstoneParseError(lineno, "dB level overflows |S|") from None
+    raise TouchstoneParseError(max(len(lines), 1), "no data rows")
 
 
 def _complex_to_pair(v: complex, fmt: str) -> tuple[float, float]:

@@ -201,6 +201,8 @@ VALID_CORPUS = [
     )),
     ("ma_negative_angles", "# GHZ S MA R 50\n5.5 0.123456 -179.5 0.654321 -0.25 0.654321 -0.25 0.123456 -179.5\n5.6 0.2 -90 0.5 -45 0.5 -45 0.2 -90\n"),
     ("ri_tabs", "# HZ	S	RI	R	50\n1e9\t0.1\t0\t0.5\t0\t0.5\t0\t0.1\t0\n2e9\t0\t0\t0.25\t0\t0.25\t0\t0\t0\n"),
+    ("option_any_order", "# S RI R 50 GHZ\n7.5 0.1 0 0.5 0.2 0.5 0.2 0.1 0\n7.6 0.1 0 0.4 0.3 0.4 0.3 0.1 0\n"),
+    ("option_defaults", "#\n7.5 0.1 0 0.5 20 0.5 20 0.1 0\n7.6 0.1 0 0.4 30 0.4 30 0.1 0\n"),
 ]
 
 MALFORMED_CORPUS = [
@@ -212,6 +214,8 @@ MALFORMED_CORPUS = [
     ("v2_file", "[Version] 2.0\n# HZ S RI R 50\n", 1),
     ("bad_number", "# HZ S RI R 50\n1e9 0 0 half 0 0 0 0 0\n", 2),
     ("double_option", "# HZ S RI R 50\n1e9 0 0 0.5 0 0 0 0 0\n# HZ S RI R 50\n", 3),
+    ("db_level_overflows", "# HZ S DB R 50\n1e9 0 0 20000 0 0 0 0 0\n", 2),
+    ("frequency_overflows_in_hz", "# GHZ S RI R 50\n1e300 0 0 0.5 0 0 0 0 0\n", 2),
 ]
 
 
