@@ -276,26 +276,26 @@ def extract_report(
     """Permeability extraction report for one empty/loaded trace pair."""
     empties = extract_trace_resonances(cfg, empty_trace)
     loadeds = extract_trace_resonances(cfg, loaded_trace)
-    return _pair_report(cfg, _model_g(cfg), empties, loadeds)
+    return _pair_report(_factors(cfg), cfg.cavity.mu_rs, empties, loadeds)
 
 
-def _model_g(cfg: RunConfig) -> GeometryFactor:
-    ext = cfg.extraction
-    return geometry_factor(
-        cfg.cavity, cfg.sample, cfg.mode, ext.model, ext.interaction, ext.cells_per_axis
-    )
+def _factors(cfg: RunConfig) -> tuple[GeometryFactor, GeometryFactor]:
+    """The run's two geometry factors: the configured model's g and the conventional one."""
+    cavity, sample, mode, ext = cfg.cavity, cfg.sample, cfg.mode, cfg.extraction
+    g = geometry_factor(cavity, sample, mode, ext.model, ext.interaction, ext.cells_per_axis)
+    return g, geometry_factor_conventional(cavity, sample, mode)
 
 
 def _pair_report(
-    cfg: RunConfig, g: GeometryFactor, empties: list[Resonance], loadeds: list[Resonance]
+    factors: tuple[GeometryFactor, GeometryFactor], mu_rs: complex,
+    empties: list[Resonance], loadeds: list[Resonance],
 ) -> dict:
     """Pair the resonances and invert each pair with g and the conventional factor."""
     if not empties or not loadeds:
         raise NoPairableResonanceError(
             f"found {len(empties)} empty / {len(loadeds)} loaded resonances"
         )
-    g_conv = geometry_factor_conventional(cfg.cavity, cfg.sample, cfg.mode)
-    mu_rs = cfg.cavity.mu_rs
+    g, g_conv = factors
     pairs = []
     for empty_res, loaded_res in pair_resonances(empties, loadeds):
         shift = complex_shift_from_resonances(empty_res, loaded_res)
@@ -322,7 +322,7 @@ def _pair_report(
     return {"pairs": pairs}
 
 
-def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTrace]:
+def _roster_traces(cfg: RunConfig, roster: list[dict], g: GeometryFactor) -> dict[str, FrequencyTrace]:
     """Empty-cavity and per-material traces of the roster, in memory.
 
     The sweep is centered on the modeled empty resonance and spans
@@ -331,7 +331,7 @@ def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTra
     3-bandwidth margin, as with axial-hx or both-components on a lossy
     material; a resonance shifted out of the sweep is still an error.
     """
-    syn, ext = cfg.synth, cfg.extraction
+    syn = cfg.synth
     f0 = resonant_frequency(cfg.cavity, cfg.mode)
     q0 = syn.q0_empty
     empty = Resonance(f0, q0 * (1.0 - syn.il_linear), q0, syn.il_linear, method="model")
@@ -342,24 +342,20 @@ def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTra
         n_points=syn.n_points,
         noise_floor_db=syn.noise_floor_db,
         seed=syn.seed,
-        il_linear=syn.il_linear,
     )
     table = [(m["name"], m["mu"]) for m in roster]
-    return campaign_traces(
-        cfg.cavity, cfg.sample, cfg.mode, table, empty, sweep,
-        ext.model, ext.interaction, ext.cells_per_axis,
-    )
+    return campaign_traces(table, empty, sweep, g, cfg.cavity.mu_rs)
 
 
 def compare_rows(cfg: RunConfig, roster: list[dict]) -> list[dict]:
     """Synthesize the roster, extract each material in memory, tabulate both methods."""
-    traces = _roster_traces(cfg, roster)
-    g = _model_g(cfg)
+    factors = _factors(cfg)
+    traces = _roster_traces(cfg, roster, factors[0])
     empties = extract_trace_resonances(cfg, traces["empty"])
     rows = []
     for m in roster:
         loadeds = extract_trace_resonances(cfg, traces[m["name"]])
-        pair = _pair_report(cfg, g, empties, loadeds)["pairs"][0]
+        pair = _pair_report(factors, cfg.cavity.mu_rs, empties, loadeds)["pairs"][0]
         values = (
             m["name"],
             m["mu"].mu_re,
@@ -460,7 +456,8 @@ def cmd_modes(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
-    traces = _roster_traces(cfg, load_materials(args.materials))
+    roster = load_materials(args.materials)
+    traces = _roster_traces(cfg, roster, _factors(cfg)[0])
     try:
         files = synth_campaign(traces, args.out_dir, args.campaign)
     except OSError as exc:

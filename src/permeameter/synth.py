@@ -19,6 +19,7 @@ from .cavity import CavitySpec, ModeSpec
 from .errors import ConfigurationError, ModelBreakdownError
 from .perturbation import (
     ComplexPermeability,
+    GeometryFactor,
     InteractionChoice,
     SampleSpec,
     geometry_factor,
@@ -128,31 +129,27 @@ def _item_seed(base_seed: int, label: str) -> int:
 
 
 def campaign_traces(
-    cavity: CavitySpec,
-    sample: SampleSpec,
-    mode: ModeSpec,
     sample_table: list[tuple[str, ComplexPermeability]],
     empty: Resonance,
     cfg: SynthConfig,
-    model: str = "quadrature",
-    choice: InteractionChoice = InteractionChoice.TRANSVERSE_HZ,
-    cells_per_axis: int = 64,
+    g: GeometryFactor,
+    mu_rs: complex,
 ) -> dict[str, FrequencyTrace]:
     """One trace per material plus the empty-cavity trace, in memory.
 
-    Returns {label: trace}; the empty trace is keyed "empty".  Labels may
-    not collide with it or each other.  Every trace shares one grid: cfg's,
-    widened where a modelled resonance inside it lacks the margin that
-    lorentzian_trace demands (see _widened).
+    Each loaded resonance is the one forward_load predicts for geometry
+    factor g and the cavity's mu_rs.  Returns {label: trace}; the empty
+    trace is keyed "empty".  Labels may not collide with it or each other.
+    Every trace shares one grid: cfg's, widened where a modelled resonance
+    inside it lacks the margin that lorentzian_trace demands (see _widened).
     """
     labels = [name for name, _ in sample_table]
     if len(set(labels)) != len(labels) or "empty" in labels:
         raise ConfigurationError("material labels must be unique and not 'empty'")
 
-    g = geometry_factor(cavity, sample, mode, model, choice, cells_per_axis)
     resonances = {"empty": empty}
     for name, mu_r in sample_table:
-        resonances[name] = _loaded(mu_r, cavity.mu_rs, g.value, empty)
+        resonances[name] = _loaded(mu_r, mu_rs, g.value, empty)
     sweep = _widened(cfg, resonances.values())
     return {
         label: lorentzian_trace(res, replace(sweep, seed=_item_seed(cfg.seed, label)))

@@ -72,10 +72,10 @@ class FrequencyTrace:
             raise InvalidGeometryError("trace needs at least one point")
         if s21.shape != freqs.shape:
             raise InvalidGeometryError("s21 length must match freqs")
-        if np.any(np.diff(freqs) <= 0):
-            raise InvalidGeometryError("freqs must be strictly increasing")
         if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(s21))):
             raise InvalidGeometryError("trace values must be finite")
+        if np.any(np.diff(freqs) <= 0):
+            raise InvalidGeometryError("freqs must be strictly increasing")
         if not self.z0 > 0:
             raise InvalidGeometryError("reference impedance z0 must be > 0")
 

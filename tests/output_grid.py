@@ -1,0 +1,113 @@
+"""Hash every CLI output over a grid of configs, to compare two source trees.
+
+    PYTHONPATH=<tree>/src python tests/output_grid.py > out.txt
+
+Runs permeameter.cli.main in-process for each config of the grid: 3
+models x 3 interactions x 2 Q methods x n in {2, 3, 4} x {noiseless,
+-90 dB noise floor}, on the test suite's base geometry and 6-material
+roster.  Each config runs `compare --json`, `synth --json`, `extract
+--json` on every written empty/material pair and `quadcheck --json`.
+One line per output gives the config, the verb, the exit code and the
+sha256 of stdout and of stderr, with the temporary directory replaced by
+a fixed token; each written .s2p and CSV file gets a line with its
+sha256 as well.  Extra cases at the end cover configs that fail in more
+than one way, where only the exit code is promised to stay the same.
+
+To check that a change keeps outputs byte-identical, run this script
+once with PYTHONPATH pointing at a checkout of the parent commit (for
+example a `git worktree`) and once at the change, then `diff` the two
+files.  The script is not named test_*, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import tempfile
+from pathlib import Path
+
+from conftest import BASE_CONFIG, TABLE_MATERIALS
+from permeameter.cli import main
+
+MODELS = ("quadrature", "derived", "printed")
+INTERACTIONS = ("transverse-hz", "axial-hx", "both-components")
+Q_METHODS = ("lorentzian-fit", "three-db")
+MODES = (2, 3, 4)
+NOISE_FLOORS_DB = (None, -90.0)
+
+# (label, config patch, roster): each fails on the geometry and on one other check
+EXTRA_CASES = [
+    ("duplicate-labels+oversize-sample", {"sample": {"extent_x_l1_mm": 40.0}},
+     [{"name": "A", "mu_re": 1.2}, {"name": "A", "mu_re": 1.3}]),
+    ("short-sweep+oversize-sample", {"sample": {"extent_x_l1_mm": 40.0}, "synth": {"n_points": 50}},
+     TABLE_MATERIALS),
+]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def config(patch: dict) -> dict:
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    for section, values in patch.items():
+        doc[section].update(values)
+    return doc
+
+
+def write_json(path: Path, doc) -> Path:
+    path.write_text(json.dumps(doc, indent=2))
+    return path
+
+
+def run(tmp: Path, label: str, verb: str, argv: list[str]) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    hashes = (sha(s.getvalue().replace(str(tmp), "<tmp>").encode()) for s in (out, err))
+    print(label, verb, code, *hashes)
+
+
+def run_config(tmp: Path, label: str, doc: dict, roster: list[dict]) -> None:
+    work = tmp / label.replace("/", "_")
+    work.mkdir()
+    cfg = ["--config", str(write_json(work / "config.json", doc))]
+    mats = str(write_json(work / "materials.json", roster))
+    csv = work / "compare.csv"
+    run(tmp, label, "compare", cfg + ["--json", "compare", "--materials", mats, "--out-csv", str(csv)])
+    if csv.exists():
+        print(label, "compare.csv", sha(csv.read_bytes()))
+    out_dir = work / "campaign"
+    run(tmp, label, "synth", cfg + ["--json", "synth", "--materials", mats, "--out-dir", str(out_dir)])
+    files = sorted(out_dir.glob("*.s2p")) if out_dir.exists() else []
+    for path in files:
+        print(label, path.name, sha(path.read_bytes()))
+    empty = out_dir / "campaign_empty.s2p"
+    for path in files:
+        if path != empty:
+            run(tmp, label, f"extract:{path.stem}", cfg + ["--json", "extract", str(empty), str(path)])
+    run(tmp, label, "quadcheck", cfg + ["--json", "quadcheck"])
+
+
+def grid() -> None:
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for model, interaction, q_method, n, noise in itertools.product(
+            MODELS, INTERACTIONS, Q_METHODS, MODES, NOISE_FLOORS_DB
+        ):
+            label = f"{model}/{interaction}/{q_method}/n{n}/{'noiseless' if noise is None else f'{noise:g}dB'}"
+            doc = config({
+                "extraction": {"model": model, "interaction": interaction, "q_method": q_method},
+                "mode": {"n": n},
+                "synth": {"noise_floor_db": noise},
+            })
+            run_config(tmp, label, doc, TABLE_MATERIALS)
+        for label, patch, roster in EXTRA_CASES:
+            run_config(tmp, label, config(patch), roster)
+
+
+if __name__ == "__main__":
+    grid()

@@ -284,13 +284,20 @@ class TestCompare:
     def test_per_roster_work_runs_once(
         self, capsys, monkeypatch, tmp_path, config_file, materials_file
     ):
-        # one empty-trace extraction and one g per roster in compare_rows,
-        # plus the one g of synthesis, for the 6 materials
+        # compare_rows extracts the empty trace once and evaluates each
+        # geometry factor once, for synthesis and extraction alike, for the
+        # 6 materials; one extract evaluates each factor once too
+        cfg, mats = str(config_file()), str(materials_file())
+        code, _, err = run(
+            capsys, "--config", cfg, "synth", "--materials", mats, "--out-dir", str(tmp_path)
+        )
+        assert code == 0, err
         calls = {}
         for module, name in [
             (permeameter.cli, "find_resonances"),
             (permeameter.cli, "fit_lorentzian"),
             (permeameter.perturbation, "sample_energy_quadrature"),
+            (permeameter.cli, "geometry_factor_conventional"),
         ]:
             def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -298,11 +305,28 @@ class TestCompare:
 
             monkeypatch.setattr(module, name, counted)
         code, _, err = run(
-            capsys, "--config", str(config_file()), "compare",
-            "--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv"),
+            capsys, "--config", cfg, "compare",
+            "--materials", mats, "--out-csv", str(tmp_path / "t.csv"),
         )
         assert code == 0, err
-        assert calls == {"find_resonances": 7, "fit_lorentzian": 7, "sample_energy_quadrature": 2}
+        assert calls == {
+            "find_resonances": 7,
+            "fit_lorentzian": 7,
+            "sample_energy_quadrature": 1,
+            "geometry_factor_conventional": 1,
+        }
+        calls.clear()
+        code, _, err = run(
+            capsys, "--config", cfg, "extract",
+            str(tmp_path / "campaign_empty.s2p"), str(tmp_path / "campaign_X.s2p"),
+        )
+        assert code == 0, err
+        assert calls == {
+            "find_resonances": 2,
+            "fit_lorentzian": 2,
+            "sample_energy_quadrature": 1,
+            "geometry_factor_conventional": 1,
+        }
 
     def test_empty_roster_header_only(self, capsys, tmp_path, config_file, materials_file):
         out_csv = tmp_path / "empty.csv"

@@ -16,6 +16,7 @@ from permeameter import (
     fit_lorentzian,
     forward_load,
     fractional_shift_quadrature,
+    geometry_factor,
     geometry_factor_printed,
     invert_permeability,
     lorentzian_trace,
@@ -166,7 +167,8 @@ class TestCampaign:
         ]
 
     def traces(self, cavity, sample, mode, empty, table):
-        return campaign_traces(cavity, sample, mode, table, empty, sweep_for(empty))
+        g = geometry_factor(cavity, sample, mode)
+        return campaign_traces(table, empty, sweep_for(empty), g, cavity.mu_rs)
 
     def test_file_roster(
         self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance
@@ -211,10 +213,10 @@ class TestCampaign:
         # axial-hx: a lossy bar broadens and pulls the loaded resonance down
         # until the low edge lacks 3 of its bandwidths
         lossy = [("W", ComplexPermeability.from_loss_tangent(1.6, 0.1))]
-        traces = campaign_traces(
-            worked_cavity, worked_sample, mode4, lossy, empty_resonance, cfg,
-            choice=InteractionChoice.AXIAL_HX,
+        g = geometry_factor(
+            worked_cavity, worked_sample, mode4, choice=InteractionChoice.AXIAL_HX
         )
+        traces = campaign_traces(lossy, empty_resonance, cfg, g, worked_cavity.mu_rs)
         freqs = traces["W"].freqs
         assert freqs[0] < cfg.f_start and freqs[-1] == cfg.f_stop
         assert np.array_equal(traces["empty"].freqs, freqs)
@@ -230,9 +232,9 @@ class TestCampaign:
             return lorentzian_trace(res, cfg)
 
         monkeypatch.setattr(synth, "lorentzian_trace", record)
+        g = geometry_factor(worked_cavity, worked_sample, mode4, choice=choice)
         campaign_traces(
-            worked_cavity, worked_sample, mode4, self.table(), empty_resonance,
-            sweep_for(empty_resonance), choice=choice,
+            self.table(), empty_resonance, sweep_for(empty_resonance), g, worked_cavity.mu_rs
         )
         assert len(rendered) == 1 + len(self.table())
         for (_, mu), got in zip(self.table(), rendered[1:]):

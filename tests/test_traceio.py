@@ -677,6 +677,19 @@ class TestUnloadQ:
             unload_q(500.0, 1.0)
 
 
+class TestTraceType:
+    @pytest.mark.parametrize("freqs", [[1.0, np.inf, np.inf], [1.0, np.nan, 3.0]])
+    def test_non_finite_freqs_rejected_without_warning(self, freqs):
+        # the finiteness check runs before the increasing-order check, whose
+        # np.diff would warn on inf - inf under the suite's warnings-as-errors
+        with pytest.raises(InvalidGeometryError, match="finite"):
+            FrequencyTrace(np.array(freqs), np.zeros(3))
+
+    def test_decreasing_freqs_rejected(self):
+        with pytest.raises(InvalidGeometryError, match="strictly increasing"):
+            FrequencyTrace(np.array([2.0, 1.0]), np.zeros(2))
+
+
 class TestResonanceType:
     def test_consistency_enforced(self):
         with pytest.raises(InvalidGeometryError):
