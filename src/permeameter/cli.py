@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -140,12 +141,12 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: boo
     in meters.  Anything else raises a ConfigurationError naming the key.
     """
     value = section.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigurationError(f"missing {where}.{key}")
     if integer:
         if type(value) is int:
             return value
         raise ConfigurationError(f"{where}.{key} must be an integer")
-    if value is _REQUIRED:
-        raise ConfigurationError(f"missing {where}.{key}")
     if value is None and default is None:
         return None
     # type(), not isinstance: JSON true and false are bools, an int subclass
@@ -524,10 +525,13 @@ def cmd_quadcheck(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # the common flags go on the top level and on every verb, so they work
-    # in either position; nothing is set unless given, so a value given
-    # after the verb overrides one given before it
+    # cached: argparse and gettext set-up cost more than a parse, and
+    # parse_args leaves the parser as it was.  The common flags go on the
+    # top level and on every verb, so they work in either position;
+    # nothing is set unless given, so a value given after the verb
+    # overrides one given before it
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", "-c", help=f"run-config JSON path (or set ${CONFIG_ENV})")
     common.add_argument("--seed", type=int, help="override synth seed")

@@ -313,6 +313,20 @@ def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> li
     * the prominence is the peak level minus the higher of the two
       bases, and a peak qualifies when its prominence is >= p.
 
+    Most maxima of a noisy trace are blocked: a strictly higher
+    neighbouring peak lies across a valley less than p deep.  The walk
+    from a blocked peak stops before it passes a valley p deep, so the
+    peak cannot qualify.  Dropping it, and merging the two valleys beside
+    it into their minimum, keeps every other verdict: a lower peak whose
+    walk now runs on past it passes only valleys less than p below the
+    blocked peak, hence less than p below itself; if one of them becomes
+    its base, the peak fails the >= p test, and failed it before too,
+    when its base was no lower.  Vector passes drop the blocked peaks,
+    repeating while a pass removes at least half of them, so together
+    they cost about twice the first pass; the O(peaks) base walk then
+    runs only on the survivors (from ~10^4 maxima of a noisy 40001-point
+    trace, one to a few hundred survive at floors of -110 to -60 dB).
+
     Sorted by frequency.
     """
     if not min_prominence_db > 0:
@@ -333,13 +347,30 @@ def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> li
     if not peaks.size:
         return []
     heights = db[peaks]
+    p = min_prominence_db
     # gaps[k]: lowest sample between peak k-1 (or the left edge) and peak k;
     # gaps[-1]: lowest sample right of the last peak
-    gaps = np.minimum.reduceat(db, np.concatenate(([0], peaks))).tolist()
+    gaps = np.minimum.reduceat(db, np.concatenate(([0], peaks)))
+    while heights.size > 1:
+        # a peak with a strictly higher neighbour across a valley less than
+        # p deep is blocked; the test is the same float expression as the
+        # final one, so rounding cannot set the two apart
+        valleys = gaps[1:-1]
+        blocked = np.zeros(heights.size, dtype=bool)
+        blocked[1:] = (heights[:-1] > heights[1:]) & (heights[1:] - valleys < p)
+        blocked[:-1] |= (heights[1:] > heights[:-1]) & (heights[:-1] - valleys < p)
+        keep = np.flatnonzero(~blocked)
+        # the merged valley between two kept peaks is the lowest of the
+        # valleys they span, the right tail included
+        gaps = np.minimum.reduceat(gaps, np.concatenate(([0], keep + 1)))
+        peaks, heights = peaks[keep], heights[keep]
+        if 2 * keep.size > blocked.size:
+            break
     levels = heights.tolist()
+    gaps = gaps.tolist()
     left = _base_levels(levels, gaps[:-1])
     right = _base_levels(levels[::-1], gaps[:0:-1])[::-1]
-    found = peaks[heights - np.maximum(left, right) >= min_prominence_db]
+    found = peaks[heights - np.maximum(left, right) >= p]
     if runs is not None:
         ends = np.append(runs[1:], len(trace)) - 1
         found = (runs[found] + ends[found]) // 2

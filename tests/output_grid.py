@@ -4,9 +4,11 @@
 
 Runs permeameter.cli.main in-process for each config of the grid: 3
 models x 3 interactions x 2 Q methods x n in {2, 3, 4} x {noiseless,
--90 dB noise floor}, on the test suite's base geometry and 6-material
-roster.  Each config runs `compare --json`, `synth --json`, `extract
---json` on every written empty/material pair and `quadcheck --json`.
+-90 dB, -60 dB noise floor}, on the test suite's base geometry and
+6-material roster.  At -60 dB the detector admits noise peaks and
+compare exits 4, so the peak finder's choices show in the outputs.
+Each config runs `compare --json`, `synth --json`, `extract --json` on
+every written empty/material pair and `quadcheck --json`.
 One line per output gives the config, the verb, the exit code and the
 sha256 of stdout and of stderr, with the temporary directory replaced by
 a fixed token; each written .s2p and CSV file gets a line with its
@@ -36,7 +38,7 @@ MODELS = ("quadrature", "derived", "printed")
 INTERACTIONS = ("transverse-hz", "axial-hx", "both-components")
 Q_METHODS = ("lorentzian-fit", "three-db")
 MODES = (2, 3, 4)
-NOISE_FLOORS_DB = (None, -90.0)
+NOISE_FLOORS_DB = (None, -90.0, -60.0)
 
 # (label, config patch, roster): each fails on the geometry and on one other check
 EXTRA_CASES = [

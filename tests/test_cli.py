@@ -58,6 +58,17 @@ class TestModes:
         code, _, err = run(capsys, "modes")
         assert code == 2 and "config" in err
 
+    @pytest.mark.parametrize("section, key", [("mode", "n"), ("cavity", "width_a_mm")])
+    def test_missing_key_exit_2(self, capsys, config_file, section, key):
+        # an integer key is reported missing like any other required key
+        path = config_file()
+        doc = json.loads(path.read_text())
+        del doc[section][key]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--config", str(path), "modes")
+        assert (code, out) == (2, "")
+        assert f"missing {section}.{key}" in err
+
     def test_env_var_config(self, capsys, config_file, monkeypatch):
         monkeypatch.setenv("PERMEAMETER_CONFIG", str(config_file()))
         code, out, _ = run(capsys, "modes", "--max-n", "2")

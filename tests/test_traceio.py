@@ -471,6 +471,12 @@ class TestFindResonances:
     @example(levels=[0, 2, 2, 2, 2, 0], p=1.0)  # plateau midpoint, rounded down
     @example(levels=[2, 2, 0, 1, 1], p=0.5)  # plateaus at the edges never qualify
     @example(levels=[0, 2, 1, 2, 0, 1, 0], p=1.0)  # prominence exactly p qualifies
+    # the pruning pass must round as the prominence test does: 1.8 - (-1.2)
+    # is exactly 3.0 there, but -1.2 > 1.8 - 3.0 holds
+    @example(levels=[0.2, 2.5, -1.2, 1.8, -1.8], p=3.0)
+    # a pruned last peak: the valleys on both its sides fold into the tail
+    @example(levels=[2.4, 0.0, 2.8, -2.7, -2.4, -1.5, -2.9, 2.8], p=3.0)
+    @example(levels=[0.8, 2.9, 2.0, 2.6, 0.1], p=1.0)
     @settings(max_examples=400, deadline=None)
     def test_matches_scipy_find_peaks(self, levels, p):
         db = np.array(levels)
@@ -478,11 +484,32 @@ class TestFindResonances:
         expected = find_peaks(trace.s21_db, prominence=p)[0].tolist()
         assert find_resonances(trace, p) == expected
 
+    # slow random walks nest shallow valleys inside deeper ones, so short
+    # arrays take several pruning passes before the base walk
+    @given(
+        steps=st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=80),
+        p=st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_find_peaks_on_random_walks(self, steps, p):
+        db = np.round(np.cumsum(steps), 1)
+        trace = FrequencyTrace(1e9 + np.arange(len(db)) * 1e6, 10 ** (db / 20))
+        expected = find_peaks(trace.s21_db, prominence=p)[0].tolist()
+        assert find_resonances(trace, p) == expected
+
     @pytest.mark.parametrize("n_points", [4001, 40001])
-    @pytest.mark.parametrize("noise_db", [-110.0, -60.0])
-    def test_matches_scipy_find_peaks_on_noisy_traces(self, n_points, noise_db):
-        # up to ~13000 noise maxima: deep stacks that short arrays never reach
-        trace = lorentz_trace(7.5e9, 560.0, 0.3, n_points, noise_db=noise_db, seed=7)
+    @pytest.mark.parametrize(
+        "noise_db, seed",
+        [
+            pytest.param(db, seed, id=f"{db}" if seed == 7 else f"{db}-seed{seed}")
+            for seed in (7, 8)
+            for db in (-110.0, -90.0, -60.0, -40.0)
+        ],
+    )
+    def test_matches_scipy_find_peaks_on_noisy_traces(self, n_points, noise_db, seed):
+        # up to ~13000 noise maxima: deep stacks that short arrays never reach;
+        # -40 dB stops after one pruning pass, the lower floors take several
+        trace = lorentz_trace(7.5e9, 560.0, 0.3, n_points, noise_db=noise_db, seed=seed)
         for p in (0.01, 0.5, 3.0):
             expected = find_peaks(trace.s21_db, prominence=p)[0].tolist()
             assert find_resonances(trace, p) == expected
