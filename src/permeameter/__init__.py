@@ -28,7 +28,6 @@ from .perturbation import (
     SampleSpec,
     complex_shift_from_resonances,
     fractional_shift_closed,
-    fractional_shift_quadrature,
     geometry_factor,
     geometry_factor_conventional,
     geometry_factor_derived,
@@ -53,7 +52,6 @@ from .traceio import (
     parse_touchstone,
     q_3db,
     unload_q,
-    write_csv,
     write_touchstone,
 )
 
@@ -79,7 +77,6 @@ __all__ = [
     "fit_lorentzian",
     "forward_load",
     "fractional_shift_closed",
-    "fractional_shift_quadrature",
     "geometry_factor",
     "geometry_factor_conventional",
     "geometry_factor_derived",
@@ -98,6 +95,5 @@ __all__ = [
     "synth_campaign",
     "unload_q",
     "wavenumbers",
-    "write_csv",
     "write_touchstone",
 ]

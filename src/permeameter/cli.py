@@ -230,12 +230,14 @@ def load_materials(path: str | Path) -> list[dict]:
         if not isinstance(entry, dict) or "name" not in entry or "mu_re" not in entry:
             raise ConfigurationError(f"materials[{i}] needs 'name' and 'mu_re'")
         where = f"materials[{i}]"
+        if not isinstance(entry["name"], str):
+            raise ConfigurationError(f"{where}.name must be a string")
         mu_re = _number(entry, "mu_re", where)
         if "mu_im" in entry:
             mu = ComplexPermeability(mu_re, _number(entry, "mu_im", where))
         else:
             mu = ComplexPermeability.from_loss_tangent(mu_re, _number(entry, "tan_dm", where, 0.0))
-        roster.append({"name": str(entry["name"]), "mu": mu, "note": entry.get("note", "")})
+        roster.append({"name": entry["name"], "mu": mu, "note": entry.get("note", "")})
     return roster
 
 
@@ -492,8 +494,8 @@ def _extract_text(report: dict) -> str:
 
 
 def cmd_extract(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
-    empty_trace = parse_touchstone(Path(args.empty_s2p).read_bytes(), source=args.empty_s2p)
-    loaded_trace = parse_touchstone(Path(args.loaded_s2p).read_bytes(), source=args.loaded_s2p)
+    empty_trace = parse_touchstone(Path(args.empty_s2p).read_bytes())
+    loaded_trace = parse_touchstone(Path(args.loaded_s2p).read_bytes())
     report = extract_report(cfg, empty_trace, loaded_trace)
     return report, _extract_text(report)
 

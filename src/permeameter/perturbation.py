@@ -310,21 +310,19 @@ def sample_energy_quadrature(
     if cells_per_axis < 8:
         raise InvalidGeometryError("cells_per_axis must be >= 8")
     _check_sample(cavity, sample)
-    diagonal: list[float] = []
-    rows: list[list[float]] = []
+    prev: list[float] = []  # the previous row of the Richardson table
     delta = float("inf")
     for k in range(MAX_DOUBLINGS + 1):
         m = cells_per_axis * (2**k)
         row = [sample_energy_midpoint(cavity, sample, mode, choice, m)]
-        for j in range(1, k + 1):
+        for j, coarse in enumerate(prev, start=1):
             weight = 4.0**j
-            row.append((weight * row[j - 1] - rows[k - 1][j - 1]) / (weight - 1.0))
-        rows.append(row)
-        diagonal.append(row[-1])
-        if k > 0:
-            delta = abs(diagonal[-1] - diagonal[-2]) / max(abs(diagonal[-1]), 1e-300)
+            row.append((weight * row[j - 1] - coarse) / (weight - 1.0))
+        if prev:
+            delta = abs(row[-1] - prev[-1]) / max(abs(row[-1]), 1e-300)
             if delta < QUADRATURE_RTOL:
-                return diagonal[-1]
+                return row[-1]
+        prev = row
     raise AccuracyError(
         f"box integral did not converge within {MAX_DOUBLINGS} grid doublings "
         f"(last relative delta {delta:.3e})",
@@ -360,24 +358,6 @@ def geometry_factor(
 def shift_complex(mu_r: ComplexPermeability, mu_rs: complex, g_value: float) -> complex:
     """Raw complex shift -(mu_r/(2 mu_rs) - 1/2) * g, unvalidated."""
     return -(mu_r.as_complex / (2.0 * complex(mu_rs)) - 0.5) * g_value
-
-
-def fractional_shift_quadrature(
-    cavity: CavitySpec,
-    sample: SampleSpec,
-    mode: ModeSpec,
-    mu_r: ComplexPermeability,
-    choice: InteractionChoice = InteractionChoice.TRANSVERSE_HZ,
-    cells_per_axis: int = 64,
-) -> FractionalShift:
-    """Fractional shift from direct numerical integration of the field energy.
-
-    -(1/2) (mu_r/mu_rs - 1) * (box integral of selected |H|^2) / norm.
-    Works for any mode index, as does the derived closed form it
-    cross-checks; only the printed form is even-n only.
-    """
-    g = geometry_factor(cavity, sample, mode, "quadrature", choice, cells_per_axis)
-    return fractional_shift_closed(mu_r, cavity.mu_rs, g)
 
 
 def fractional_shift_closed(

@@ -120,7 +120,7 @@ def lorentzian_trace(res: Resonance, cfg: SynthConfig) -> FrequencyTrace:
         s21 = s21 + sigma * (
             rng.standard_normal(cfg.n_points) + 1j * rng.standard_normal(cfg.n_points)
         )
-    return FrequencyTrace(f, s21, None, source=f"synth seed={cfg.seed}")
+    return FrequencyTrace(f, s21)
 
 
 def _item_seed(base_seed: int, label: str) -> int:

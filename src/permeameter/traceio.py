@@ -56,7 +56,6 @@ class FrequencyTrace:
     s11: np.ndarray | None = None
     z0: float = 50.0
     fmt: str = "RI"
-    source: str = ""
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
@@ -183,7 +182,7 @@ def _to_complex(a: np.ndarray, b: np.ndarray, fmt: str) -> np.ndarray:
     return out
 
 
-def parse_touchstone(data: bytes | str, source: str = "") -> FrequencyTrace:
+def parse_touchstone(data: bytes | str) -> FrequencyTrace:
     """Parse a Touchstone v1.0 two-port file into a FrequencyTrace.
 
     The lines up to the option line are read one by one, and the data
@@ -213,7 +212,7 @@ def parse_touchstone(data: bytes | str, source: str = "") -> FrequencyTrace:
         s21 = _to_complex(rows[:, 3], rows[:, 4], fmt)
     except (ValueError, OverflowError):
         _raise_first_bad_row(lines, start, unit, fmt)
-    return FrequencyTrace(freqs, s21, s11, z0=z0, fmt=fmt, source=source)
+    return FrequencyTrace(freqs, s21, s11, z0=z0, fmt=fmt)
 
 
 def _raise_first_bad_row(lines: list[str], start: int, unit: str, fmt: str) -> NoReturn:
@@ -282,14 +281,6 @@ def write_touchstone(trace: FrequencyTrace, fmt: str = "RI") -> bytes:
             cells.append(f"{b:.17g}")
         lines.append(" ".join(cells))
     return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def write_csv(trace: FrequencyTrace) -> str:
-    """CSV export: freq_hz,s21_re,s21_im,s21_db with one row per point."""
-    lines = ["freq_hz,s21_re,s21_im,s21_db"]
-    for f_hz, v, db in zip(trace.freqs, trace.s21, trace.s21_db):
-        lines.append(f"{f_hz:.17g},{v.real:.17g},{v.imag:.17g},{db:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -558,14 +549,13 @@ def unload_q(q_loaded: float, il_linear: float) -> float:
 
 
 def pair_resonances(
-    empty: list[Resonance],
-    loaded: list[Resonance],
-    guard_fraction: float = PAIRING_GUARD,
+    empty: list[Resonance], loaded: list[Resonance]
 ) -> list[tuple[Resonance, Resonance]]:
     """Nearest-frequency pairing of empty/loaded resonances.
 
-    Each loaded resonance is matched to the closest empty one within
-    the +-guard_fraction band; every resonance is used at most once.
+    Each empty resonance, in frequency order, takes the closest unused
+    loaded one if it lies within +-PAIRING_GUARD (10 %) of the empty
+    frequency; every resonance is used at most once.
     Raises NoPairableResonanceError when nothing pairs.
     """
     pairs: list[tuple[Resonance, Resonance]] = []
@@ -574,11 +564,11 @@ def pair_resonances(
         if not remaining:
             break
         best = min(remaining, key=lambda r: abs(r.f0 - e.f0))
-        if abs(best.f0 - e.f0) <= guard_fraction * e.f0:
+        if abs(best.f0 - e.f0) <= PAIRING_GUARD * e.f0:
             pairs.append((e, best))
             remaining.remove(best)
     if not pairs:
         raise NoPairableResonanceError(
-            f"no loaded resonance within {guard_fraction:.0%} of an empty one"
+            f"no loaded resonance within {PAIRING_GUARD:.0%} of an empty one"
         )
     return pairs

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
 import permeameter
 from permeameter import (
+    FrequencyTrace,
+    GeometryFactor,
     Resonance,
     SynthConfig,
     lorentzian_trace,
@@ -15,6 +18,7 @@ from permeameter import (
     write_touchstone,
 )
 from permeameter.cli import main
+from permeameter.errors import FitFailureError
 
 
 def run(capsys, *argv):
@@ -47,6 +51,11 @@ class TestModes:
         assert code == 0
         assert len(out.strip().splitlines()) == 1  # header only
 
+    def test_negative_max_n_exit_2(self, capsys, config_file):
+        code, out, err = run(capsys, "--config", str(config_file()), "modes", "--max-n", "-1")
+        assert (code, out) == (2, "")
+        assert "--max-n must be >= 0" in err
+
     def test_negative_dimension_exit_2(self, capsys, config_file):
         cfg = config_file(cavity={"width_a_mm": -30.0})
         code, _, err = run(capsys, "--config", str(cfg), "modes")
@@ -68,6 +77,23 @@ class TestModes:
         code, out, err = run(capsys, "--config", str(path), "modes")
         assert (code, out) == (2, "")
         assert f"missing {section}.{key}" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "config must be a JSON object"),
+            ('{"cavity": {}, "mode": {"n": 4}}', "missing config section 'sample'"),
+            ('{"cavity": ', "config is not valid JSON"),
+            (None, "cannot read config"),
+        ],
+    )
+    def test_unusable_config_document_exit_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "config.json"  # left unwritten when text is None
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, "--config", str(path), "modes")
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_env_var_config(self, capsys, config_file, monkeypatch):
         monkeypatch.setenv("PERMEAMETER_CONFIG", str(config_file()))
@@ -202,6 +228,64 @@ class TestExtract:
         )
         assert code == 3
 
+    def test_flat_empty_trace_exit_3(self, capsys, tmp_path, config_file, campaign):
+        flat = tmp_path / "flat.s2p"
+        f = np.linspace(7.0e9, 8.0e9, 1001)
+        flat.write_bytes(write_touchstone(FrequencyTrace(f, np.full(f.shape, 0.3 + 0j))))
+        code, _, err = run(
+            capsys, "--config", str(config_file()), "extract",
+            str(flat), str(campaign / "campaign_X.s2p"),
+        )
+        assert code == 3
+        assert "found 0 empty / 1 loaded" in err
+
+    def test_coarse_grid_falls_back_to_three_db(
+        self, capsys, tmp_path, config_file, materials_file
+    ):
+        # 101 points over 200 bandwidths leave too few samples in the fit
+        # window, so both resonances come from the bandwidth method
+        cfg = str(config_file(synth={"n_points": 101, "span_bandwidths": 200}))
+        out_dir = tmp_path / "coarse"
+        code, _, err = run(capsys, "--config", cfg, "synth",
+                           "--materials", str(materials_file()), "--out-dir", str(out_dir))
+        assert code == 0, err
+        code, out, err = run(
+            capsys, "--config", cfg, "--json", "extract",
+            str(out_dir / "campaign_empty.s2p"), str(out_dir / "campaign_X.s2p"),
+        )
+        assert code == 0, err
+        pair = json.loads(out)["pairs"][0]
+        assert pair["empty"]["method"] == pair["loaded"]["method"] == "three-db"
+
+    def test_failed_conventional_inversion_reported_empty(
+        self, capsys, monkeypatch, tmp_path, config_file, materials_file, campaign
+    ):
+        # a degenerate conventional factor fails its inversion; the
+        # modified result still stands and the conventional one is blank
+        monkeypatch.setattr(
+            permeameter.cli, "geometry_factor_conventional",
+            lambda *args: GeometryFactor(0.0, "conventional"),
+        )
+        cfg = str(config_file())
+        files = str(campaign / "campaign_empty.s2p"), str(campaign / "campaign_X.s2p")
+        code, out, err = run(capsys, "--config", cfg, "--json", "extract", *files)
+        assert code == 0, err
+        pair = json.loads(out)["pairs"][0]
+        for part in ("mu_re", "mu_im", "tan_dm"):
+            assert pair[f"{part}_conventional"] is None
+        assert pair["mu_re"] == pytest.approx(1.5, rel=0.01)
+        code, out, err = run(capsys, "--config", cfg, "extract", *files)
+        assert code == 0, err
+        assert "  conventional: (inversion failed)\n" in out
+        out_csv = tmp_path / "t.csv"
+        code, _, err = run(capsys, "--config", cfg, "compare",
+                           "--materials", str(materials_file()), "--out-csv", str(out_csv))
+        assert code == 0, err
+        for line in out_csv.read_text().splitlines()[1:]:
+            cells = line.split(",")
+            assert cells[2] == cells[5] == ""
+            assert cells[3] and cells[6]
+
     def test_unphysical_exit_4(self, capsys, tmp_path, config_file, campaign):
         # resonance 5% above empty pairs fine but implies mu_re < 0
         empty_trace = parse_touchstone((campaign / "campaign_empty.s2p").read_bytes())
@@ -246,13 +330,18 @@ class TestCompare:
             payloads.append(out_csv.read_bytes())
         assert payloads[0] == payloads[1]
 
-    @pytest.mark.parametrize("noise", [None, -90.0])
+    @pytest.mark.parametrize(
+        "noise, q_method",
+        [(None, "lorentzian-fit"), (-90.0, "lorentzian-fit"), (None, "three-db")],
+        ids=["None", "-90.0", "None-three-db"],
+    )
     def test_rows_match_extract_on_synth_files(
-        self, capsys, tmp_path, config_file, materials_file, noise
+        self, capsys, tmp_path, config_file, materials_file, noise, q_method
     ):
         # compare extracts in memory; the numbers must be those of the
         # Touchstone files that synth writes for the same config
-        cfg, mats = str(config_file(synth={"noise_floor_db": noise})), str(materials_file())
+        cfg = str(config_file(synth={"noise_floor_db": noise}, extraction={"q_method": q_method}))
+        mats = str(materials_file())
         code, out, _ = run(capsys, "--config", cfg, "--json", "compare",
                            "--materials", mats, "--out-csv", str(tmp_path / "t.csv"))
         assert code == 0
@@ -351,6 +440,48 @@ class TestCompare:
             "tan_dm_actual,tan_dm_conventional,tan_dm_modified,note"
         ]
 
+    def test_fit_failure_without_fallback_exit_3(
+        self, capsys, monkeypatch, tmp_path, config_file, materials_file
+    ):
+        def failing_fit(*args, **kwargs):
+            raise FitFailureError("no curvature in the fit window", None)
+
+        monkeypatch.setattr(permeameter.cli, "fit_lorentzian", failing_fit)
+        code, out, err = run(
+            capsys, "--config", str(config_file()), "compare",
+            "--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv"),
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: resonance fit failed: no curvature in the fit window\n"
+
+    def test_roster_entry_given_by_mu_im(self, capsys, tmp_path, config_file, materials_file):
+        roster = [{"name": "M", "mu_re": 1.5, "mu_im": 0.075}]
+        code, out, err = run(
+            capsys, "--config", str(config_file()), "--json", "compare",
+            "--materials", str(materials_file(roster)), "--out-csv", str(tmp_path / "t.csv"),
+        )
+        assert code == 0, err
+        (row,) = json.loads(out)["rows"]
+        assert row["tan_dm_actual"] == pytest.approx(0.05, rel=1e-12)
+        assert row["mu_re_modified"] == pytest.approx(1.5, rel=1e-6)
+        assert row["tan_dm_modified"] == pytest.approx(0.05, rel=1e-6)
+
+    def test_out_csv_same_as_materials_exit_2(self, capsys, config_file, materials_file):
+        mats = materials_file()
+        before = mats.read_bytes()
+        code, out, err = run(capsys, "--config", str(config_file()), "compare",
+                             "--materials", str(mats), "--out-csv", str(mats))
+        assert (code, out) == (2, "")
+        assert "--out-csv must differ from --materials" in err
+        assert mats.read_bytes() == before
+
+    def test_unwritable_out_csv_exit_2(self, capsys, tmp_path, config_file, materials_file):
+        out_csv = tmp_path / "no-such-dir" / "t.csv"
+        code, out, err = run(capsys, "--config", str(config_file()), "compare",
+                             "--materials", str(materials_file()), "--out-csv", str(out_csv))
+        assert (code, out) == (2, "")
+        assert f"cannot write {str(out_csv)!r}" in err
+
     def test_bad_materials_exit_2(self, capsys, tmp_path, config_file):
         bad = tmp_path / "bad.json"
         bad.write_text('{"no": "materials"}')
@@ -435,6 +566,15 @@ class TestQuadcheck:
         ({"cavity": {"mu_rs": [1.0, float("nan")]}}, None, "cavity.mu_rs"),
         ({"cavity": {"eps_r": 10**400}}, None, "cavity.eps_r"),  # beyond the float range
         ({}, [{"name": "U", "mu_re": float("nan")}], "materials[0].mu_re"),
+        ({"extraction": {"interaction": "radial"}}, None, "extraction.interaction"),
+        ({"extraction": {"q_method": "fwhm"}}, None, "extraction.q_method"),
+        ({"extraction": {"model": "exact"}}, None, "extraction.model"),
+        ({"cavity": {"mu_rs": [1, 2, 3]}}, None, "mu_rs"),
+        ({}, [{"mu_re": 1.5, "tan_dm": 0.05}], "materials[0] needs 'name'"),
+        # a name is a string: null, true and 1 would become labels "None", "True", "1"
+        ({}, [{"name": None, "mu_re": 1.5, "tan_dm": 0.05}], "materials[0].name"),
+        ({}, [{"name": True, "mu_re": 1.5, "tan_dm": 0.05}], "materials[0].name"),
+        ({}, [{"name": 1, "mu_re": 1.5, "tan_dm": 0.05}], "materials[0].name"),
     ],
 )
 def test_malformed_value_exit_2_names_key(

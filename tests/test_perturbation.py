@@ -17,7 +17,6 @@ from permeameter import (
     SampleSpec,
     complex_shift_from_resonances,
     fractional_shift_closed,
-    fractional_shift_quadrature,
     geometry_factor,
     geometry_factor_conventional,
     geometry_factor_derived,
@@ -204,16 +203,17 @@ class TestGeometryFactorEntryPoint:
 
 class TestQuadratureShift:
     def test_identity_material_gives_zero(self, worked_cavity, worked_sample, mode4):
-        shift = fractional_shift_quadrature(
-            worked_cavity, worked_sample, mode4, ComplexPermeability(1.0, 0.0)
-        )
+        g = geometry_factor(worked_cavity, worked_sample, mode4, "quadrature")
+        shift = fractional_shift_closed(ComplexPermeability(1.0, 0.0), worked_cavity.mu_rs, g)
         assert shift.re == 0.0 and shift.im == 0.0
 
     @pytest.mark.parametrize("choice", CHOICES)
     def test_agrees_with_closed_form(self, worked_cavity, worked_sample, mode4, choice):
         mu = ComplexPermeability.from_loss_tangent(1.8, 0.12)
-        quad = fractional_shift_quadrature(
-            worked_cavity, worked_sample, mode4, mu, choice, 64
+        quad = fractional_shift_closed(
+            mu,
+            worked_cavity.mu_rs,
+            geometry_factor(worked_cavity, worked_sample, mode4, "quadrature", choice, 64),
         )
         closed = fractional_shift_closed(
             mu,
@@ -268,20 +268,16 @@ class TestQuadratureShift:
             assert got == pytest.approx(reference, rel=1e-14, abs=0)
 
     def test_lossless_high_mu_moves_down(self, worked_cavity, worked_sample, mode4):
-        shift = fractional_shift_quadrature(
-            worked_cavity, worked_sample, mode4, ComplexPermeability(2.0, 0.0)
-        )
+        g = geometry_factor(worked_cavity, worked_sample, mode4, "quadrature")
+        shift = fractional_shift_closed(ComplexPermeability(2.0, 0.0), worked_cavity.mu_rs, g)
         assert shift.re < 0
         assert shift.im == 0.0
 
     def test_odd_mode_allowed(self, worked_cavity, worked_sample):
-        shift = fractional_shift_quadrature(
-            worked_cavity,
-            worked_sample,
-            ModeSpec(3),
-            ComplexPermeability(1.5, 0.0),
-            InteractionChoice.BOTH,
+        g = geometry_factor(
+            worked_cavity, worked_sample, ModeSpec(3), "quadrature", InteractionChoice.BOTH
         )
+        shift = fractional_shift_closed(ComplexPermeability(1.5, 0.0), worked_cavity.mu_rs, g)
         assert shift.re < 0 and math.isfinite(shift.re)
 
     def test_cells_validation(self, worked_cavity, worked_sample, mode4):

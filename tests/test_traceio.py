@@ -19,7 +19,6 @@ from permeameter import (
     parse_touchstone,
     q_3db,
     unload_q,
-    write_csv,
     write_touchstone,
 )
 from permeameter.errors import (
@@ -412,22 +411,6 @@ class TestWrite:
         for fmt in ("RI", "MA", "DB"):
             back = parse_touchstone(write_touchstone(trace, fmt))
             np.testing.assert_allclose(back.s21, s21, rtol=1e-9, atol=1e-15)
-
-
-class TestCsv:
-    def test_schema(self):
-        trace = FrequencyTrace(
-            np.array([1e9, 2e9]), np.array([0.5 + 0j, 0.25 + 0.1j])
-        )
-        text = write_csv(trace)
-        lines = text.splitlines()
-        assert lines[0] == "freq_hz,s21_re,s21_im,s21_db"
-        assert len(lines) == 3
-        assert not any(line.endswith(",") for line in lines)
-        assert text.endswith("\n") and "\r" not in text
-        cells = lines[1].split(",")
-        assert float(cells[0]) == 1e9
-        assert float(cells[3]) == pytest.approx(20 * math.log10(0.5), rel=1e-12)
 
 
 class TestFindResonances:

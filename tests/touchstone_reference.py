@@ -1,7 +1,8 @@
 """Reference Touchstone parser for the differential test in test_traceio.py.
 
 This is the row-by-row parser `permeameter.traceio.parse_touchstone` had
-before it became a single numpy pass, kept unchanged apart from its name.
+before it became a single numpy pass, kept unchanged apart from its name
+and the `source` label it no longer passes on (FrequencyTrace has none).
 The deliberate differences between the two are listed next to the test.
 """
 
@@ -26,7 +27,7 @@ def _pair_to_complex(a: float, b: float, fmt: str) -> complex:
     return mag * complex(math.cos(phase), math.sin(phase))
 
 
-def reference_parse_touchstone(data: bytes | str, source: str = "") -> FrequencyTrace:
+def reference_parse_touchstone(data: bytes | str) -> FrequencyTrace:
     """The row-by-row parser that the one-pass `parse_touchstone` replaced."""
     text = data.decode("latin-1") if isinstance(data, bytes) else data
     unit = fmt = None
@@ -94,6 +95,4 @@ def reference_parse_touchstone(data: bytes | str, source: str = "") -> Frequency
         raise TouchstoneParseError(max(last_line, 1), "missing option line")
     if not freqs:
         raise TouchstoneParseError(max(last_line, 1), "no data rows")
-    return FrequencyTrace(
-        np.array(freqs), np.array(s21), np.array(s11), z0=z0, fmt=fmt, source=source
-    )
+    return FrequencyTrace(np.array(freqs), np.array(s21), np.array(s11), z0=z0, fmt=fmt)
