@@ -10,8 +10,8 @@ given after the verb overrides one given before it.
 Config and materials values are type-checked: a number is a finite JSON
 number (not a string, boolean or null, nor the NaN and Infinity that
 Python's json reads), and the integer keys (mode.n, cells_per_axis,
-n_points, seed) take JSON integers only.  A malformed
-value is a config error that names its key.
+n_points, seed) take JSON integers only.  A malformed value, or a key
+the schema does not list, is a config error that names its key.
 
 Exit codes: 0 success, 2 config/parse error, 3 no pairable resonance,
 4 unphysical extraction result.
@@ -77,8 +77,6 @@ class ExtractionOptions:
     q_method: str = "lorentzian-fit"
     interaction: InteractionChoice = InteractionChoice.TRANSVERSE_HZ
     model: str = "quadrature"
-    min_prominence_db: float = 3.0
-    window_bandwidths: float = 5.0
     cells_per_axis: int = 64
 
 
@@ -113,10 +111,16 @@ def _read_json(path: str | Path, what: str):
 def _section(doc: dict, name: str, required: bool = True) -> dict:
     if required and name not in doc:
         raise ConfigurationError(f"missing config section {name!r}")
-    section = doc.get(name, {})
+    section = doc.pop(name, {})
     if not isinstance(section, dict):
         raise ConfigurationError(f"config section {name!r} must be an object")
     return section
+
+
+def _reject_unknown(section: dict, where: str) -> None:
+    """Reject the keys left in `section`: each reader pops the key it reads."""
+    if section:
+        raise ConfigurationError("unknown key " + ", ".join(f"{where}.{key}" for key in section))
 
 
 _REQUIRED = object()
@@ -133,14 +137,14 @@ def _finite(value: int | float, name: str) -> float:
 
 
 def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: bool = False):
-    """section[key] as a float, or as an int for an integer key.
+    """section.pop(key) as a float, or as an int for an integer key.
 
     An absent key takes `default`; a key whose default is None may also be
     null.  An integer key takes JSON integers only, other keys any finite
     JSON number; a key ending in _mm is a length in millimeters, returned
     in meters.  Anything else raises a ConfigurationError naming the key.
     """
-    value = section.get(key, default)
+    value = section.pop(key, default)
     if value is _REQUIRED:
         raise ConfigurationError(f"missing {where}.{key}")
     if integer:
@@ -166,6 +170,7 @@ def _options(cls, section: dict, where: str, **given):
         if f.name not in given:
             default = getattr(defaults, f.name)
             given[f.name] = _number(section, f.name, where, default, isinstance(default, int))
+    _reject_unknown(section, where)
     return cls(**given)
 
 
@@ -187,7 +192,7 @@ def load_config(path: str | Path) -> RunConfig:
         length_l=_number(cav, "length_l_mm", "cavity"),
         height_h=_number(cav, "height_h_mm", "cavity"),
         eps_r=_number(cav, "eps_r", "cavity", 1.0),
-        mu_rs=_as_complex(cav.get("mu_rs", 1.0)),
+        mu_rs=_as_complex(cav.pop("mu_rs", 1.0)),
         via_diameter_d=_number(cav, "via_diameter_d_mm", "cavity", None),
         via_pitch_p=_number(cav, "via_pitch_p_mm", "cavity", None),
     )
@@ -200,21 +205,23 @@ def load_config(path: str | Path) -> RunConfig:
     ext = _section(doc, "extraction", required=False)
     defaults = ExtractionOptions()
     try:
-        interaction = InteractionChoice(ext.get("interaction", defaults.interaction))
+        interaction = InteractionChoice(ext.pop("interaction", defaults.interaction))
     except ValueError:
         raise ConfigurationError(
             f"extraction.interaction must be one of {[c.value for c in InteractionChoice]}"
         ) from None
-    q_method = ext.get("q_method", defaults.q_method)
+    q_method = ext.pop("q_method", defaults.q_method)
     if q_method not in ("lorentzian-fit", "three-db"):
         raise ConfigurationError("extraction.q_method must be 'lorentzian-fit' or 'three-db'")
-    model = ext.get("model", defaults.model)
+    model = ext.pop("model", defaults.model)
     if model not in MODELS:
         raise ConfigurationError(f"extraction.model must be one of {list(MODELS)}")
     extraction = _options(
         ExtractionOptions, ext, "extraction", q_method=q_method, interaction=interaction, model=model
     )
     synth = _options(SynthOptions, _section(doc, "synth", required=False), "synth")
+    for section, where in ((cav, "cavity"), (smp, "sample"), (mod, "mode"), (doc, "config")):
+        _reject_unknown(section, where)
     return RunConfig(cavity, sample, mode, extraction, synth)
 
 
@@ -230,14 +237,19 @@ def load_materials(path: str | Path) -> list[dict]:
         if not isinstance(entry, dict) or "name" not in entry or "mu_re" not in entry:
             raise ConfigurationError(f"materials[{i}] needs 'name' and 'mu_re'")
         where = f"materials[{i}]"
-        if not isinstance(entry["name"], str):
-            raise ConfigurationError(f"{where}.name must be a string")
+        if "mu_im" in entry and "tan_dm" in entry:
+            raise ConfigurationError(f"{where} gives both tan_dm and mu_im")
+        name, note = entry.pop("name"), entry.pop("note", "")
+        for key, value in (("name", name), ("note", note)):
+            if not isinstance(value, str):
+                raise ConfigurationError(f"{where}.{key} must be a string")
         mu_re = _number(entry, "mu_re", where)
         if "mu_im" in entry:
             mu = ComplexPermeability(mu_re, _number(entry, "mu_im", where))
         else:
             mu = ComplexPermeability.from_loss_tangent(mu_re, _number(entry, "tan_dm", where, 0.0))
-        roster.append({"name": entry["name"], "mu": mu, "note": entry.get("note", "")})
+        _reject_unknown(entry, where)
+        roster.append({"name": name, "mu": mu, "note": note})
     return roster
 
 
@@ -248,14 +260,13 @@ def load_materials(path: str | Path) -> list[dict]:
 
 def extract_trace_resonances(cfg: RunConfig, trace: FrequencyTrace) -> list[Resonance]:
     """Detected resonances of a trace with the configured Q method."""
-    ext = cfg.extraction
     out = []
-    for peak in find_resonances(trace, ext.min_prominence_db):
-        if ext.q_method == "three-db":
+    for peak in find_resonances(trace):
+        if cfg.extraction.q_method == "three-db":
             out.append(q_3db(trace, peak))
             continue
         try:
-            out.append(fit_lorentzian(trace, peak, ext.window_bandwidths))
+            out.append(fit_lorentzian(trace, peak))
         except FitFailureError as exc:
             if exc.fallback is None:
                 raise
@@ -462,7 +473,7 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
     roster = load_materials(args.materials)
     traces = _roster_traces(cfg, roster, _factors(cfg)[0])
     try:
-        files = synth_campaign(traces, args.out_dir, args.campaign)
+        files = synth_campaign(traces, args.out_dir)
     except OSError as exc:
         raise ConfigurationError(f"cannot write to {args.out_dir!r}: {exc}") from None
     document = {"files": {label: str(path) for label, path in files.items()}}
@@ -501,8 +512,10 @@ def cmd_extract(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
-    if Path(args.out_csv).resolve() == Path(args.materials).resolve():
-        raise ConfigurationError("--out-csv must differ from --materials")
+    out_csv = Path(args.out_csv).resolve()
+    for what, path in (("--materials", args.materials), ("the config file", args.config)):
+        if out_csv == Path(path).resolve():
+            raise ConfigurationError(f"--out-csv must differ from {what}")
     rows = compare_rows(cfg, load_materials(args.materials))
     text = compare_csv(rows)
     try:
@@ -552,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[common], help="synthesize a Touchstone campaign")
     p.add_argument("--materials", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--campaign", default="campaign")
     p.set_defaults(run=cmd_synth)
 
     p = sub.add_parser("extract", parents=[common], help="extract permeability from two traces")
@@ -575,12 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-        if not config_path:
+        args.config = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
+        if not args.config:
             raise ConfigurationError(
                 f"no config given; use --config or set ${CONFIG_ENV}"
             )
-        cfg = load_config(config_path)
+        cfg = load_config(args.config)
         seed = getattr(args, "seed", None)
         if seed is not None:
             cfg = replace(cfg, synth=replace(cfg.synth, seed=seed))

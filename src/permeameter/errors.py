@@ -75,9 +75,5 @@ class ConfigurationError(PermeameterError, ValueError):
     """Invalid run configuration (file content, spans, paths)."""
 
 
-class SuspiciousPairingWarning(UserWarning):
-    """Loaded resonance far above the empty one; pairing likely wrong."""
-
-
 class NearCriticalCouplingWarning(UserWarning):
     """Insertion loss close to unity; unloaded Q is poorly conditioned."""

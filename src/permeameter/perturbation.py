@@ -30,7 +30,6 @@ closed forms are conventionally written with (1 - sinc(k_z a1)) and
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import pi, sin
@@ -43,7 +42,6 @@ from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
     InvalidGeometryError,
-    SuspiciousPairingWarning,
     UnphysicalResultError,
     UnsupportedModeError,
 )
@@ -375,19 +373,12 @@ def complex_shift_from_resonances(empty, loaded) -> FractionalShift:
 
     re = (f_loaded - f_empty) / f_loaded
     im = (1/2) (1/Q_loaded - 1/Q_empty), unloaded Q on both sides.
+    Pairing the two is the caller's: see traceio.pair_resonances.
     """
     if not (empty.f0 > 0 and loaded.f0 > 0):
         raise InvalidGeometryError("resonance frequencies must be > 0")
     if not (empty.q_unloaded > 0 and loaded.q_unloaded > 0):
         raise InvalidGeometryError("unloaded Q must be > 0")
-    if loaded.f0 > 1.10 * empty.f0:
-        warnings.warn(
-            f"loaded resonance at {loaded.f0:.6g} Hz sits more than 10% above "
-            f"the empty one at {empty.f0:.6g} Hz; resonances are likely "
-            "mismatched across modes",
-            SuspiciousPairingWarning,
-            stacklevel=2,
-        )
     re = (loaded.f0 - empty.f0) / loaded.f0
     im = 0.5 * (1.0 / loaded.q_unloaded - 1.0 / empty.q_unloaded)
     return FractionalShift(re, im)

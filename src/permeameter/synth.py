@@ -178,14 +178,12 @@ def _widened(cfg: SynthConfig, resonances: Iterable[Resonance]) -> SynthConfig:
     return replace(cfg, f_start=f_start, f_stop=f_stop)
 
 
-def synth_campaign(
-    traces: dict[str, FrequencyTrace], out_dir: str | Path, campaign: str = "campaign"
-) -> dict[str, Path]:
-    """Write each trace as <campaign>_<label>.s2p in RI format; returns {label: path}."""
+def synth_campaign(traces: dict[str, FrequencyTrace], out_dir: str | Path) -> dict[str, Path]:
+    """Write each trace as campaign_<label>.s2p in RI format; returns {label: path}."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     for label, trace in traces.items():
-        written[label] = out / f"{campaign}_{label}.s2p"
+        written[label] = out / f"campaign_{label}.s2p"
         written[label].write_bytes(write_touchstone(trace, fmt="RI"))
     return written

@@ -46,6 +46,9 @@ DB_FLOOR = -400.0  # clamp for log of zero magnitudes
 #: of the empty resonance frequency.
 PAIRING_GUARD = 0.10
 
+#: Width of the Lorentzian fit window, in 3-dB bandwidths (perfbench's fit budget assumes 5).
+FIT_WINDOW_BANDWIDTHS = 5.0
+
 
 @dataclass(frozen=True)
 class FrequencyTrace:
@@ -446,14 +449,12 @@ def q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     return Resonance.from_loaded(f0, q_loaded, il, method="three-db")
 
 
-def fit_lorentzian(
-    trace: FrequencyTrace, peak_index: int, window_bandwidths: float = 5.0
-) -> Resonance:
+def fit_lorentzian(trace: FrequencyTrace, peak_index: int) -> Resonance:
     """Closed-form Lorentzian refinement of a resonance.
 
     |S21|^2 = IL^2 / (1 + 4 Q^2 ((f - f0)/f0)^2), so 1/|S21|^2 is exactly
     a quadratic p(x) = c0 + c1 x + c2 x^2 in x = (f - f_s)/h, where f_s is
-    the bandwidth-method f0 and h half of a window of window_bandwidths
+    the bandwidth-method f0 and h half of a window of FIT_WINDOW_BANDWIDTHS
     3-dB bandwidths centered on it.  Only the magnitude is fitted, so a
     phase offset or an uncalibrated cable delay leaves the result exact.
     Two weighted linear least-squares passes, no iteration:
@@ -468,8 +469,6 @@ def fit_lorentzian(
     Q = (f0 / 2h) sqrt(c2 / p(x_v)).  A failed fit raises FitFailureError
     carrying the bandwidth-method result as fallback (when available).
     """
-    if window_bandwidths < 3:
-        raise InvalidGeometryError("window_bandwidths must be >= 3")
     fallback = None
     f = trace.freqs
     try:
@@ -478,7 +477,7 @@ def fit_lorentzian(
     except (InsufficientSpanError, InvalidGeometryError):
         # crude starting window; the fit either rescues it or reports failure
         f_s, bandwidth = f[min(max(peak_index, 0), len(f) - 1)], f[-1] - f[0]
-    h = 0.5 * window_bandwidths * bandwidth
+    h = 0.5 * FIT_WINDOW_BANDWIDTHS * bandwidth
     mask = (f >= f_s - h) & (f <= f_s + h)
     if mask.sum() < 4:
         raise FitFailureError("fewer than 4 samples in the fit window", fallback)

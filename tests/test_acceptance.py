@@ -175,11 +175,11 @@ def test_criterion_5_q_extraction_accuracy():
     span = 40.0 * f0 / q_loaded
     noiseless = SynthConfig(f0 - span / 2, f0 + span / 2, 1001, None, 0, il)
     trace = lorentzian_trace(res, noiseless)
-    fit = fit_lorentzian(trace, find_resonances(trace)[0], window_bandwidths=5.0)
+    fit = fit_lorentzian(trace, find_resonances(trace)[0])
     assert abs(fit.q_loaded - q_loaded) / q_loaded < 1e-4
     noisy_cfg = SynthConfig(f0 - span / 2, f0 + span / 2, 1001, -60.0, 4242, il)
     noisy = lorentzian_trace(res, noisy_cfg)
-    fit_noisy = fit_lorentzian(noisy, find_resonances(noisy)[0], window_bandwidths=5.0)
+    fit_noisy = fit_lorentzian(noisy, find_resonances(noisy)[0])
     assert abs(fit_noisy.q_loaded - q_loaded) / q_loaded < 0.02
     assert time.perf_counter() - start < 5.0
 

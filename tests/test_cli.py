@@ -17,7 +17,7 @@ from permeameter import (
     parse_touchstone,
     write_touchstone,
 )
-from permeameter.cli import main
+from permeameter.cli import ExtractionOptions, load_config, main
 from permeameter.errors import FitFailureError
 
 
@@ -475,6 +475,21 @@ class TestCompare:
         assert "--out-csv must differ from --materials" in err
         assert mats.read_bytes() == before
 
+    @pytest.mark.parametrize("given", ["flag", "env"])
+    def test_out_csv_same_as_config_exit_2(
+        self, capsys, monkeypatch, config_file, materials_file, given
+    ):
+        config = config_file()
+        before = config.read_bytes()
+        if given == "env":
+            monkeypatch.setenv("PERMEAMETER_CONFIG", str(config))
+        flags = ["--config", str(config)] if given == "flag" else []
+        code, out, err = run(capsys, *flags, "compare",
+                             "--materials", str(materials_file()), "--out-csv", str(config))
+        assert (code, out) == (2, "")
+        assert "--out-csv must differ from the config file" in err
+        assert config.read_bytes() == before
+
     def test_unwritable_out_csv_exit_2(self, capsys, tmp_path, config_file, materials_file):
         out_csv = tmp_path / "no-such-dir" / "t.csv"
         code, out, err = run(capsys, "--config", str(config_file()), "compare",
@@ -548,7 +563,7 @@ class TestQuadcheck:
     "overrides, roster, key",
     [
         ({"cavity": {"eps_r": "x"}}, None, "cavity.eps_r"),
-        ({"extraction": {"min_prominence_db": "abc"}}, None, "extraction.min_prominence_db"),
+        ({"extraction": {"cells_per_axis": "abc"}}, None, "extraction.cells_per_axis"),
         ({"synth": {"n_points": "x"}}, None, "synth.n_points"),
         ({"synth": {"seed": 1.7}}, None, "synth.seed"),
         ({"synth": {"noise_floor_db": True}}, None, "synth.noise_floor_db"),
@@ -575,6 +590,24 @@ class TestQuadcheck:
         ({}, [{"name": None, "mu_re": 1.5, "tan_dm": 0.05}], "materials[0].name"),
         ({}, [{"name": True, "mu_re": 1.5, "tan_dm": 0.05}], "materials[0].name"),
         ({}, [{"name": 1, "mu_re": 1.5, "tan_dm": 0.05}], "materials[0].name"),
+        # a loss given twice would keep one of the two silently
+        (
+            {},
+            [{"name": "U", "mu_re": 1.5, "tan_dm": 0.05, "mu_im": 0.3}],
+            "materials[0] gives both tan_dm and mu_im",
+        ),
+        # a note is a string: null and 1 would be written as null and "1"
+        ({}, [{"name": "U", "mu_re": 1.5, "note": None}], "materials[0].note must be a string"),
+        ({}, [{"name": "U", "mu_re": 1.5, "note": 1}], "materials[0].note must be a string"),
+        # a key the schema does not list would leave its value at the default
+        ({"cavity": {"eps": 2.2}}, None, "unknown key cavity.eps"),
+        ({"sample": {"thickness": 1.57}}, None, "unknown key sample.thickness"),
+        ({"mode": {"m": 1}}, None, "unknown key mode.m"),
+        ({"extraction": {"q-method": "three-db"}}, None, "unknown key extraction.q-method"),
+        ({"synth": {"noise_floor": -60}}, None, "unknown key synth.noise_floor"),
+        ({"extraction": {"window_bandwidths": 5.0}}, None, "unknown key extraction.window_bandwidths"),
+        ({"fit": {}}, None, "unknown key config.fit"),
+        ({}, [{"name": "U", "mu_re": 1.5, "tan_d": 0.05}], "unknown key materials[0].tan_d"),
     ],
 )
 def test_malformed_value_exit_2_names_key(
@@ -606,6 +639,18 @@ def test_common_flag_before_or_after_verb(capsys, tmp_path, config_file, materia
     assert run(capsys, *rest, flag, *stale, *verb, *given) == before
     if stale:
         assert run(capsys, *rest, flag, *stale, *verb) != before
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the documented schema is the one the loader reads: an unlisted key
+    # exits 2, so a key the README names but the loader does not fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## CLI", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    cfg = load_config(path)
+    assert cfg.extraction == ExtractionOptions()
+    assert (cfg.mode.n, cfg.synth.seed) == (4, 12345)
 
 
 def test_import_loads_no_scipy():

@@ -31,7 +31,6 @@ from permeameter.errors import (
     AccuracyError,
     DegenerateGeometryError,
     InvalidGeometryError,
-    SuspiciousPairingWarning,
     UnphysicalResultError,
     UnsupportedModeError,
 )
@@ -364,12 +363,6 @@ class TestShiftFromResonances:
         shift = complex_shift_from_resonances(empty, loaded)
         assert shift.re == 0.0
         assert shift.im == pytest.approx(1.0 / 1600.0, rel=1e-12)
-
-    def test_suspicious_pairing_warns(self):
-        empty = Resonance(5.0e9, 400.0, 800.0, 0.5, "model")
-        loaded = Resonance(5.6e9, 400.0, 800.0, 0.5, "model")
-        with pytest.warns(SuspiciousPairingWarning):
-            complex_shift_from_resonances(empty, loaded)
 
 
 class TestInversion:

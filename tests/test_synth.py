@@ -178,9 +178,9 @@ class TestCampaign:
         )
         assert set(traces) == {"empty", "U", "X"}
         assert all(isinstance(t, FrequencyTrace) for t in traces.values())
-        files = synth_campaign(traces, tmp_path, campaign="bench")
+        files = synth_campaign(traces, tmp_path)
         assert set(files) == {"empty", "U", "X"}
-        assert files["U"].name == "bench_U.s2p"
+        assert files["U"].name == "campaign_U.s2p"
         assert all(p.exists() for p in files.values())
 
     def test_empty_roster(self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance):

@@ -665,11 +665,6 @@ class TestFitLorentzian:
             fit_lorentzian(trace, peak)
         assert err.value.fallback == q_3db(trace, peak)
 
-    def test_window_validation(self):
-        trace = lorentz_trace()
-        with pytest.raises(InvalidGeometryError):
-            fit_lorentzian(trace, find_resonances(trace)[0], window_bandwidths=2.0)
-
 
 class TestUnloadQ:
     def test_half_coupling(self):
