@@ -51,7 +51,6 @@ from .traceio import (
     pair_resonances,
     parse_touchstone,
     q_3db,
-    unload_q,
     write_touchstone,
 )
 
@@ -93,7 +92,6 @@ __all__ = [
     "sample_energy_quadrature",
     "stored_field_norm",
     "synth_campaign",
-    "unload_q",
     "wavenumbers",
     "write_touchstone",
 ]

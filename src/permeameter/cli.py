@@ -228,10 +228,8 @@ def load_config(path: str | Path) -> RunConfig:
 def load_materials(path: str | Path) -> list[dict]:
     """Materials roster: JSON array of {name, mu_re, tan_dm|mu_im, note?}."""
     doc = _read_json(path, "materials file")
-    if isinstance(doc, dict):
-        doc = doc.get("materials")
     if not isinstance(doc, list):
-        raise ConfigurationError("materials file must be a JSON array (or {'materials': [...]})")
+        raise ConfigurationError("materials file must be a JSON array")
     roster = []
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or "name" not in entry or "mu_re" not in entry:
@@ -243,11 +241,13 @@ def load_materials(path: str | Path) -> list[dict]:
         for key, value in (("name", name), ("note", note)):
             if not isinstance(value, str):
                 raise ConfigurationError(f"{where}.{key} must be a string")
-        mu_re = _number(entry, "mu_re", where)
-        if "mu_im" in entry:
-            mu = ComplexPermeability(mu_re, _number(entry, "mu_im", where))
-        else:
-            mu = ComplexPermeability.from_loss_tangent(mu_re, _number(entry, "tan_dm", where, 0.0))
+        key = "mu_im" if "mu_im" in entry else "tan_dm"
+        mu_re, loss = _number(entry, "mu_re", where), _number(entry, key, where, 0.0)
+        if not mu_re > 0:
+            raise ConfigurationError(f"{where}.mu_re must be > 0")
+        if loss < 0:
+            raise ConfigurationError(f"{where}.{key} must be >= 0")
+        mu = ComplexPermeability(mu_re, loss if key == "mu_im" else mu_re * loss)
         _reject_unknown(entry, where)
         roster.append({"name": name, "mu": mu, "note": note})
     return roster

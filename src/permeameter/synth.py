@@ -180,10 +180,13 @@ def _widened(cfg: SynthConfig, resonances: Iterable[Resonance]) -> SynthConfig:
 
 def synth_campaign(traces: dict[str, FrequencyTrace], out_dir: str | Path) -> dict[str, Path]:
     """Write each trace as campaign_<label>.s2p in RI format; returns {label: path}."""
+    for label in traces:  # all before the first write, so a bad name leaves no files
+        if "/" in label or "\0" in label:
+            raise ConfigurationError(f"material name {label!r} cannot be part of a file name")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     for label, trace in traces.items():
         written[label] = out / f"campaign_{label}.s2p"
-        written[label].write_bytes(write_touchstone(trace, fmt="RI"))
+        written[label].write_bytes(write_touchstone(trace))
     return written

@@ -116,7 +116,19 @@ class Resonance:
     def from_loaded(
         cls, f0: float, q_loaded: float, il_linear: float, method: str = ""
     ) -> "Resonance":
-        return cls(f0, q_loaded, unload_q(q_loaded, il_linear), il_linear, method)
+        """Resonance with the unloaded Q of symmetric two-port coupling, Q_L / (1 - IL)."""
+        if il_linear >= 1:
+            raise OverCoupledError(
+                f"il_linear = {il_linear:.6g} >= 1; trace shows net gain, unloading undefined"
+            )
+        if il_linear > 0.9:
+            warnings.warn(
+                f"il_linear = {il_linear:.3g} is near critical coupling; "
+                "unloaded Q is poorly conditioned",
+                NearCriticalCouplingWarning,
+                stacklevel=2,
+            )
+        return cls(f0, q_loaded, q_loaded / (1.0 - il_linear), il_linear, method)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +260,16 @@ def _raise_first_bad_row(lines: list[str], start: int, unit: str, fmt: str) -> N
     raise TouchstoneParseError(max(len(lines), 1), "no data rows")
 
 
-def _complex_to_pair(v: complex, fmt: str) -> tuple[float, float]:
+def _to_pairs(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """One complex column as its two Touchstone columns: _to_complex inverted."""
     if fmt == "RI":
-        return v.real, v.imag
-    mag = abs(v)
-    ang = math.degrees(math.atan2(v.imag, v.real))
-    if fmt == "MA":
-        return mag, ang
-    db = 20.0 * math.log10(mag) if mag > 0 else DB_FLOOR
-    return max(db, DB_FLOOR), ang
+        return values.real, values.imag
+    mag = np.abs(values)
+    ang = np.degrees(np.arctan2(values.imag, values.real))
+    if fmt == "DB":
+        with np.errstate(divide="ignore"):  # log10(0) = -inf, clamped to DB_FLOOR
+            mag = np.maximum(20.0 * np.log10(mag), DB_FLOOR)
+    return mag, ang
 
 
 def write_touchstone(trace: FrequencyTrace, fmt: str = "RI") -> bytes:
@@ -276,13 +289,10 @@ def write_touchstone(trace: FrequencyTrace, fmt: str = "RI") -> bytes:
     else:
         s11 = trace.s11
     lines.append(f"# HZ S {fmt} R {trace.z0:.17g}")
-    for f_hz, v11, v21 in zip(trace.freqs, s11, trace.s21):
-        cells = [f"{f_hz:.17g}"]
-        for v in (v11, v21, v21, v11):  # v1 order: S11 S21 S12 S22
-            a, b = _complex_to_pair(v, fmt)
-            cells.append(f"{a:.17g}")
-            cells.append(f"{b:.17g}")
-        lines.append(" ".join(cells))
+    p11, p21 = _to_pairs(s11, fmt), _to_pairs(trace.s21, fmt)
+    rows = np.column_stack((trace.freqs, *p11, *p21, *p21, *p11))  # v1 order: S11 S21 S12 S22
+    template = " ".join(["%.17g"] * 9)
+    lines += [template % tuple(row) for row in rows.tolist()]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -444,7 +454,7 @@ def q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     f_hi = _crossing(f, db, i, target, +1)
     f0, peak_db = _parabolic_vertex(f, db, i)
     q_loaded = f0 / (f_hi - f_lo)
-    with np.errstate(over="ignore"):  # a vertex far above the samples: unload_q rejects inf
+    with np.errstate(over="ignore"):  # a vertex far above the samples: from_loaded rejects inf
         il = 10.0 ** (peak_db / 20.0)
     return Resonance.from_loaded(f0, q_loaded, il, method="three-db")
 
@@ -525,26 +535,6 @@ def _quadratic_pass(
     if not np.all(model > 0):
         raise FitFailureError("fitted 1/|S21|^2 is not positive over the window", fallback)
     return coef, model
-
-
-def unload_q(q_loaded: float, il_linear: float) -> float:
-    """Unloaded Q for symmetric two-port coupling: Q_L / (1 - IL)."""
-    if not q_loaded > 0:
-        raise InvalidGeometryError("q_loaded must be > 0")
-    if il_linear < 0:
-        raise InvalidGeometryError("il_linear must be >= 0")
-    if il_linear >= 1:
-        raise OverCoupledError(
-            f"il_linear = {il_linear:.6g} >= 1; trace shows net gain, unloading undefined"
-        )
-    if il_linear > 0.9:
-        warnings.warn(
-            f"il_linear = {il_linear:.3g} is near critical coupling; "
-            "unloaded Q is poorly conditioned",
-            NearCriticalCouplingWarning,
-            stacklevel=2,
-        )
-    return q_loaded / (1.0 - il_linear)
 
 
 def pair_resonances(

@@ -1,6 +1,9 @@
 """Hash every CLI output over a grid of configs, to compare two source trees.
 
     PYTHONPATH=<tree>/src python tests/output_grid.py > out.txt
+    python tests/output_grid.py --against REF
+
+Without PYTHONPATH the grid runs on this tree's src/.
 
 Runs permeameter.cli.main in-process for each config of the grid: 3
 models x 3 interactions x 2 Q methods x n in {2, 3, 4} x {noiseless,
@@ -15,24 +18,34 @@ a fixed token; each written .s2p and CSV file gets a line with its
 sha256 as well.  Extra cases at the end cover configs that fail in more
 than one way, where only the exit code is promised to stay the same.
 
-To check that a change keeps outputs byte-identical, run this script
-once with PYTHONPATH pointing at a checkout of the parent commit (for
-example a `git worktree`) and once at the change, then `diff` the two
-files.  The script is not named test_*, so pytest does not collect it.
+To check that a change keeps outputs byte-identical, pass `--against`
+a git revision such as HEAD: its `src/` is extracted with `git archive`
+into a temporary directory, the grid runs on that copy and on the
+working tree's `src/` (in two processes at once), and the lines that
+differ are printed; the exit code is 1 if any do.  The script is not
+named test_*, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
-from conftest import BASE_CONFIG, TABLE_MATERIALS
-from permeameter.cli import main
+# after PYTHONPATH, so a tree given there is the one imported
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+from conftest import BASE_CONFIG, TABLE_MATERIALS  # noqa: E402
+from permeameter.cli import main  # noqa: E402
 
 MODELS = ("quadrature", "derived", "printed")
 INTERACTIONS = ("transverse-hz", "axial-hx", "both-components")
@@ -111,5 +124,34 @@ def grid() -> None:
             run_config(tmp, label, config(patch), roster)
 
 
+def against(ref: str) -> int:
+    """Run the grid on REF's src/ and on the working tree's; print the lines that differ."""
+    root = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as name:
+        archive = subprocess.run(["git", "archive", ref, "src"], cwd=root, check=True,
+                                 stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", name], input=archive, check=True)
+        runs = [
+            subprocess.Popen([sys.executable, __file__], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+            for src in (Path(name) / "src", root / "src")
+        ]
+        outputs = [run.communicate()[0].splitlines() for run in runs]
+    if any(run.returncode for run in runs):
+        raise SystemExit("a grid run failed")
+    old, new = outputs
+    diff = list(difflib.unified_diff(old, new, ref, "working tree", lineterm="", n=0))
+    for line in diff:
+        print(line)
+    removed, added = (sum(line[0] == sign for line in diff[2:]) for sign in "-+")
+    print(f"{removed} of {len(old)} lines ({ref}) and {added} of {len(new)} (working tree) differ")
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--against", metavar="REF", help="git revision whose outputs to compare")
+    args = parser.parse_args()
+    if args.against:
+        sys.exit(against(args.against))
     grid()

@@ -155,6 +155,20 @@ class TestSynth:
         assert code == 2 and "margin" in err
         assert list(out_dir.glob("*.s2p")) == []
 
+    @pytest.mark.parametrize("name", ["Ni/Zn", "a\u0000b"], ids=["slash", "nul"])
+    def test_name_that_cannot_be_a_file_name_writes_no_files(
+        self, capsys, tmp_path, config_file, materials_file, name
+    ):
+        roster = [{"name": "U", "mu_re": 1.2, "tan_dm": 0.04}, {"name": name, "mu_re": 1.5}]
+        out_dir = tmp_path / "camp"
+        code, out, err = run(
+            capsys, "--config", str(config_file()), "synth",
+            "--materials", str(materials_file(roster)), "--out-dir", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert repr(name) in err
+        assert not out_dir.exists()
+
     def test_unwritable_out_dir_exit_2(self, capsys, tmp_path, config_file, materials_file):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -608,6 +622,15 @@ class TestQuadcheck:
         ({"extraction": {"window_bandwidths": 5.0}}, None, "unknown key extraction.window_bandwidths"),
         ({"fit": {}}, None, "unknown key config.fit"),
         ({}, [{"name": "U", "mu_re": 1.5, "tan_d": 0.05}], "unknown key materials[0].tan_d"),
+        # a range error names the entry and the key the user wrote
+        ({}, [{"name": "U", "mu_re": 1.5}, {"name": "X", "mu_re": 1.5, "tan_dm": -0.1}],
+         "materials[1].tan_dm must be >= 0"),
+        ({}, [{"name": "U", "mu_re": 1.5}, {"name": "X", "mu_re": 1.5, "mu_im": -0.1}],
+         "materials[1].mu_im must be >= 0"),
+        ({}, [{"name": "U", "mu_re": 1.5}, {"name": "X", "mu_re": -1.5, "tan_dm": 0.1}],
+         "materials[1].mu_re must be > 0"),
+        # the roster is an array; an object around it is not read
+        ({}, {"materials": [{"name": "U", "mu_re": 1.5}]}, "materials file must be a JSON array"),
     ],
 )
 def test_malformed_value_exit_2_names_key(

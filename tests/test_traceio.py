@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
-from touchstone_reference import reference_parse_touchstone
+from touchstone_reference import reference_parse_touchstone, reference_write_touchstone
 
 from permeameter import (
     FrequencyTrace,
@@ -18,7 +18,6 @@ from permeameter import (
     pair_resonances,
     parse_touchstone,
     q_3db,
-    unload_q,
     write_touchstone,
 )
 from permeameter.errors import (
@@ -32,6 +31,8 @@ from permeameter.errors import (
     TouchstoneParseError,
 )
 from permeameter.traceio import FORMATS, FREQ_UNITS
+
+FLOAT_MAX = np.finfo(float).max
 
 
 def lorentz_trace(f0=7.5e9, q_loaded=500.0, il=0.5, n_points=1001, span_bw=40.0,
@@ -413,6 +414,47 @@ class TestWrite:
             np.testing.assert_allclose(back.s21, s21, rtol=1e-9, atol=1e-15)
 
 
+def _written_trace(draw, bound):
+    """A trace whose values are any doubles within +-bound: +-0, subnormals
+    and huge values included, with or without s11, at a random z0."""
+    n = draw(st.integers(1, 20))
+    freqs = sorted(draw(st.lists(st.floats(-FLOAT_MAX, FLOAT_MAX), min_size=n, max_size=n,
+                                 unique=True)))
+    parts = st.floats(-bound, bound)
+
+    def column():
+        return np.array([complex(draw(parts), draw(parts)) for _ in range(n)])
+
+    s11 = column() if draw(st.booleans()) else None
+    z0 = draw(st.floats(0.0, FLOAT_MAX, exclude_min=True))
+    return FrequencyTrace(np.array(freqs), column(), s11, z0=z0)
+
+
+class TestWriteDifferential:
+    """write_touchstone against the per-value writer it replaced
+    (tests/touchstone_reference.py): RI byte for byte; MA and DB, where
+    numpy and math may round the last digit apart, within 1e-12 once parsed."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ri_bytes_match_the_per_value_writer(self, data):
+        trace = _written_trace(data.draw, FLOAT_MAX)
+        assert write_touchstone(trace, "RI") == reference_write_touchstone(trace, "RI")
+
+    @given(data=st.data(), fmt=st.sampled_from(["MA", "DB"]))
+    @settings(max_examples=200, deadline=None)
+    def test_ma_db_parse_back_as_the_per_value_writer(self, data, fmt):
+        # a modulus past the float range has no MA or DB form, so parts stay
+        # below 1e307; below the smallest normal double a subnormal keeps too
+        # few bits for a relative bound, hence the absolute floor
+        trace = _written_trace(data.draw, 1e307)
+        ours = parse_touchstone(write_touchstone(trace, fmt))
+        ref = parse_touchstone(reference_write_touchstone(trace, fmt))
+        assert (ours.freqs.tobytes(), ours.z0, ours.fmt) == (ref.freqs.tobytes(), ref.z0, ref.fmt)
+        for a, b in ((ours.s21, ref.s21), (ours.s11, ref.s11)):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=np.finfo(float).tiny)
+
+
 class TestFindResonances:
     def test_monotone_trace_has_no_peaks(self):
         f = np.linspace(1e9, 2e9, 101)
@@ -668,18 +710,18 @@ class TestFitLorentzian:
 
 class TestUnloadQ:
     def test_half_coupling(self):
-        assert unload_q(500.0, 0.5) == pytest.approx(1000.0, rel=1e-12)
-
-    def test_weak_coupling_limit(self):
-        assert unload_q(500.0, 0.0) == 500.0
+        res = Resonance.from_loaded(7.5e9, 500.0, 0.5)
+        assert res.q_unloaded == pytest.approx(1000.0, rel=1e-12)
 
     def test_near_critical_warns(self):
-        with pytest.warns(NearCriticalCouplingWarning):
-            assert unload_q(500.0, 0.99) == pytest.approx(50000.0, rel=1e-9)
+        with pytest.warns(NearCriticalCouplingWarning) as record:
+            res = Resonance.from_loaded(7.5e9, 500.0, 0.99)
+        assert res.q_unloaded == pytest.approx(50000.0, rel=1e-9)
+        assert record[0].filename == __file__  # the warning names the caller
 
     def test_over_coupled(self):
         with pytest.raises(OverCoupledError):
-            unload_q(500.0, 1.0)
+            Resonance.from_loaded(7.5e9, 500.0, 1.0)
 
 
 class TestTraceType:

@@ -1,9 +1,11 @@
-"""Reference Touchstone parser for the differential test in test_traceio.py.
+"""Reference Touchstone parser and writer for the differential tests in test_traceio.py.
 
-This is the row-by-row parser `permeameter.traceio.parse_touchstone` had
-before it became a single numpy pass, kept unchanged apart from its name
-and the `source` label it no longer passes on (FrequencyTrace has none).
-The deliberate differences between the two are listed next to the test.
+The parser is the row-by-row one `permeameter.traceio.parse_touchstone`
+had before it became a single numpy pass, kept unchanged apart from its
+name and the `source` label it no longer passes on (FrequencyTrace has
+none).  The deliberate differences between the two are listed next to
+the test.  The writer is the per-value one `write_touchstone` had before
+it converted whole columns, kept unchanged apart from its name.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import math
 
 import numpy as np
 
-from permeameter.errors import TouchstoneParseError
-from permeameter.traceio import FrequencyTrace
+from permeameter.errors import InvalidGeometryError, TouchstoneParseError
+from permeameter.traceio import DB_FLOOR, FrequencyTrace
 
 FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 FORMATS = ("RI", "MA", "DB")
@@ -96,3 +98,36 @@ def reference_parse_touchstone(data: bytes | str) -> FrequencyTrace:
     if not freqs:
         raise TouchstoneParseError(max(last_line, 1), "no data rows")
     return FrequencyTrace(np.array(freqs), np.array(s21), np.array(s11), z0=z0, fmt=fmt)
+
+
+def _complex_to_pair(v: complex, fmt: str) -> tuple[float, float]:
+    if fmt == "RI":
+        return v.real, v.imag
+    mag = abs(v)
+    ang = math.degrees(math.atan2(v.imag, v.real))
+    if fmt == "MA":
+        return mag, ang
+    db = 20.0 * math.log10(mag) if mag > 0 else DB_FLOOR
+    return max(db, DB_FLOOR), ang
+
+
+def reference_write_touchstone(trace: FrequencyTrace, fmt: str = "RI") -> bytes:
+    """The per-value writer that the column-wise `write_touchstone` replaced."""
+    fmt = fmt.upper()
+    if fmt not in FORMATS:
+        raise InvalidGeometryError(f"unknown Touchstone format {fmt!r}")
+    lines = []
+    if trace.s11 is None:
+        lines.append("! s11 synthesized as zero")
+        s11 = np.zeros_like(trace.s21)
+    else:
+        s11 = trace.s11
+    lines.append(f"# HZ S {fmt} R {trace.z0:.17g}")
+    for f_hz, v11, v21 in zip(trace.freqs, s11, trace.s21):
+        cells = [f"{f_hz:.17g}"]
+        for v in (v11, v21, v21, v11):  # v1 order: S11 S21 S12 S22
+            a, b = _complex_to_pair(v, fmt)
+            cells.append(f"{a:.17g}")
+            cells.append(f"{b:.17g}")
+        lines.append(" ".join(cells))
+    return ("\n".join(lines) + "\n").encode("ascii")
