@@ -22,7 +22,6 @@ from .cavity import (
 )
 from .perturbation import (
     ComplexPermeability,
-    FractionalShift,
     GeometryFactor,
     InteractionChoice,
     SampleSpec,
@@ -61,7 +60,6 @@ __all__ = [
     "CavitySpec",
     "ComplexPermeability",
     "FieldPoint",
-    "FractionalShift",
     "FrequencyTrace",
     "GeometryFactor",
     "InteractionChoice",

@@ -247,7 +247,10 @@ def load_materials(path: str | Path) -> list[dict]:
             raise ConfigurationError(f"{where}.mu_re must be > 0")
         if loss < 0:
             raise ConfigurationError(f"{where}.{key} must be >= 0")
-        mu = ComplexPermeability(mu_re, loss if key == "mu_im" else mu_re * loss)
+        mu_im = loss if key == "mu_im" else mu_re * loss
+        if not math.isfinite(mu_im):
+            raise ConfigurationError(f"{where}.{key} gives mu_im = {mu_im}; it must be finite")
+        mu = ComplexPermeability(mu_re, mu_im)
         _reject_unknown(entry, where)
         roster.append({"name": name, "mu": mu, "note": note})
     return roster
@@ -321,8 +324,8 @@ def _pair_report(
         entry = {
             "empty": _resonance_dict(empty_res),
             "loaded": _resonance_dict(loaded_res),
-            "shift_re": shift.re,
-            "shift_im": shift.im,
+            "shift_re": shift.real,
+            "shift_im": shift.imag,
             "g_value": g.value,
             "g_provenance": g.provenance,
             "mu_re": mu_mod.mu_re,

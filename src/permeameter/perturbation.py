@@ -20,7 +20,9 @@ conventions (time factor e^{+j w t}, mu_r = mu_re - j mu_im):
     im(shift) = (1/2) (1/Q_loaded - 1/Q_empty)   (> 0 when lossy)
 
 so that invert_permeability is the exact algebraic inverse of
-fractional_shift_closed.
+fractional_shift_closed.  The shift is a plain complex number;
+invert_permeability holds its checks (finite, |re| < 1) and
+GeometryFactor holds those of g (finite, >= 0).
 
 Naming note: the bar extent along x is called l1 and the extent along z
 is called a1.  The cross-axis naming is kept deliberately because the
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import pi, sin
+from math import inf, pi, sin
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .errors import (
     UnphysicalResultError,
     UnsupportedModeError,
 )
+from .traceio import Resonance
 
 #: g below this is treated as "no sample" and refuses to invert.
 DEGENERATE_G = 1e-12
@@ -104,10 +107,10 @@ class ComplexPermeability:
     mu_im: float = 0.0
 
     def __post_init__(self):
-        if not self.mu_re > 0:
-            raise InvalidGeometryError("mu_re must be > 0")
-        if self.mu_im < 0:
-            raise InvalidGeometryError("mu_im must be >= 0")
+        if not 0 < self.mu_re < inf:  # NaN fails both comparisons
+            raise InvalidGeometryError("mu_re must be finite and > 0")
+        if not 0 <= self.mu_im < inf:
+            raise InvalidGeometryError("mu_im must be finite and >= 0")
 
     @classmethod
     def from_loss_tangent(cls, mu_re: float, tan_dm: float) -> "ComplexPermeability":
@@ -123,24 +126,6 @@ class ComplexPermeability:
 
 
 @dataclass(frozen=True)
-class FractionalShift:
-    """Complex fractional resonance shift between empty and loaded states."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.re) and np.isfinite(self.im)):
-            raise InvalidGeometryError("shift components must be finite")
-        if not abs(self.re) < 1:
-            raise InvalidGeometryError("|re| of a fractional shift must be < 1")
-
-    @property
-    def as_complex(self) -> complex:
-        return self.re + 1j * self.im
-
-
-@dataclass(frozen=True)
 class GeometryFactor:
     """Dimensionless coupling factor with its computation provenance."""
 
@@ -148,8 +133,8 @@ class GeometryFactor:
     provenance: str
 
     def __post_init__(self):
-        if self.value < 0:
-            raise InvalidGeometryError("geometry factor must be >= 0")
+        if not 0 <= self.value < inf:  # NaN fails both comparisons
+            raise InvalidGeometryError("geometry factor must be finite and >= 0")
 
 
 def _sinc(u: float) -> float:
@@ -195,6 +180,19 @@ def geometry_factor_printed(
     return GeometryFactor(value, "printed")
 
 
+def _selected_energy(
+    choice: InteractionChoice, k_x: float, k_z: float,
+    x_sin: float, x_cos: float, z_sin: float, z_cos: float,
+) -> float:
+    """The |H|^2 terms that choice selects, from 1-D sin^2/cos^2 integrals or sums."""
+    total = 0.0
+    if choice != InteractionChoice.TRANSVERSE_HZ:  # axial-hx or both-components
+        total += k_z**2 * x_sin * z_cos
+    if choice != InteractionChoice.AXIAL_HX:  # transverse-hz or both-components
+        total += k_x**2 * x_cos * z_sin
+    return total
+
+
 def geometry_factor_derived(
     cavity: CavitySpec,
     sample: SampleSpec,
@@ -222,16 +220,9 @@ def geometry_factor_derived(
     ix_cos = (l1 / 2.0) * (1.0 - sinc_x)
     iz_cos = (a1 / 2.0) * (1.0 + sinc_z)  # int cos^2(k_z z) dz over the bar
     iz_sin = (a1 / 2.0) * (1.0 - sinc_z)
-    axial = k_z**2 * ix_sin * iz_cos
-    transverse = k_x**2 * ix_cos * iz_sin
-    if choice == InteractionChoice.AXIAL_HX:
-        numerator, tag = axial, "derived-axial"
-    elif choice == InteractionChoice.TRANSVERSE_HZ:
-        numerator, tag = transverse, "derived-transverse"
-    else:
-        numerator, tag = axial + transverse, "derived-both"
+    numerator = _selected_energy(choice, k_x, k_z, ix_sin, ix_cos, iz_sin, iz_cos)
     value = numerator * t / stored_field_norm(cavity, mode)
-    return GeometryFactor(value, tag)
+    return GeometryFactor(value, f"derived-{choice.value.split('-')[0]}")
 
 
 def geometry_factor_conventional(
@@ -282,11 +273,7 @@ def sample_energy_midpoint(
     k_x, k_z = wavenumbers(cavity, mode)
     sin_x, cos_x = (float(np.sum(trig(k_x * x) ** 2)) for trig in (np.sin, np.cos))
     sin_z, cos_z = (float(np.sum(trig(k_z * z) ** 2)) for trig in (np.sin, np.cos))
-    total = 0.0
-    if choice != InteractionChoice.TRANSVERSE_HZ:  # axial-hx or both-components
-        total += k_z**2 * sin_x * cos_z
-    if choice != InteractionChoice.AXIAL_HX:  # transverse-hz or both-components
-        total += k_x**2 * cos_x * sin_z
+    total = _selected_energy(choice, k_x, k_z, sin_x, cos_x, sin_z, cos_z)
     return total * dx * dz * sample.thickness
 
 
@@ -353,51 +340,46 @@ def geometry_factor(
     raise ConfigurationError(f"unknown geometry-factor model {model!r}; expected one of {MODELS}")
 
 
-def shift_complex(mu_r: ComplexPermeability, mu_rs: complex, g_value: float) -> complex:
-    """Raw complex shift -(mu_r/(2 mu_rs) - 1/2) * g, unvalidated."""
-    return -(mu_r.as_complex / (2.0 * complex(mu_rs)) - 0.5) * g_value
-
-
 def fractional_shift_closed(
     mu_r: ComplexPermeability, mu_rs: complex, g: GeometryFactor
-) -> FractionalShift:
-    """Closed-form fractional shift -(mu_r/(2 mu_rs) - 1/2) * g."""
-    if not np.isfinite(g.value):
-        raise InvalidGeometryError("geometry factor must be finite")
-    delta = shift_complex(mu_r, mu_rs, g.value)
-    return FractionalShift(delta.real, delta.imag)
+) -> complex:
+    """Closed-form fractional shift -(mu_r/(2 mu_rs) - 1/2) * g, unchecked."""
+    return -(mu_r.as_complex / (2.0 * complex(mu_rs)) - 0.5) * g.value
 
 
-def complex_shift_from_resonances(empty, loaded) -> FractionalShift:
+def complex_shift_from_resonances(empty: Resonance, loaded: Resonance) -> complex:
     """Measured fractional shift between an empty and a loaded resonance.
 
     re = (f_loaded - f_empty) / f_loaded
     im = (1/2) (1/Q_loaded - 1/Q_empty), unloaded Q on both sides.
     Pairing the two is the caller's: see traceio.pair_resonances.
     """
-    if not (empty.f0 > 0 and loaded.f0 > 0):
-        raise InvalidGeometryError("resonance frequencies must be > 0")
-    if not (empty.q_unloaded > 0 and loaded.q_unloaded > 0):
-        raise InvalidGeometryError("unloaded Q must be > 0")
     re = (loaded.f0 - empty.f0) / loaded.f0
     im = 0.5 * (1.0 / loaded.q_unloaded - 1.0 / empty.q_unloaded)
-    return FractionalShift(re, im)
+    # numpy complex when the fit gives numpy floats; complex(re, im) would make
+    # invert_permeability use Python's complex arithmetic, which rounds 1 ulp apart
+    return re + 1j * im
 
 
 def invert_permeability(
-    shift: FractionalShift, g: GeometryFactor, mu_rs: complex
+    shift: complex, g: GeometryFactor, mu_rs: complex
 ) -> ComplexPermeability:
     """Exact algebraic inverse of fractional_shift_closed.
 
-    mu_r = mu_rs (1 - 2 shift / g); raises when the factor is degenerate
-    or the result leaves the model's parameter space.
+    mu_r = mu_rs (1 - 2 shift / g); raises when the shift is not finite or
+    its |re| is not < 1, when the factor is degenerate, or when the result
+    leaves the model's parameter space.
     """
+    if not np.isfinite(shift):
+        raise InvalidGeometryError("shift components must be finite")
+    if not abs(shift.real) < 1:
+        raise InvalidGeometryError("|re| of a fractional shift must be < 1")
     if g.value <= DEGENERATE_G:
         raise DegenerateGeometryError(
             f"geometry factor {g.value:.3e} is degenerate (<= {DEGENERATE_G:.0e}); "
             "sample volume is effectively zero"
         )
-    mu_c = complex(mu_rs) * (1.0 - 2.0 * shift.as_complex / g.value)
+    mu_c = complex(mu_rs) * (1.0 - 2.0 * shift / g.value)
     mu_re, mu_im = mu_c.real, -mu_c.imag
     if mu_re <= 0:
         raise UnphysicalResultError(

@@ -22,8 +22,8 @@ from .perturbation import (
     GeometryFactor,
     InteractionChoice,
     SampleSpec,
+    fractional_shift_closed,
     geometry_factor,
-    shift_complex,
 )
 # imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
 from .perturbation import geometry_factor_derived, sample_energy_quadrature  # noqa: F401
@@ -70,12 +70,14 @@ def forward_load(
     unloaded Q.  Coupling is copied from the empty state.
     """
     g = geometry_factor(cavity, sample, mode, model, choice, cells_per_axis)
-    return _loaded(mu_r, cavity.mu_rs, g.value, empty)
+    return _loaded(mu_r, cavity.mu_rs, g, empty)
 
 
-def _loaded(mu_r: ComplexPermeability, mu_rs: complex, g_value: float, empty: Resonance) -> Resonance:
+def _loaded(
+    mu_r: ComplexPermeability, mu_rs: complex, g: GeometryFactor, empty: Resonance
+) -> Resonance:
     """forward_load's resonance for a geometry factor already computed."""
-    delta = shift_complex(mu_r, mu_rs, g_value)
+    delta = fractional_shift_closed(mu_r, mu_rs, g)
     if delta.real >= 1:
         raise ModelBreakdownError(
             f"fractional shift re = {delta.real:.4g} >= 1; perturbation assumption violated"
@@ -149,7 +151,7 @@ def campaign_traces(
 
     resonances = {"empty": empty}
     for name, mu_r in sample_table:
-        resonances[name] = _loaded(mu_r, mu_rs, g.value, empty)
+        resonances[name] = _loaded(mu_r, mu_rs, g, empty)
     sweep = _widened(cfg, resonances.values())
     return {
         label: lorentzian_trace(res, replace(sweep, seed=_item_seed(cfg.seed, label)))

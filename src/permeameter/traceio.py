@@ -76,7 +76,7 @@ class FrequencyTrace:
             raise InvalidGeometryError("s21 length must match freqs")
         if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(s21))):
             raise InvalidGeometryError("trace values must be finite")
-        if np.any(np.diff(freqs) <= 0):
+        if np.any(freqs[1:] <= freqs[:-1]):  # no np.diff: a difference can overflow
             raise InvalidGeometryError("freqs must be strictly increasing")
         if not self.z0 > 0:
             raise InvalidGeometryError("reference impedance z0 must be > 0")
@@ -221,7 +221,7 @@ def parse_touchstone(data: bytes | str) -> FrequencyTrace:
         with np.errstate(over="ignore"):  # an overflow fails the isfinite check
             freqs = rows[:, 0] * FREQ_UNITS[unit]
         valid = rows.shape[1] == 9 and len(rows) and np.isfinite(rows).all()
-        if not (valid and np.isfinite(freqs).all() and (np.diff(freqs) > 0).all()):
+        if not (valid and np.isfinite(freqs).all() and (freqs[1:] > freqs[:-1]).all()):
             raise ValueError("a data row is rejected")
         s11 = _to_complex(rows[:, 1], rows[:, 2], fmt)
         s21 = _to_complex(rows[:, 3], rows[:, 4], fmt)

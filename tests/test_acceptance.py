@@ -134,11 +134,9 @@ def test_criterion_3_oracle_equivalence_and_self_convergence():
             )
             quad_64 = fractional_shift_closed(mu, cavity.mu_rs, g_64)
             quad_128 = fractional_shift_closed(mu, cavity.mu_rs, g_128)
-            rel = abs(quad_64.as_complex - closed.as_complex) / abs(closed.as_complex)
+            rel = abs(quad_64 - closed) / abs(closed)
             assert rel < 1e-7, (cavity, sample, mode.n, choice)
-            self_delta = abs(quad_64.as_complex - quad_128.as_complex) / abs(
-                quad_128.as_complex
-            )
+            self_delta = abs(quad_64 - quad_128) / abs(quad_128)
             assert self_delta < 1e-6, (cavity, sample, mode.n, choice)
     assert time.perf_counter() - start < 30.0
 

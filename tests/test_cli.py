@@ -480,6 +480,17 @@ class TestCompare:
         assert row["mu_re_modified"] == pytest.approx(1.5, rel=1e-6)
         assert row["tan_dm_modified"] == pytest.approx(0.05, rel=1e-6)
 
+    def test_inversion_is_bit_exact(self, capsys, tmp_path, config_file, materials_file):
+        # pins the last bit of the inversion: building the shift as
+        # complex(re, im) instead of re + 1j * im moves it by 1 ulp (...526)
+        code, out, err = run(
+            capsys, "--config", str(config_file(mode={"n": 2})), "--json", "compare",
+            "--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv"),
+        )
+        assert code == 0, err
+        rows = {row["material"]: row for row in json.loads(out)["rows"]}
+        assert rows["U"]["mu_re_modified"] == 1.2000000000091524
+
     def test_out_csv_same_as_materials_exit_2(self, capsys, config_file, materials_file):
         mats = materials_file()
         before = mats.read_bytes()
@@ -629,6 +640,8 @@ class TestQuadcheck:
          "materials[1].mu_im must be >= 0"),
         ({}, [{"name": "U", "mu_re": 1.5}, {"name": "X", "mu_re": -1.5, "tan_dm": 0.1}],
          "materials[1].mu_re must be > 0"),
+        # mu_re * tan_dm overflows to an infinite mu_im
+        ({}, [{"name": "U", "mu_re": 10, "tan_dm": 1e308}], "materials[0].tan_dm"),
         # the roster is an array; an object around it is not read
         ({}, {"materials": [{"name": "U", "mu_re": 1.5}]}, "materials file must be a JSON array"),
     ],

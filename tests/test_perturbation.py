@@ -9,7 +9,6 @@ from scipy import integrate
 from permeameter import (
     CavitySpec,
     ComplexPermeability,
-    FractionalShift,
     GeometryFactor,
     InteractionChoice,
     ModeSpec,
@@ -204,7 +203,7 @@ class TestQuadratureShift:
     def test_identity_material_gives_zero(self, worked_cavity, worked_sample, mode4):
         g = geometry_factor(worked_cavity, worked_sample, mode4, "quadrature")
         shift = fractional_shift_closed(ComplexPermeability(1.0, 0.0), worked_cavity.mu_rs, g)
-        assert shift.re == 0.0 and shift.im == 0.0
+        assert shift.real == 0.0 and shift.imag == 0.0
 
     @pytest.mark.parametrize("choice", CHOICES)
     def test_agrees_with_closed_form(self, worked_cavity, worked_sample, mode4, choice):
@@ -219,7 +218,7 @@ class TestQuadratureShift:
             worked_cavity.mu_rs,
             geometry_factor_derived(worked_cavity, worked_sample, mode4, choice),
         )
-        rel = abs(quad.as_complex - closed.as_complex) / abs(closed.as_complex)
+        rel = abs(quad - closed) / abs(closed)
         assert rel < 1e-8
 
     def test_midpoint_rule_value(self, worked_cavity, worked_sample, mode4):
@@ -269,15 +268,15 @@ class TestQuadratureShift:
     def test_lossless_high_mu_moves_down(self, worked_cavity, worked_sample, mode4):
         g = geometry_factor(worked_cavity, worked_sample, mode4, "quadrature")
         shift = fractional_shift_closed(ComplexPermeability(2.0, 0.0), worked_cavity.mu_rs, g)
-        assert shift.re < 0
-        assert shift.im == 0.0
+        assert shift.real < 0
+        assert shift.imag == 0.0
 
     def test_odd_mode_allowed(self, worked_cavity, worked_sample):
         g = geometry_factor(
             worked_cavity, worked_sample, ModeSpec(3), "quadrature", InteractionChoice.BOTH
         )
         shift = fractional_shift_closed(ComplexPermeability(1.5, 0.0), worked_cavity.mu_rs, g)
-        assert shift.re < 0 and math.isfinite(shift.re)
+        assert shift.real < 0 and math.isfinite(shift.real)
 
     def test_cells_validation(self, worked_cavity, worked_sample, mode4):
         with pytest.raises(InvalidGeometryError, match="cells_per_axis"):
@@ -312,30 +311,30 @@ class TestClosedShift:
         shift = fractional_shift_closed(
             ComplexPermeability(1.0, 0.0), 1.0, GeometryFactor(0.1, "derived-both")
         )
-        assert shift.re == 0.0 and shift.im == 0.0
+        assert shift.real == 0.0 and shift.imag == 0.0
 
     def test_lossless_arithmetic(self):
         shift = fractional_shift_closed(
             ComplexPermeability(2.0, 0.0), 1.0, GeometryFactor(0.1, "derived-both")
         )
-        assert shift.re == pytest.approx(-0.05, rel=1e-12)
-        assert shift.im == 0.0
+        assert shift.real == pytest.approx(-0.05, rel=1e-12)
+        assert shift.imag == 0.0
 
     def test_worked_example(self):
         mu = ComplexPermeability.from_loss_tangent(1.5, 0.05)
         shift = fractional_shift_closed(mu, 1.0, GeometryFactor(1.464e-3, "printed"))
-        assert shift.re == pytest.approx(-3.66e-4, rel=1e-9)
-        assert shift.im == pytest.approx(+5.49e-5, rel=1e-9)
+        assert shift.real == pytest.approx(-3.66e-4, rel=1e-9)
+        assert shift.imag == pytest.approx(+5.49e-5, rel=1e-9)
 
     def test_monotonicity_and_loss_signs(self):
         g = GeometryFactor(2e-3, "derived-transverse")
         res = [
-            fractional_shift_closed(ComplexPermeability(mu, 0.0), 1.0, g).re
+            fractional_shift_closed(ComplexPermeability(mu, 0.0), 1.0, g).real
             for mu in (1.2, 1.5, 2.5)
         ]
         assert res[0] > res[1] > res[2]
         ims = [
-            fractional_shift_closed(ComplexPermeability(1.5, mu_im), 1.0, g).im
+            fractional_shift_closed(ComplexPermeability(1.5, mu_im), 1.0, g).imag
             for mu_im in (0.0, 0.05, 0.2)
         ]
         assert ims[0] == 0.0
@@ -346,35 +345,35 @@ class TestShiftFromResonances:
     def test_identical_resonances(self):
         res = Resonance.from_loaded(7.5e9, 500.0, 0.5, "three-db")
         shift = complex_shift_from_resonances(res, res)
-        assert shift.re == 0.0 and shift.im == 0.0
+        assert shift.real == 0.0 and shift.imag == 0.0
 
     def test_worked_pair(self):
         empty = Resonance(7.533e9, 800.0 * 0.7, 800.0, 0.3, "model")
         loaded = Resonance(7.53024e9, 735.4 * 0.7, 735.4, 0.3, "model")
         shift = complex_shift_from_resonances(empty, loaded)
-        assert shift.re == pytest.approx(-3.665221825599184e-4, rel=1e-12)
-        assert shift.im == pytest.approx(5.4902094098449854e-5, rel=1e-12)
-        assert abs(shift.re - (-3.66e-4)) < 1e-6
-        assert abs(shift.im - 5.49e-5) < 1e-7
+        assert shift.real == pytest.approx(-3.665221825599184e-4, rel=1e-12)
+        assert shift.imag == pytest.approx(5.4902094098449854e-5, rel=1e-12)
+        assert abs(shift.real - (-3.66e-4)) < 1e-6
+        assert abs(shift.imag - 5.49e-5) < 1e-7
 
     def test_pure_loss_perturbation(self):
         empty = Resonance(7.5e9, 400.0, 800.0, 0.5, "model")
         loaded = Resonance(7.5e9, 200.0, 400.0, 0.5, "model")
         shift = complex_shift_from_resonances(empty, loaded)
-        assert shift.re == 0.0
-        assert shift.im == pytest.approx(1.0 / 1600.0, rel=1e-12)
+        assert shift.real == 0.0
+        assert shift.imag == pytest.approx(1.0 / 1600.0, rel=1e-12)
 
 
 class TestInversion:
     def test_zero_shift_returns_substrate(self):
         mu = invert_permeability(
-            FractionalShift(0.0, 0.0), GeometryFactor(1e-3, "derived-transverse"), 1.0
+            0j, GeometryFactor(1e-3, "derived-transverse"), 1.0
         )
         assert mu.mu_re == 1.0 and mu.mu_im == 0.0
 
     def test_worked_example(self):
         mu = invert_permeability(
-            FractionalShift(-3.659e-4, 5.49e-5), GeometryFactor(1.464e-3, "printed"), 1.0
+            -3.659e-4 + 5.49e-5j, GeometryFactor(1.464e-3, "printed"), 1.0
         )
         assert mu.mu_re == pytest.approx(1.499863387978142, rel=1e-12)
         assert mu.tan_dm == pytest.approx(0.05000455414882959, rel=1e-12)
@@ -405,26 +404,26 @@ class TestInversion:
     def test_degenerate_geometry(self):
         with pytest.raises(DegenerateGeometryError):
             invert_permeability(
-                FractionalShift(-1e-4, 0.0), GeometryFactor(1e-13, "conventional"), 1.0
+                -1e-4 + 0j, GeometryFactor(1e-13, "conventional"), 1.0
             )
 
     def test_unphysical_mu_re(self):
         with pytest.raises(UnphysicalResultError, match="mu_re"):
             invert_permeability(
-                FractionalShift(0.01, 0.0), GeometryFactor(1e-3, "printed"), 1.0
+                0.01 + 0j, GeometryFactor(1e-3, "printed"), 1.0
             )
 
     def test_unphysical_negative_loss(self):
         with pytest.raises(UnphysicalResultError, match="loss"):
             invert_permeability(
-                FractionalShift(-1e-4, -1e-5), GeometryFactor(1e-3, "printed"), 1.0
+                -1e-4 - 1e-5j, GeometryFactor(1e-3, "printed"), 1.0
             )
 
 
 class TestConventionalBaseline:
     def test_zero_shift(self, worked_cavity, worked_sample, mode4):
         mu = invert_permeability(
-            FractionalShift(0.0, 0.0),
+            0j,
             geometry_factor_conventional(worked_cavity, worked_sample, mode4),
             1.0,
         )
@@ -437,7 +436,7 @@ class TestConventionalBaseline:
             worked_cavity, tiny, mode4, InteractionChoice.AXIAL_HX
         )
         assert g_conv.value == pytest.approx(g_axial.value, rel=1e-6)
-        shift = FractionalShift(-2e-9, 3e-10)
+        shift = -2e-9 + 3e-10j
         mu_conv = invert_permeability(
             shift, geometry_factor_conventional(worked_cavity, tiny, mode4), 1.0
         )
@@ -472,6 +471,10 @@ class TestDomainTypes:
             ComplexPermeability(0.0, 0.0)
         with pytest.raises(InvalidGeometryError):
             ComplexPermeability(1.5, -0.01)
+        with pytest.raises(InvalidGeometryError, match="finite"):
+            ComplexPermeability(10.0, float("inf"))
+        with pytest.raises(InvalidGeometryError, match="finite"):
+            ComplexPermeability(float("nan"), 0.0)
 
     def test_loss_tangent_consistency(self):
         mu = ComplexPermeability.from_loss_tangent(1.7, 0.123)
@@ -479,10 +482,11 @@ class TestDomainTypes:
         assert mu.as_complex == pytest.approx(1.7 - 1j * 1.7 * 0.123)
 
     def test_shift_validation(self):
+        g = GeometryFactor(1e-3, "printed")
         with pytest.raises(InvalidGeometryError):
-            FractionalShift(1.5, 0.0)
+            invert_permeability(1.5 + 0j, g, 1.0)
         with pytest.raises(InvalidGeometryError):
-            FractionalShift(float("nan"), 0.0)
+            invert_permeability(complex(float("nan"), 0.0), g, 1.0)
 
     def test_sample_validation(self):
         with pytest.raises(InvalidGeometryError, match="thickness"):
@@ -491,3 +495,6 @@ class TestDomainTypes:
     def test_geometry_factor_validation(self):
         with pytest.raises(InvalidGeometryError):
             GeometryFactor(-1e-3, "printed")
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidGeometryError):
+                GeometryFactor(value, "printed")

@@ -101,8 +101,8 @@ class TestForwardLoad:
         measured = complex_shift_from_resonances(empty_resonance, loaded)
         g = geometry_factor(worked_cavity, worked_sample, mode4, "quadrature")
         modeled = fractional_shift_closed(mu, worked_cavity.mu_rs, g)
-        assert measured.re == pytest.approx(modeled.re, rel=1e-12)
-        assert measured.im == pytest.approx(modeled.im, rel=1e-12)
+        assert measured.real == pytest.approx(modeled.real, rel=1e-12)
+        assert measured.imag == pytest.approx(modeled.imag, rel=1e-12)
 
 
 class TestLorentzianTrace:

@@ -727,14 +727,20 @@ class TestUnloadQ:
 class TestTraceType:
     @pytest.mark.parametrize("freqs", [[1.0, np.inf, np.inf], [1.0, np.nan, 3.0]])
     def test_non_finite_freqs_rejected_without_warning(self, freqs):
-        # the finiteness check runs before the increasing-order check, whose
-        # np.diff would warn on inf - inf under the suite's warnings-as-errors
+        # the finiteness check runs before the increasing-order check, so a
+        # non-finite frequency is named as such and nothing warns on it
         with pytest.raises(InvalidGeometryError, match="finite"):
             FrequencyTrace(np.array(freqs), np.zeros(3))
 
     def test_decreasing_freqs_rejected(self):
         with pytest.raises(InvalidGeometryError, match="strictly increasing"):
             FrequencyTrace(np.array([2.0, 1.0]), np.zeros(2))
+
+    def test_increasing_freqs_farther_apart_than_float_max(self):
+        # their difference overflows, which must neither warn nor reject
+        trace = FrequencyTrace(np.array([-FLOAT_MAX, 3e292]), np.zeros(2))
+        back = parse_touchstone(write_touchstone(trace))
+        assert back.freqs.tobytes() == trace.freqs.tobytes()
 
 
 class TestResonanceType:
