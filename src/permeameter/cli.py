@@ -10,8 +10,13 @@ given after the verb overrides one given before it.
 Config and materials values are type-checked: a number is a finite JSON
 number (not a string, boolean or null, nor the NaN and Infinity that
 Python's json reads), and the integer keys (mode.n, cells_per_axis,
-n_points, seed) take JSON integers only.  A malformed value, or a key
-the schema does not list, is a config error that names its key.
+n_points, seed) take JSON integers only.  A malformed value, a key the
+schema does not list, or a key repeated in one JSON object is a config
+error that names its key.  The choice keys (extraction.q_method,
+interaction, model) take one of the strings CHOICES lists, and the
+error reads "extraction.<key> must be one of [...]".  synth and compare
+check the synth values that shape the traces (q0_empty and
+span_bandwidths > 0, il_linear in (0, 1)) and name the key too.
 
 Exit codes: 0 success, 2 config/parse error, 3 no pairable resonance,
 4 unphysical extraction result.
@@ -71,6 +76,13 @@ CONFIG_ENV = "PERMEAMETER_CONFIG"
 
 MM = 1e-3
 
+# the allowed values of each option that names a choice
+CHOICES = {
+    "q_method": ("lorentzian-fit", "three-db"),
+    "interaction": tuple(choice.value for choice in InteractionChoice),
+    "model": MODELS,
+}
+
 
 @dataclass(frozen=True)
 class ExtractionOptions:
@@ -100,8 +112,17 @@ class RunConfig:
 
 
 def _read_json(path: str | Path, what: str):
+    def unique(pairs: list[tuple]) -> dict:
+        # json keeps the last of a repeated key; reject it like an unknown key
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigurationError(f"{what} repeats key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=unique)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {what}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -161,17 +182,22 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: boo
     return number * MM if key.endswith("_mm") else number
 
 
-def _options(cls, section: dict, where: str, **given):
-    """`cls` with the fields in `given`, and every other field read as a
-    number from `section`, defaulting to the value in `cls()`; a field
-    whose default is an int is an integer key."""
-    defaults = cls()
+def _options(cls, section: dict, where: str):
+    """`cls` read from `section`, each field defaulting to its value in
+    `cls()`: a field named in CHOICES takes one of its choices, any other
+    a number (an integer key if its default is an int)."""
+    defaults, values = cls(), {}
     for f in fields(cls):
-        if f.name not in given:
-            default = getattr(defaults, f.name)
-            given[f.name] = _number(section, f.name, where, default, isinstance(default, int))
+        default = getattr(defaults, f.name)
+        if f.name not in CHOICES:
+            values[f.name] = _number(section, f.name, where, default, isinstance(default, int))
+            continue
+        value = section.pop(f.name, default)
+        if value not in CHOICES[f.name]:  # a tuple: a JSON list or object is unhashable
+            raise ConfigurationError(f"{where}.{f.name} must be one of {list(CHOICES[f.name])}")
+        values[f.name] = type(default)(value)  # so interaction stays an InteractionChoice
     _reject_unknown(section, where)
-    return cls(**given)
+    return cls(**values)
 
 
 def _as_complex(value) -> complex:
@@ -202,23 +228,7 @@ def load_config(path: str | Path) -> RunConfig:
         thickness=_number(smp, "thickness_mm", "sample"),
     )
     mode = ModeSpec(n=_number(mod, "n", "mode", integer=True))
-    ext = _section(doc, "extraction", required=False)
-    defaults = ExtractionOptions()
-    try:
-        interaction = InteractionChoice(ext.pop("interaction", defaults.interaction))
-    except ValueError:
-        raise ConfigurationError(
-            f"extraction.interaction must be one of {[c.value for c in InteractionChoice]}"
-        ) from None
-    q_method = ext.pop("q_method", defaults.q_method)
-    if q_method not in ("lorentzian-fit", "three-db"):
-        raise ConfigurationError("extraction.q_method must be 'lorentzian-fit' or 'three-db'")
-    model = ext.pop("model", defaults.model)
-    if model not in MODELS:
-        raise ConfigurationError(f"extraction.model must be one of {list(MODELS)}")
-    extraction = _options(
-        ExtractionOptions, ext, "extraction", q_method=q_method, interaction=interaction, model=model
-    )
+    extraction = _options(ExtractionOptions, _section(doc, "extraction", required=False), "extraction")
     synth = _options(SynthOptions, _section(doc, "synth", required=False), "synth")
     for section, where in ((cav, "cavity"), (smp, "sample"), (mod, "mode"), (doc, "config")):
         _reject_unknown(section, where)
@@ -349,6 +359,13 @@ def _roster_traces(cfg: RunConfig, roster: list[dict], g: GeometryFactor) -> dic
     material; a resonance shifted out of the sweep is still an error.
     """
     syn = cfg.synth
+    for key, valid, bound in (
+        ("q0_empty", syn.q0_empty > 0, "> 0"),
+        ("il_linear", 0 < syn.il_linear < 1, "in (0, 1)"),
+        ("span_bandwidths", syn.span_bandwidths > 0, "> 0"),
+    ):
+        if not valid:
+            raise ConfigurationError(f"synth.{key} must be {bound}")
     f0 = resonant_frequency(cfg.cavity, cfg.mode)
     q0 = syn.q0_empty
     empty = Resonance(f0, q0 * (1.0 - syn.il_linear), q0, syn.il_linear, method="model")

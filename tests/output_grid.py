@@ -11,7 +11,10 @@ models x 3 interactions x 2 Q methods x n in {2, 3, 4} x {noiseless,
 6-material roster.  At -60 dB the detector admits noise peaks and
 compare exits 4, so the peak finder's choices show in the outputs.
 Each config runs `compare --json`, `synth --json`, `extract --json` on
-every written empty/material pair and `quadcheck --json`.
+every written empty/material pair and `quadcheck --json`; so that the
+text reports have a gate too, it also runs `modes --max-n 6` with and
+without --json, `quadcheck` without it, and `extract` without it on the
+first material pair.
 One line per output gives the config, the verb, the exit code and the
 sha256 of stdout and of stderr, with the temporary directory replaced by
 a fixed token; each written .s2p and CSV file gets a line with its
@@ -101,10 +104,15 @@ def run_config(tmp: Path, label: str, doc: dict, roster: list[dict]) -> None:
     for path in files:
         print(label, path.name, sha(path.read_bytes()))
     empty = out_dir / "campaign_empty.s2p"
-    for path in files:
-        if path != empty:
-            run(tmp, label, f"extract:{path.stem}", cfg + ["--json", "extract", str(empty), str(path)])
+    materials = [path for path in files if path != empty]
+    for path in materials:
+        run(tmp, label, f"extract:{path.stem}", cfg + ["--json", "extract", str(empty), str(path)])
+    if materials:
+        run(tmp, label, f"extract-text:{materials[0].stem}", cfg + ["extract", str(empty), str(materials[0])])
     run(tmp, label, "quadcheck", cfg + ["--json", "quadcheck"])
+    run(tmp, label, "quadcheck-text", cfg + ["quadcheck"])
+    run(tmp, label, "modes", cfg + ["--json", "modes", "--max-n", "6"])
+    run(tmp, label, "modes-text", cfg + ["modes", "--max-n", "6"])
 
 
 def grid() -> None:

@@ -644,6 +644,21 @@ class TestQuadcheck:
         ({}, [{"name": "U", "mu_re": 10, "tan_dm": 1e308}], "materials[0].tan_dm"),
         # the roster is an array; an object around it is not read
         ({}, {"materials": [{"name": "U", "mu_re": 1.5}]}, "materials file must be a JSON array"),
+        # a synth value out of range names its key, not the trace value it leads to
+        ({"synth": {"il_linear": 1.2}}, None, "synth.il_linear must be in (0, 1)"),
+        ({"synth": {"q0_empty": -1}}, None, "synth.q0_empty must be > 0"),
+        ({"synth": {"span_bandwidths": 0}}, None, "synth.span_bandwidths must be > 0"),
+        # a choice is one of its listed strings; a list, null or object is none of them
+        ({"extraction": {"q_method": ["three-db"]}}, None,
+         "extraction.q_method must be one of ['lorentzian-fit', 'three-db']"),
+        ({"extraction": {"q_method": None}}, None, "extraction.q_method"),
+        ({"extraction": {"q_method": {"three-db": 1}}}, None, "extraction.q_method"),
+        ({"extraction": {"interaction": ["axial-hx"]}}, None, "extraction.interaction"),
+        ({"extraction": {"interaction": None}}, None, "extraction.interaction"),
+        ({"extraction": {"interaction": {"axial-hx": 1}}}, None, "extraction.interaction"),
+        ({"extraction": {"model": ["derived"]}}, None, "extraction.model"),
+        ({"extraction": {"model": None}}, None, "extraction.model"),
+        ({"extraction": {"model": {"derived": 1}}}, None, "extraction.model"),
     ],
 )
 def test_malformed_value_exit_2_names_key(
@@ -656,6 +671,28 @@ def test_malformed_value_exit_2_names_key(
     )
     assert (code, out) == (2, "")
     assert key in err
+
+
+@pytest.mark.parametrize(
+    "target, old, new, message",
+    [
+        ("config", '"n": 4', '"n": 2, "n": 4', "config repeats key 'n'"),
+        ("materials", '"mu_re": 1.5', '"mu_re": 1.2, "mu_re": 1.5', "materials file repeats key 'mu_re'"),
+    ],
+    ids=["config", "materials"],
+)
+def test_repeated_key_exit_2(capsys, tmp_path, config_file, materials_file, target, old, new, message):
+    # json keeps the last of a repeated key, and json.dumps cannot write one
+    paths = {"config": config_file(), "materials": materials_file([{"name": "U", "mu_re": 1.5}])}
+    text = paths[target].read_text()
+    assert old in text
+    paths[target].write_text(text.replace(old, new))
+    code, out, err = run(
+        capsys, "--config", str(paths["config"]), "compare",
+        "--materials", str(paths["materials"]), "--out-csv", str(tmp_path / "t.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("flag", ["--config", "--seed", "--json"])
