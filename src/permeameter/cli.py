@@ -370,9 +370,15 @@ def _roster_traces(cfg: RunConfig, roster: list[dict], g: GeometryFactor) -> dic
     q0 = syn.q0_empty
     empty = Resonance(f0, q0 * (1.0 - syn.il_linear), q0, syn.il_linear, method="model")
     span = syn.span_bandwidths * f0 / empty.q_loaded
+    f_start, f_stop = f0 - span / 2.0, f0 + span / 2.0
+    if not (math.isfinite(f_start) and math.isfinite(f_stop)):
+        raise ConfigurationError(
+            f"synth.span_bandwidths = {syn.span_bandwidths:g} bandwidths at "
+            f"synth.q0_empty = {q0:g} give a sweep of {span:g} Hz; it must be finite"
+        )
     sweep = SynthConfig(
-        f_start=f0 - span / 2.0,
-        f_stop=f0 + span / 2.0,
+        f_start=f_start,
+        f_stop=f_stop,
         n_points=syn.n_points,
         noise_floor_db=syn.noise_floor_db,
         seed=syn.seed,

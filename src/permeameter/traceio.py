@@ -86,7 +86,12 @@ class FrequencyTrace:
 
     @property
     def s21_db(self) -> np.ndarray:
-        return 20.0 * np.log10(np.maximum(np.abs(self.s21), 1e-300))
+        return _db(self.s21)
+
+
+def _db(s21: np.ndarray) -> np.ndarray:
+    """|S21| in dB, a zero magnitude read as 1e-300 (-6000 dB)."""
+    return 20.0 * np.log10(np.maximum(np.abs(s21), 1e-300))
 
 
 @dataclass(frozen=True)
@@ -420,39 +425,46 @@ def _parabolic_vertex(f: np.ndarray, y: np.ndarray, i: int) -> tuple[float, floa
     return fv, y0 * l0 + y1 * l1 + y2 * l2
 
 
-def _crossing(
-    f: np.ndarray, db: np.ndarray, peak: int, target: float, step: int
-) -> float:
-    """Frequency where db falls to target, walking from peak by step."""
-    side = "left" if step < 0 else "right"
-    j = peak
-    while True:
-        j += step
-        if j < 0 or j >= len(db):
-            raise InsufficientSpanError(side)
-        if db[j] <= target:
-            # linear interpolation in (f, dB) between j and the sample before it
-            f_a, f_b = f[j - step], f[j]
-            y_a, y_b = db[j - step], db[j]
-            return f_a + (target - y_a) * (f_b - f_a) / (y_b - y_a)
+def _crossing(f: np.ndarray, db: np.ndarray, j: int, target: float, step: int) -> float:
+    """Frequency where db falls to target between sample j, at or below
+    it, and sample j - step, above it: linear in (f, dB)."""
+    f_a, f_b = f[j - step], f[j]
+    y_a, y_b = db[j - step], db[j]
+    return f_a + (target - y_a) * (f_b - f_a) / (y_b - y_a)
 
 
 def q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     """Half-power-bandwidth Q at a detected peak.
 
-    Crossing frequencies are linearly interpolated in (f, dB); the peak
-    frequency and level are refined by a parabola through the three dB
-    samples around the maximum.
+    Each crossing is linearly interpolated in (f, dB) next to the sample
+    nearest the peak at or below its level less 3 dB; the peak frequency
+    and level are refined by a parabola through the three dB samples
+    around the maximum.  Only +-64 samples around the peak are converted
+    to dB, widened x4 until both crossings or the whole trace are inside.
     """
-    db = trace.s21_db
     f = trace.freqs
     i = peak_index
     if i <= 0 or i >= len(f) - 1:
         raise InsufficientSpanError("left" if i <= 0 else "right", "peak at trace edge")
-    target = db[i] - HALF_POWER_DB
-    f_lo = _crossing(f, db, i, target, -1)
-    f_hi = _crossing(f, db, i, target, +1)
-    f0, peak_db = _parabolic_vertex(f, db, i)
+    half = 64
+    while True:
+        lo, hi = max(i - half, 0), min(i + half + 1, len(f))
+        db = _db(trace.s21[lo:hi])
+        k = i - lo
+        target = db[k] - HALF_POWER_DB
+        left = np.flatnonzero(db[:k] <= target)
+        right = np.flatnonzero(db[k + 1:] <= target)
+        if (left.size or lo == 0) and (right.size or hi == len(f)):
+            break
+        half *= 4
+    if not left.size:
+        raise InsufficientSpanError("left")
+    if not right.size:
+        raise InsufficientSpanError("right")
+    f = f[lo:hi]
+    f_lo = _crossing(f, db, left[-1], target, -1)
+    f_hi = _crossing(f, db, k + 1 + right[0], target, +1)
+    f0, peak_db = _parabolic_vertex(f, db, k)
     q_loaded = f0 / (f_hi - f_lo)
     with np.errstate(over="ignore"):  # a vertex far above the samples: from_loaded rejects inf
         il = 10.0 ** (peak_db / 20.0)
@@ -488,16 +500,18 @@ def fit_lorentzian(trace: FrequencyTrace, peak_index: int) -> Resonance:
         # crude starting window; the fit either rescues it or reports failure
         f_s, bandwidth = f[min(max(peak_index, 0), len(f) - 1)], f[-1] - f[0]
     h = 0.5 * FIT_WINDOW_BANDWIDTHS * bandwidth
-    mask = (f >= f_s - h) & (f <= f_s + h)
-    if mask.sum() < 4:
+    # freqs strictly increase, so the samples in [f_s - h, f_s + h] are one slice
+    window = slice(np.searchsorted(f, f_s - h), np.searchsorted(f, f_s + h, side="right"))
+    f = f[window]
+    if len(f) < 4:
         raise FitFailureError("fewer than 4 samples in the fit window", fallback)
-    y = np.abs(trace.s21[mask]) ** 2
+    y = np.abs(trace.s21[window]) ** 2
     if np.max(y) - np.min(y) <= 1e-12 * np.max(y):
         raise FitFailureError("no curvature in the fit window", fallback)
     # a zero or extreme sample turns into inf or nan here, and then into a
     # FitFailureError from the checks below rather than a warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        powers = np.vander((f[mask] - f_s) / h, 3, increasing=True)
+        powers = np.vander((f - f_s) / h, 3, increasing=True)
         # pass 1 scales each row by |S21|^3, so its target 1/|S21|^2 becomes |S21|
         _, p = _quadratic_pass(powers, y**1.5, np.sqrt(y), fallback)
         noise = np.mean((1.0 / y - p) ** 2 / (2.0 * p**3))

@@ -674,6 +674,21 @@ def test_malformed_value_exit_2_names_key(
 
 
 @pytest.mark.parametrize(
+    "synth", [{"span_bandwidths": 1e308}, {"q0_empty": 1e-300}], ids=["span", "q0"]
+)
+def test_infinite_sweep_exit_2_names_both_keys(capsys, tmp_path, config_file, materials_file, synth):
+    # each finite value makes span_bandwidths * f0 / Q_L overflow; under the
+    # suite's filters a numpy RuntimeWarning on the way would fail the test
+    code, out, err = run(
+        capsys, "--config", str(config_file(synth=synth)), "compare",
+        "--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert "synth.span_bandwidths" in err and "synth.q0_empty" in err
+    assert "it must be finite" in err
+
+
+@pytest.mark.parametrize(
     "target, old, new, message",
     [
         ("config", '"n": 4', '"n": 2, "n": 4', "config repeats key 'n'"),

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from q_reference import reference_fit_lorentzian, reference_q_3db
 from scipy.signal import find_peaks
 from touchstone_reference import reference_parse_touchstone, reference_write_touchstone
 
+import permeameter.traceio as traceio
 from permeameter import (
     FrequencyTrace,
     Resonance,
@@ -706,6 +708,118 @@ class TestFitLorentzian:
         with pytest.raises(FitFailureError, match="not positive") as err:
             fit_lorentzian(trace, peak)
         assert err.value.fallback == q_3db(trace, peak)
+
+
+def _q_case_trace(n, q_loaded, span_bw, offset, noise_db, levels, zeros, spikes, seed):
+    """A Lorentzian on n samples over span_bw bandwidths, centered `offset`
+    spans off the middle (+-0.5 is an edge), with optional noise, plateaus
+    (|S21| rounded to multiples of 1/levels, the smallest to exact zeros),
+    zeroed samples and spikes."""
+    f0 = 7.5e9
+    span = span_bw * f0 / q_loaded
+    f = f0 + span * (np.linspace(-0.5, 0.5, n) + offset)
+    s21 = 0.5 / (1.0 + 2j * q_loaded * (f - f0) / f0)
+    rng = np.random.default_rng(seed)
+    if noise_db is not None:
+        sigma = 10.0 ** (noise_db / 20.0) / math.sqrt(2.0)
+        s21 = s21 + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if levels:
+        s21 = np.round(np.abs(s21) * levels) / levels + 0j
+    s21[rng.integers(0, n, zeros)] = 0.0
+    s21[rng.integers(0, n, spikes)] = rng.uniform(0.3, 1.5, spikes)
+    return FrequencyTrace(f, s21)
+
+
+def _resonance_bits(res):
+    if res is None:
+        return None
+    values = (res.f0, res.q_loaded, res.q_unloaded, res.il_linear)
+    return tuple((type(v).__name__, float(v).hex()) for v in values) + (res.method,)
+
+
+def _q_outcome(extract, trace, peak):
+    """The result's bits, or the error's type, message, side and
+    fallback, with the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = _resonance_bits(extract(trace, peak))
+        except Exception as exc:
+            outcome = (type(exc), str(exc), getattr(exc, "side", None),
+                       _resonance_bits(getattr(exc, "fallback", None)))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+class TestPeakLocalQ:
+    """q_3db and fit_lorentzian read only the samples around their peak,
+    and give what the whole-trace versions in q_reference.py give."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 5000),
+        q_loaded=st.floats(5.0, 5000.0),
+        span_bw=st.floats(0.2, 400.0),
+        offset=st.floats(-0.7, 0.7),
+        noise_db=st.none() | st.floats(-120.0, -10.0),
+        levels=st.sampled_from([0, 4, 50, 1000]),
+        zeros=st.integers(0, 20),
+        spikes=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        pick=st.floats(0.0, 1.0),
+    )
+    # resonance at the right edge, and centered on the second sample
+    @example(1001, 500.0, 40.0, 0.5, None, 0, 0, 0, 0, 0.5)
+    @example(1001, 500.0, 40.0, -0.5 + 1 / 1000, None, 0, 0, 0, 0, 0.5)
+    # plateaus with exact zeros; noise spikes
+    @example(1001, 500.0, 40.0, 0.0, None, 4, 20, 0, 1, 0.5)
+    @example(4001, 500.0, 40.0, 0.1, -40.0, 0, 0, 5, 2, 0.3)
+    # wider than the trace; outside it
+    @example(1001, 500.0, 0.5, 0.0, -60.0, 0, 0, 0, 3, 0.5)
+    @example(1001, 500.0, 40.0, 0.7, None, 0, 0, 0, 0, 0.5)
+    # crossings ~1250 samples out: the window grows three times
+    @example(5000, 500.0, 2.0, 0.0, -90.0, 0, 0, 0, 4, 0.5)
+    def test_matches_the_whole_trace_versions(
+        self, n, q_loaded, span_bw, offset, noise_db, levels, zeros, spikes, seed, pick
+    ):
+        trace = _q_case_trace(n, q_loaded, span_bw, offset, noise_db, levels, zeros, spikes, seed)
+        peaks = {-1, 0, 1, n - 2, n - 1, n, int(np.argmax(np.abs(trace.s21))), round(pick * (n - 1))}
+        peaks.update(find_resonances(trace, 0.5)[:8])
+        for peak in sorted(peaks):
+            assert _q_outcome(q_3db, trace, peak) == _q_outcome(reference_q_3db, trace, peak)
+            assert _q_outcome(fit_lorentzian, trace, peak) == _q_outcome(
+                reference_fit_lorentzian, trace, peak
+            )
+
+    def test_fit_window_keeps_samples_on_its_edges(self):
+        # add samples exactly at f_s -+ h, 2.5 bandwidths out, where the
+        # 3-dB reading does not look: both are inside the window
+        f0, q = 7.5e9, 500.0
+        trace = lorentz_trace(f0, q, 0.5, 1001)
+        peak = find_resonances(trace)[0]
+        res = q_3db(trace, peak)
+        h = 0.5 * traceio.FIT_WINDOW_BANDWIDTHS * (res.f0 / res.q_loaded)
+        f = np.sort(np.concatenate((trace.freqs, [res.f0 - h, res.f0 + h])))
+        edged = FrequencyTrace(f, 0.5 / (1.0 + 2j * q * (f - f0) / f0))
+        assert q_3db(edged, peak + 1) == res
+        assert _q_outcome(fit_lorentzian, edged, peak + 1) == _q_outcome(
+            reference_fit_lorentzian, edged, peak + 1
+        )
+
+    @pytest.mark.parametrize("n_points", [4001, 40001])
+    def test_converts_only_samples_near_the_peak(self, monkeypatch, n_points):
+        # the same resonance over 40 bandwidths, so a bandwidth is n_points / 40
+        # samples; the window stops growing at the first half-width past the
+        # crossings, < 2 bandwidths, and all windows together hold < 6
+        trace = lorentz_trace(7.5e9, 500.0, 0.5, n_points, span_bw=40.0)
+        peak = find_resonances(trace)[0]
+        converted = []
+        db = traceio._db
+        monkeypatch.setattr(traceio, "_db", lambda s21: converted.append(len(s21)) or db(s21))
+        for extract in (q_3db, fit_lorentzian):
+            converted.clear()
+            extract(trace, peak)
+            assert 0 < sum(converted) <= 6 * n_points / 40
+            assert max(converted) < n_points
 
 
 class TestUnloadQ:
