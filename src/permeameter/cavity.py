@@ -95,7 +95,7 @@ class ModeSpec:
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
-            raise InvalidGeometryError("mode index n must be an integer >= 1")
+            raise InvalidGeometryError("n must be an integer >= 1")
 
     @property
     def is_even(self) -> bool:

@@ -18,8 +18,9 @@ error reads "extraction.<key> must be one of [...]".  synth and compare
 check the synth values that shape the traces (q0_empty and
 span_bandwidths > 0, il_linear in (0, 1)) and name the key too.
 
-Exit codes: 0 success, 2 config/parse error, 3 no pairable resonance,
-4 unphysical extraction result.
+Exit codes: 0 success, 2 config/parse error, 3 no usable resonance (none
+found, none pairable, or its Q could not be read), 4 unphysical
+extraction result; EXIT_STATUS maps each error to its code.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -39,7 +41,10 @@ from .cavity import CavitySpec, ModeSpec, guided_wavelength, resonant_frequency
 from .errors import (
     ConfigurationError,
     FitFailureError,
+    InsufficientSpanError,
+    NearCriticalCouplingWarning,
     NoPairableResonanceError,
+    OverCoupledError,
     PermeameterError,
     UnphysicalResultError,
 )
@@ -49,6 +54,7 @@ from .perturbation import (
     GeometryFactor,
     InteractionChoice,
     SampleSpec,
+    check_cells_per_axis,
     complex_shift_from_resonances,
     geometry_factor,
     geometry_factor_conventional,
@@ -72,6 +78,15 @@ EXIT_CONFIG = 2
 EXIT_NO_RESONANCE = 3
 EXIT_UNPHYSICAL = 4
 
+# the status main returns for an error: the first class it is an instance of, else EXIT_CONFIG
+EXIT_STATUS = (
+    (NoPairableResonanceError, EXIT_NO_RESONANCE),
+    (FitFailureError, EXIT_NO_RESONANCE),
+    (InsufficientSpanError, EXIT_NO_RESONANCE),
+    (OverCoupledError, EXIT_NO_RESONANCE),
+    (UnphysicalResultError, EXIT_UNPHYSICAL),
+)
+
 CONFIG_ENV = "PERMEAMETER_CONFIG"
 
 MM = 1e-3
@@ -90,6 +105,9 @@ class ExtractionOptions:
     interaction: InteractionChoice = InteractionChoice.TRANSVERSE_HZ
     model: str = "quadrature"
     cells_per_axis: int = 64
+
+    def __post_init__(self):  # for every model, not only where the quadrature runs
+        check_cells_per_axis(self.cells_per_axis)
 
 
 @dataclass(frozen=True)
@@ -197,7 +215,20 @@ def _options(cls, section: dict, where: str):
             raise ConfigurationError(f"{where}.{f.name} must be one of {list(CHOICES[f.name])}")
         values[f.name] = type(default)(value)  # so interaction stays an InteractionChoice
     _reject_unknown(section, where)
-    return cls(**values)
+    return _built(cls, where, **values)
+
+
+def _built(cls, where: str, *args, **keys):
+    """cls(*args, **keys), each key without its _mm.  The library's range
+    errors start with the field name; reword one to name <where>.<key>."""
+    try:
+        return cls(*args, **{key.removesuffix("_mm"): value for key, value in keys.items()})
+    except PermeameterError as exc:
+        name, _, rest = str(exc).partition(" ")
+        key = next((key for key in keys if key.removesuffix("_mm") == name), None)
+        if key is None:
+            raise
+        raise ConfigurationError(f"{where}.{key} {rest}") from None
 
 
 def _as_complex(value) -> complex:
@@ -213,21 +244,23 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
     cav, smp, mod = (_section(doc, name) for name in ("cavity", "sample", "mode"))
-    cavity = CavitySpec(
-        width_a=_number(cav, "width_a_mm", "cavity"),
-        length_l=_number(cav, "length_l_mm", "cavity"),
-        height_h=_number(cav, "height_h_mm", "cavity"),
+    cavity = _built(
+        CavitySpec, "cavity",
+        width_a_mm=_number(cav, "width_a_mm", "cavity"),
+        length_l_mm=_number(cav, "length_l_mm", "cavity"),
+        height_h_mm=_number(cav, "height_h_mm", "cavity"),
         eps_r=_number(cav, "eps_r", "cavity", 1.0),
         mu_rs=_as_complex(cav.pop("mu_rs", 1.0)),
-        via_diameter_d=_number(cav, "via_diameter_d_mm", "cavity", None),
-        via_pitch_p=_number(cav, "via_pitch_p_mm", "cavity", None),
+        via_diameter_d_mm=_number(cav, "via_diameter_d_mm", "cavity", None),
+        via_pitch_p_mm=_number(cav, "via_pitch_p_mm", "cavity", None),
     )
-    sample = SampleSpec(
-        extent_x_l1=_number(smp, "extent_x_l1_mm", "sample"),
-        extent_z_a1=_number(smp, "extent_z_a1_mm", "sample"),
-        thickness=_number(smp, "thickness_mm", "sample"),
+    sample = _built(
+        SampleSpec, "sample",
+        extent_x_l1_mm=_number(smp, "extent_x_l1_mm", "sample"),
+        extent_z_a1_mm=_number(smp, "extent_z_a1_mm", "sample"),
+        thickness_mm=_number(smp, "thickness_mm", "sample"),
     )
-    mode = ModeSpec(n=_number(mod, "n", "mode", integer=True))
+    mode = _built(ModeSpec, "mode", n=_number(mod, "n", "mode", integer=True))
     extraction = _options(ExtractionOptions, _section(doc, "extraction", required=False), "extraction")
     synth = _options(SynthOptions, _section(doc, "synth", required=False), "synth")
     for section, where in ((cav, "cavity"), (smp, "sample"), (mod, "mode"), (doc, "config")):
@@ -376,12 +409,9 @@ def _roster_traces(cfg: RunConfig, roster: list[dict], g: GeometryFactor) -> dic
             f"synth.span_bandwidths = {syn.span_bandwidths:g} bandwidths at "
             f"synth.q0_empty = {q0:g} give a sweep of {span:g} Hz; it must be finite"
         )
-    sweep = SynthConfig(
-        f_start=f_start,
-        f_stop=f_stop,
-        n_points=syn.n_points,
-        noise_floor_db=syn.noise_floor_db,
-        seed=syn.seed,
+    sweep = _built(
+        SynthConfig, "synth", f_start, f_stop,
+        n_points=syn.n_points, noise_floor_db=syn.noise_floor_db, seed=syn.seed,
     )
     table = [(m["name"], m["mu"]) for m in roster]
     return campaign_traces(table, empty, sweep, g, cfg.cavity.mu_rs)
@@ -612,33 +642,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        args.config = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-        if not args.config:
-            raise ConfigurationError(
-                f"no config given; use --config or set ${CONFIG_ENV}"
-            )
-        cfg = load_config(args.config)
-        seed = getattr(args, "seed", None)
-        if seed is not None:
-            cfg = replace(cfg, synth=replace(cfg.synth, seed=seed))
-        document, text = args.run(cfg, args)
-        if getattr(args, "json", False):
-            text = json.dumps(document, indent=2) + "\n"
-        print(text, end="")
-        return EXIT_OK
-    except NoPairableResonanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_RESONANCE
-    except FitFailureError as exc:
-        print(f"error: resonance fit failed: {exc}", file=sys.stderr)
-        return EXIT_NO_RESONANCE
-    except UnphysicalResultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNPHYSICAL
-    except (PermeameterError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    shown = set()  # the NearCriticalCouplingWarning messages this call has printed
+    show = warnings.showwarning
+
+    def show_once(message, category, *where):
+        if not issubclass(category, NearCriticalCouplingWarning):
+            show(message, category, *where)
+        elif str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", NearCriticalCouplingWarning)
+        warnings.showwarning = show_once
+        try:
+            args.config = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
+            if not args.config:
+                raise ConfigurationError(f"no config given; use --config or set ${CONFIG_ENV}")
+            cfg = load_config(args.config)
+            seed = getattr(args, "seed", None)
+            if seed is not None:
+                cfg = replace(cfg, synth=replace(cfg.synth, seed=seed))
+            document, text = args.run(cfg, args)
+            if getattr(args, "json", False):
+                text = json.dumps(document, indent=2) + "\n"
+            print(text, end="")
+            return EXIT_OK
+        except (PermeameterError, OSError) as exc:
+            prefix = "resonance fit failed: " if isinstance(exc, FitFailureError) else ""
+            print(f"error: {prefix}{exc}", file=sys.stderr)
+            return next((status for cls, status in EXIT_STATUS if isinstance(exc, cls)), EXIT_CONFIG)
 
 
 def entrypoint() -> None:

@@ -277,6 +277,12 @@ def sample_energy_midpoint(
     return total * dx * dz * sample.thickness
 
 
+def check_cells_per_axis(cells_per_axis: int) -> None:
+    """Reject a grid too coarse for sample_energy_quadrature to start from."""
+    if cells_per_axis < 8:
+        raise InvalidGeometryError("cells_per_axis must be >= 8")
+
+
 def sample_energy_quadrature(
     cavity: CavitySpec,
     sample: SampleSpec,
@@ -292,8 +298,7 @@ def sample_energy_quadrature(
     Converged when successive extrapolants agree to QUADRATURE_RTOL;
     raises AccuracyError after MAX_DOUBLINGS doublings without that.
     """
-    if cells_per_axis < 8:
-        raise InvalidGeometryError("cells_per_axis must be >= 8")
+    check_cells_per_axis(cells_per_axis)
     _check_sample(cavity, sample)
     prev: list[float] = []  # the previous row of the Richardson table
     delta = float("inf")

@@ -217,6 +217,8 @@ MALFORMED_CORPUS = [
     ("double_option", "# HZ S RI R 50\n1e9 0 0 0.5 0 0 0 0 0\n# HZ S RI R 50\n", 3),
     ("db_level_overflows", "# HZ S DB R 50\n1e9 0 0 20000 0 0 0 0 0\n", 2),
     ("frequency_overflows_in_hz", "# GHZ S RI R 50\n1e300 0 0 0.5 0 0 0 0 0\n", 2),
+    ("nan_in_data_row", "# HZ S RI R 50\n1e9 0 0 nan 0 0 0 0 0\n", 2),
+    ("inf_in_data_row", "# HZ S RI R 50\n1e9 0 0 0.5 0 0 0 0 0\n2e9 0 0 0.5 0 0 0 0 -inf\n", 3),
 ]
 
 

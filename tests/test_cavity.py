@@ -222,8 +222,13 @@ class TestSpecValidation:
         with pytest.raises(InvalidGeometryError, match=needle):
             CavitySpec(**kwargs)
 
+    @pytest.mark.parametrize("via", [dict(via_diameter_d=0.0005), dict(via_pitch_p=0.001)])
+    def test_via_diameter_and_pitch_come_together(self, via):
+        with pytest.raises(InvalidGeometryError, match="must be given together"):
+            CavitySpec(0.03, 0.06, 0.001, 2.2, **via)
+
     def test_mode_index_validation(self):
-        with pytest.raises(InvalidGeometryError):
+        with pytest.raises(InvalidGeometryError, match="n must be an integer >= 1"):
             ModeSpec(0)
         assert ModeSpec(2).is_even and not ModeSpec(3).is_even
 

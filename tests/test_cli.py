@@ -1,7 +1,10 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,14 +20,29 @@ from permeameter import (
     parse_touchstone,
     write_touchstone,
 )
-from permeameter.cli import ExtractionOptions, load_config, main
+from permeameter import errors
+from permeameter.cli import EXIT_CONFIG, EXIT_OK, EXIT_STATUS, ExtractionOptions, load_config, main
 from permeameter.errors import FitFailureError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def lorentzian_file(path, il, right_db=None):
+    """A 4001-point Lorentzian (f0 7.5 GHz, Q_L 560) written as Touchstone.
+
+    The sweep spans 20 bandwidths on each side of f0, or on the right
+    ends where the skirt is right_db below the peak."""
+    f0, q = 7.5e9, 560.0
+    right = 20.0 if right_db is None else math.sqrt(10.0 ** (right_db / 10.0) - 1.0) / 2.0
+    f = np.linspace(f0 * (1.0 - 20.0 / q), f0 * (1.0 + right / q), 4001)
+    path.write_bytes(write_touchstone(FrequencyTrace(f, il / (1.0 + 2j * q * (f - f0) / f0))))
+    return str(path)
 
 
 class TestModes:
@@ -313,6 +331,39 @@ class TestExtract:
             str(campaign / "campaign_empty.s2p"), str(upshift),
         )
         assert code == 4 and "mu_re" in err
+
+    def test_missing_half_power_crossing_exit_3(self, capsys, tmp_path, config_file):
+        # the right skirt ends 3.005 dB down: the detector's 3.0 dB
+        # prominence admits the peak, but the 3-dB reading needs 3.0103 dB
+        trace = lorentzian_file(tmp_path / "short.s2p", 0.3, right_db=3.005)
+        cfg = str(config_file(extraction={"q_method": "three-db"}))
+        code, out, err = run(capsys, "--config", cfg, "extract", trace, trace)
+        assert (code, out, err) == (3, "", "error: no half-power crossing on the right side\n")
+        # the fit starts from a crude window instead and reads the Q
+        code, _, err = run(capsys, "--config", str(config_file()), "extract", trace, trace)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("q_method", ["lorentzian-fit", "three-db"])
+    def test_net_gain_exit_3(self, capsys, tmp_path, config_file, q_method):
+        trace = lorentzian_file(tmp_path / "gain.s2p", 1.2)
+        cfg = str(config_file(extraction={"q_method": q_method}))
+        code, out, err = run(capsys, "--config", cfg, "extract", trace, trace)
+        assert (code, out) == (3, "")
+        assert err == "error: il_linear = 1.2 >= 1; trace shows net gain, unloading undefined\n"
+
+    @pytest.mark.parametrize("q_method", ["lorentzian-fit", "three-db"])
+    def test_near_critical_warning_one_line_per_message(self, capsys, tmp_path, config_file, q_method):
+        # the fit reads the 3-dB Q as its start as well, so lorentzian-fit
+        # warns twice per trace; a second call prints its line again
+        trace = lorentzian_file(tmp_path / "critical.s2p", 0.95)
+        cfg = str(config_file(extraction={"q_method": q_method}))
+        for _ in range(2):
+            code, out, err = run(capsys, "--config", cfg, "extract", trace, trace)
+            assert code == 0 and "pair 1:" in out
+            assert err == (
+                "warning: il_linear = 0.95 is near critical coupling; "
+                "unloaded Q is poorly conditioned\n"
+            )
 
 
 class TestCompare:
@@ -659,6 +710,19 @@ class TestQuadcheck:
         ({"extraction": {"model": ["derived"]}}, None, "extraction.model"),
         ({"extraction": {"model": None}}, None, "extraction.model"),
         ({"extraction": {"model": {"derived": 1}}}, None, "extraction.model"),
+        # a range error of a library type names the key the user wrote
+        ({"cavity": {"width_a_mm": -1}}, None, "error: cavity.width_a_mm must be > 0"),
+        ({"synth": {"n_points": 50}}, None, "error: synth.n_points must be >= 101"),
+        ({"synth": {"seed": -1}}, None, "error: synth.seed must fit in 64 bits"),
+        ({"synth": {"noise_floor_db": -10}}, None, "error: synth.noise_floor_db must be < -20 dB"),
+        ({"mode": {"n": 0}}, None, "error: mode.n must be an integer >= 1"),
+        ({"extraction": {"cells_per_axis": 0}}, None, "error: extraction.cells_per_axis must be >= 8"),
+        # checked at load for every model, not only where the quadrature runs
+        ({"extraction": {"model": "derived", "cells_per_axis": 0}}, None,
+         "error: extraction.cells_per_axis must be >= 8"),
+        # a library message that starts with no field name is left as it is
+        ({"cavity": {"via_diameter_d_mm": 0.5, "via_pitch_p_mm": 0.4}}, None,
+         "error: via geometry requires 0 < via_diameter_d < via_pitch_p"),
     ],
 )
 def test_malformed_value_exit_2_names_key(
@@ -729,10 +793,67 @@ def test_common_flag_before_or_after_verb(capsys, tmp_path, config_file, materia
         assert run(capsys, *rest, flag, *stale, *verb) != before
 
 
+# the status each error exits with: 3 for a trace with no usable
+# resonance, 4 for an unphysical result; any other error exits 2
+STATUS = {
+    "NoPairableResonanceError": 3,
+    "FitFailureError": 3,
+    "InsufficientSpanError": 3,
+    "OverCoupledError": 3,
+    "UnphysicalResultError": 4,
+}
+ERRORS = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.PermeameterError)
+] + [OSError]
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_every_error_exits_with_its_table_status(capsys, monkeypatch, config_file, cls):
+    args = {errors.TouchstoneParseError: (7, "bad row"), errors.AccuracyError: ("bad row", 1e-3)}
+    exc = cls(*args.get(cls, ("bad row",)))
+
+    def failing_load(path):
+        raise exc
+
+    monkeypatch.setattr(permeameter.cli, "load_config", failing_load)
+    code, out, err = run(capsys, "--config", str(config_file()), "modes")
+    table = next((status for error, status in EXIT_STATUS if isinstance(exc, error)), EXIT_CONFIG)
+    assert (code, out) == (table, "")
+    assert code == STATUS.get(cls.__name__, 2)
+    prefix = "resonance fit failed: " if cls is FitFailureError else ""
+    assert err == f"error: {prefix}{exc}\n"
+
+
+@pytest.mark.parametrize("doc", ["README", "cli docstring"])
+def test_documented_exit_codes_are_the_table(doc):
+    text = README.read_text() if doc == "README" else permeameter.cli.__doc__
+    sentence = " ".join(text.split("Exit codes:", 1)[1].split(".", 1)[0].split())
+    documented = {int(code) for code in re.findall(r"(?:^|, )(\d+) ", sentence)}
+    assert documented == {EXIT_OK, EXIT_CONFIG} | {status for _, status in EXIT_STATUS}
+
+
+def test_warnings_other_than_near_critical_pass_through(capsys, monkeypatch, config_file):
+    # only NearCriticalCouplingWarning is printed as one line; the suite
+    # turns a RuntimeWarning into an error, inside main as elsewhere
+    category = RuntimeWarning
+
+    def warning_load(path):
+        warnings.warn("overflow encountered", category)
+        raise errors.ConfigurationError("not read")
+
+    monkeypatch.setattr(permeameter.cli, "load_config", warning_load)
+    with pytest.raises(RuntimeWarning, match="overflow encountered"):
+        main(["--config", str(config_file()), "modes"])
+    category = UserWarning
+    with pytest.warns(UserWarning, match="overflow encountered"):
+        assert main(["--config", str(config_file()), "modes"]) == 2
+
+
 def test_readme_config_example_loads(tmp_path):
     # the documented schema is the one the loader reads: an unlisted key
     # exits 2, so a key the README names but the loader does not fails here
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     example = readme.split("## CLI", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "config.json"
     path.write_text(example)

@@ -163,6 +163,14 @@ class TestGeometryFactorDerived:
                 worked_cavity, SampleSpec(0.031, 0.002, 0.001), mode4
             )
 
+    @pytest.mark.parametrize(
+        "extents, field",
+        [((0.010, 0.061, 0.001), "extent_z_a1 exceeds"), ((0.010, 0.002, 0.002), "thickness exceeds")],
+    )
+    def test_sample_longer_or_thicker_than_cavity_rejected(self, worked_cavity, mode4, extents, field):
+        with pytest.raises(InvalidGeometryError, match=field):
+            geometry_factor_derived(worked_cavity, SampleSpec(*extents), mode4)
+
     @given(scale=st.floats(0.2, 5.0))
     @settings(max_examples=30)
     def test_scale_invariance(self, scale):

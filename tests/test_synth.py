@@ -157,6 +157,12 @@ class TestLorentzianTrace:
             SynthConfig(1e9, 2e9, 51, None, 0, 0.5)
         with pytest.raises(ConfigurationError):
             SynthConfig(1e9, 2e9, 1001, -10.0, 0, 0.5)
+        for il in (0.0, 1.0):
+            with pytest.raises(ConfigurationError, match="il_linear must be in"):
+                SynthConfig(1e9, 2e9, 1001, None, 0, il)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigurationError, match="seed must fit in 64 bits"):
+                SynthConfig(1e9, 2e9, 1001, None, seed, 0.5)
 
 
 class TestCampaign:
@@ -220,6 +226,18 @@ class TestCampaign:
         freqs = traces["W"].freqs
         assert freqs[0] < cfg.f_start and freqs[-1] == cfg.f_stop
         assert np.array_equal(traces["empty"].freqs, freqs)
+
+    def test_sweep_narrower_than_the_margins_widens_both_edges(
+        self, worked_cavity, worked_sample, mode4, empty_resonance
+    ):
+        # 4 bandwidths leave the empty resonance 1 short of its 3 on each
+        # side, so each edge moves to 1 bandwidth beyond the margin
+        bandwidth = empty_resonance.f0 / empty_resonance.q_loaded
+        cfg = sweep_for(empty_resonance, n_points=1001, span_bw=4.0)
+        g = geometry_factor(worked_cavity, worked_sample, mode4)
+        freqs = campaign_traces([], empty_resonance, cfg, g, worked_cavity.mu_rs)["empty"].freqs
+        assert freqs[0] == pytest.approx(empty_resonance.f0 - 4.0 * bandwidth, rel=1e-12)
+        assert freqs[-1] == pytest.approx(empty_resonance.f0 + 4.0 * bandwidth, rel=1e-12)
 
     @pytest.mark.parametrize("choice", list(InteractionChoice))
     def test_loaded_resonances_are_forward_load_bit_for_bit(

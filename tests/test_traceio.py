@@ -389,6 +389,10 @@ class TestWrite:
         back = parse_touchstone(payload)
         assert np.all(back.s11 == 0)
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(InvalidGeometryError, match="unknown Touchstone format 'XY'"):
+            write_touchstone(self.trace(), "xy")
+
     def test_ri_db_ri_chain(self):
         trace = self.trace()
         once = parse_touchstone(write_touchstone(trace, "DB"))
@@ -846,6 +850,21 @@ class TestTraceType:
         with pytest.raises(InvalidGeometryError, match="finite"):
             FrequencyTrace(np.array(freqs), np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "freqs, s21, extra, message",
+        [
+            ([1.0, 2.0], [0.1, 0.2], {"s11": [0.1]}, "s11 must be finite and match freqs"),
+            ([], [], {}, "at least one point"),
+            ([[1.0, 2.0]], [[0.1, 0.2]], {}, "at least one point"),
+            ([1.0, 2.0], [0.1], {}, "s21 length must match freqs"),
+            ([1.0, 2.0], [0.1, 0.2], {"z0": 0.0}, "z0 must be > 0"),
+        ],
+        ids=["s11-length", "no-points", "two-dimensional", "s21-length", "z0"],
+    )
+    def test_shape_and_impedance_checks(self, freqs, s21, extra, message):
+        with pytest.raises(InvalidGeometryError, match=message):
+            FrequencyTrace(np.array(freqs), np.array(s21), **extra)
+
     def test_decreasing_freqs_rejected(self):
         with pytest.raises(InvalidGeometryError, match="strictly increasing"):
             FrequencyTrace(np.array([2.0, 1.0]), np.zeros(2))
@@ -871,6 +890,10 @@ class TestResonanceType:
     def test_il_bounds(self):
         with pytest.raises(InvalidGeometryError):
             Resonance.from_loaded(7.5e9, 500.0, 0.0, "model")
+
+    def test_q_loaded_must_be_positive(self):
+        with pytest.raises(InvalidGeometryError, match="q_loaded must be > 0"):
+            Resonance(7.5e9, 0.0, 0.0, 0.5, "model")
 
 
 class TestPairing:
