@@ -5,7 +5,8 @@ Verbs: modes, synth, extract, compare, quadcheck.  One JSON config file
 options; see the README for the schema.  The config path comes from
 --config or the PERMEAMETER_CONFIG environment variable.  The common
 flags (--config, --seed, --json) work before or after the verb; a value
-given after the verb overrides one given before it.
+given after the verb overrides one given before it.  A --seed outside
+[0, 2**64) is a config error that names the flag.
 
 Config and materials values are type-checked: a number is a finite JSON
 number (not a string, boolean or null, nor the NaN and Infinity that
@@ -16,7 +17,8 @@ error that names its key.  The choice keys (extraction.q_method,
 interaction, model) take one of the strings CHOICES lists, and the
 error reads "extraction.<key> must be one of [...]".  synth and compare
 check the synth values that shape the traces (q0_empty and
-span_bandwidths > 0, il_linear in (0, 1)) and name the key too.
+span_bandwidths > 0, il_linear in (0, 1), a finite sweep whose edges
+differ) and name the keys too.
 
 Exit codes: 0 success, 2 config/parse error, 3 no usable resonance (none
 found, none pairable, or its Q could not be read), 4 unphysical
@@ -404,10 +406,11 @@ def _roster_traces(cfg: RunConfig, roster: list[dict], g: GeometryFactor) -> dic
     empty = Resonance(f0, q0 * (1.0 - syn.il_linear), q0, syn.il_linear, method="model")
     span = syn.span_bandwidths * f0 / empty.q_loaded
     f_start, f_stop = f0 - span / 2.0, f0 + span / 2.0
-    if not (math.isfinite(f_start) and math.isfinite(f_stop)):
+    if not (math.isfinite(f_start) and math.isfinite(f_stop) and f_start < f_stop):
         raise ConfigurationError(
             f"synth.span_bandwidths = {syn.span_bandwidths:g} bandwidths at "
-            f"synth.q0_empty = {q0:g} give a sweep of {span:g} Hz; it must be finite"
+            f"synth.q0_empty = {q0:g} give a sweep of {span:g} Hz; it must be finite "
+            f"and wide enough that its edges around {f0:g} Hz differ"
         )
     sweep = _built(
         SynthConfig, "synth", f_start, f_stop,
@@ -662,6 +665,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg = load_config(args.config)
             seed = getattr(args, "seed", None)
             if seed is not None:
+                if not 0 <= seed < 2**64:
+                    raise ConfigurationError("--seed must fit in 64 bits")
                 cfg = replace(cfg, synth=replace(cfg.synth, seed=seed))
             document, text = args.run(cfg, args)
             if getattr(args, "json", False):

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import inf, pi, sin
+from typing import Callable
 
 import numpy as np
 
@@ -182,14 +183,16 @@ def geometry_factor_printed(
 
 def _selected_energy(
     choice: InteractionChoice, k_x: float, k_z: float,
-    x_sin: float, x_cos: float, z_sin: float, z_cos: float,
+    along_x: Callable[[np.ufunc], float], along_z: Callable[[np.ufunc], float],
 ) -> float:
-    """The |H|^2 terms that choice selects, from 1-D sin^2/cos^2 integrals or sums."""
+    """The |H|^2 terms that choice selects.  along_x(trig) and along_z(trig)
+    give the 1-D integral or sum of trig^2 (np.sin or np.cos) across the
+    bar; only the ones a selected term reads are asked for."""
     total = 0.0
     if choice != InteractionChoice.TRANSVERSE_HZ:  # axial-hx or both-components
-        total += k_z**2 * x_sin * z_cos
+        total += k_z**2 * along_x(np.sin) * along_z(np.cos)
     if choice != InteractionChoice.AXIAL_HX:  # transverse-hz or both-components
-        total += k_x**2 * x_cos * z_sin
+        total += k_x**2 * along_x(np.cos) * along_z(np.sin)
     return total
 
 
@@ -220,7 +223,9 @@ def geometry_factor_derived(
     ix_cos = (l1 / 2.0) * (1.0 - sinc_x)
     iz_cos = (a1 / 2.0) * (1.0 + sinc_z)  # int cos^2(k_z z) dz over the bar
     iz_sin = (a1 / 2.0) * (1.0 - sinc_z)
-    numerator = _selected_energy(choice, k_x, k_z, ix_sin, ix_cos, iz_sin, iz_cos)
+    numerator = _selected_energy(
+        choice, k_x, k_z, {np.sin: ix_sin, np.cos: ix_cos}.get, {np.sin: iz_sin, np.cos: iz_cos}.get
+    )
     value = numerator * t / stored_field_norm(cavity, mode)
     return GeometryFactor(value, f"derived-{choice.value.split('-')[0]}")
 
@@ -257,11 +262,12 @@ def sample_energy_midpoint(
 
     Each selected component is a product X(x) Z(z), k_z^2 sin^2(k_x x)
     cos^2(k_z z) or k_x^2 cos^2(k_x x) sin^2(k_z z), so its sum over the
-    m x m grid of midpoints equals (sum_x X)(sum_z Z): four m-point sums
-    replace the m^2-point grid.  The integrand is uniform along y, so the
-    y sum collapses to a factor of the sample thickness.  Summation order
-    is fixed by the grid, so the result is deterministic for a given
-    cells_per_axis.
+    m x m grid of midpoints equals (sum_x X)(sum_z Z): two m-point sums
+    per selected component replace the m^2-point grid, and only the sums
+    the chosen components need are computed.  The integrand is uniform
+    along y, so the y sum collapses to a factor of the sample thickness.
+    Summation order is fixed by the grid, so the result is deterministic
+    for a given cells_per_axis.
     """
     a, l = cavity.a_eff, cavity.length_l
     l1, a1 = sample.extent_x_l1, sample.extent_z_a1
@@ -271,9 +277,11 @@ def sample_energy_midpoint(
     x = (a - l1) / 2.0 + (np.arange(m) + 0.5) * dx
     z = (l - a1) / 2.0 + (np.arange(m) + 0.5) * dz
     k_x, k_z = wavenumbers(cavity, mode)
-    sin_x, cos_x = (float(np.sum(trig(k_x * x) ** 2)) for trig in (np.sin, np.cos))
-    sin_z, cos_z = (float(np.sum(trig(k_z * z) ** 2)) for trig in (np.sin, np.cos))
-    total = _selected_energy(choice, k_x, k_z, sin_x, cos_x, sin_z, cos_z)
+    total = _selected_energy(
+        choice, k_x, k_z,
+        lambda trig: float(np.sum(trig(k_x * x) ** 2)),
+        lambda trig: float(np.sum(trig(k_z * z) ** 2)),
+    )
     return total * dx * dz * sample.thickness
 
 

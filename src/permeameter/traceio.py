@@ -91,7 +91,11 @@ class FrequencyTrace:
 
 def _db(s21: np.ndarray) -> np.ndarray:
     """|S21| in dB, a zero magnitude read as 1e-300 (-6000 dB)."""
-    return 20.0 * np.log10(np.maximum(np.abs(s21), 1e-300))
+    db = np.abs(s21)
+    np.maximum(db, 1e-300, out=db)
+    np.log10(db, out=db)
+    db *= 20.0
+    return db
 
 
 @dataclass(frozen=True)
@@ -322,6 +326,12 @@ def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> li
     * the prominence is the peak level minus the higher of the two
       bases, and a peak qualifies when its prominence is >= p.
 
+    One pass over the trace finds its turning points.  Once runs of equal
+    samples are merged, they are maxima and minima in alternation, so the
+    lowest sample between two neighbouring maxima is the minimum between
+    them, and the lowest before the first maximum (after the last) is
+    the edge sample or a minimum between it and that maximum.
+
     Most maxima of a noisy trace are blocked: a strictly higher
     neighbouring peak lies across a valley less than p deep.  The walk
     from a blocked peak stops before it passes a valley p deep, so the
@@ -351,15 +361,23 @@ def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> li
         db = db[runs]
         step = np.diff(db)
     rising = step > 0
-    # no step is zero now, so "not rising" is falling
-    peaks = np.flatnonzero(rising[:-1] & ~rising[1:]) + 1
+    # no step is zero now, so "not rising" is falling, and the turning
+    # points alternate, a maximum first when the trace starts by rising
+    turns = np.flatnonzero(rising[:-1] != rising[1:]) + 1
+    first = 0 if turns.size and rising[0] else 1
+    peaks = turns[first::2]
     if not peaks.size:
         return []
     heights = db[peaks]
     p = min_prominence_db
     # gaps[k]: lowest sample between peak k-1 (or the left edge) and peak k;
-    # gaps[-1]: lowest sample right of the last peak
-    gaps = np.minimum.reduceat(db, np.concatenate(([0], peaks)))
+    # gaps[-1]: lowest sample right of the last peak.  A minimum between
+    # an edge and its nearest peak is the first (last) turn, and a peak
+    # there is above the edge sample
+    gaps = np.empty(peaks.size + 1)
+    gaps[0] = min(db[0], db[turns[0]])
+    gaps[1:-1] = db[turns[first + 1::2][:peaks.size - 1]]
+    gaps[-1] = min(db[-1], db[turns[-1]])
     while heights.size > 1:
         # a peak with a strictly higher neighbour across a valley less than
         # p deep is blocked; the test is the same float expression as the
@@ -506,18 +524,23 @@ def fit_lorentzian(trace: FrequencyTrace, peak_index: int) -> Resonance:
     if len(f) < 4:
         raise FitFailureError("fewer than 4 samples in the fit window", fallback)
     y = np.abs(trace.s21[window]) ** 2
-    if np.max(y) - np.min(y) <= 1e-12 * np.max(y):
+    y_max = y.max()
+    if y_max - y.min() <= 1e-12 * y_max:
         raise FitFailureError("no curvature in the fit window", fallback)
     # a zero or extreme sample turns into inf or nan here, and then into a
     # FitFailureError from the checks below rather than a warning
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        powers = np.vander((f - f_s) / h, 3, increasing=True)
+        # np.vander(x, 3, increasing=True), C-ordered as it makes it
+        x = (f - f_s) / h
+        powers = np.empty((len(x), 3))
+        powers[:, 0], powers[:, 1], powers[:, 2] = 1.0, x, x * x
+        inv_y = 1.0 / y
         # pass 1 scales each row by |S21|^3, so its target 1/|S21|^2 becomes |S21|
         _, p = _quadratic_pass(powers, y**1.5, np.sqrt(y), fallback)
-        noise = np.mean((1.0 / y - p) ** 2 / (2.0 * p**3))
+        noise = ((inv_y - p) ** 2 / (2.0 * p**3)).sum() / len(p)
         root_w = p**-1.5
         (c0, c1, c2), _ = _quadratic_pass(
-            powers, root_w, (1.0 / y - noise * p**2) * root_w, fallback
+            powers, root_w, (inv_y - noise * p**2) * root_w, fallback
         )
         x_v = -c1 / (2.0 * c2)
         p_v = c0 + 0.5 * c1 * x_v
@@ -546,7 +569,7 @@ def _quadratic_pass(
     except np.linalg.LinAlgError:
         raise FitFailureError("singular normal equations", fallback) from None
     model = powers @ coef
-    if not np.all(model > 0):
+    if not (model > 0).all():
         raise FitFailureError("fitted 1/|S21|^2 is not positive over the window", fallback)
     return coef, model
 

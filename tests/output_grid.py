@@ -8,13 +8,19 @@ Without PYTHONPATH the grid runs on this tree's src/.
 Runs permeameter.cli.main in-process for each config of the grid: 3
 models x 3 interactions x 2 Q methods x n in {2, 3, 4} x {noiseless,
 -90 dB, -60 dB noise floor}, on the test suite's base geometry and
-6-material roster.  At -60 dB the detector admits noise peaks and
-compare exits 4, so the peak finder's choices show in the outputs.
-Each config runs `compare --json`, `synth --json`, `extract --json` on
-every written empty/material pair and `quadcheck --json`; so that the
-text reports have a gate too, it also runs `modes --max-n 6` with and
-without --json, `quadcheck` without it, and `extract` without it on the
-first material pair.
+6-material roster, all at its 4001 points.  At -60 dB the detector
+admits noise peaks and compare exits 4, so the peak finder's choices
+show in the outputs.  Each config runs `compare --json`, `synth --json`,
+`extract --json` on every written empty/material pair and `quadcheck
+--json`; so that the text reports have a gate too, it also runs `modes
+--max-n 6` with and without --json, `quadcheck` without it, and
+`extract` without it on the first material pair.
+A slice at 40001 points follows: the quadrature model x 3 interactions
+x 2 Q methods x n = 4 x {-90, -60 dB}, where ~10^4 noise maxima take
+several pruning passes, the 3-dB window grows and the fit window holds
+~5000 samples.  So that it adds only ~30 s, it runs `extract` (with and
+without --json) on the first material pair only; compare still
+extracts every material.  The grid prints 3277 lines.
 One line per output gives the config, the verb, the exit code and the
 sha256 of stdout and of stderr, with the temporary directory replaced by
 a fixed token; each written .s2p and CSV file gets a line with its
@@ -55,6 +61,9 @@ INTERACTIONS = ("transverse-hz", "axial-hx", "both-components")
 Q_METHODS = ("lorentzian-fit", "three-db")
 MODES = (2, 3, 4)
 NOISE_FLOORS_DB = (None, -90.0, -60.0)
+#: The 40001-point slice: interactions x Q methods x these floors, quadrature model, n = 4.
+LONG_N_POINTS = 40001
+LONG_NOISE_FLOORS_DB = (-90.0, -60.0)
 
 # (label, config patch, roster): each fails on the geometry and on one other check
 EXTRA_CASES = [
@@ -89,7 +98,8 @@ def run(tmp: Path, label: str, verb: str, argv: list[str]) -> None:
     print(label, verb, code, *hashes)
 
 
-def run_config(tmp: Path, label: str, doc: dict, roster: list[dict]) -> None:
+def run_config(tmp: Path, label: str, doc: dict, roster: list[dict], pairs: int | None = None) -> None:
+    """Run every verb on one config; `extract` on the first `pairs` material pairs (all if None)."""
     work = tmp / label.replace("/", "_")
     work.mkdir()
     cfg = ["--config", str(write_json(work / "config.json", doc))]
@@ -104,7 +114,7 @@ def run_config(tmp: Path, label: str, doc: dict, roster: list[dict]) -> None:
     for path in files:
         print(label, path.name, sha(path.read_bytes()))
     empty = out_dir / "campaign_empty.s2p"
-    materials = [path for path in files if path != empty]
+    materials = [path for path in files if path != empty][:pairs]
     for path in materials:
         run(tmp, label, f"extract:{path.stem}", cfg + ["--json", "extract", str(empty), str(path)])
     if materials:
@@ -128,6 +138,16 @@ def grid() -> None:
                 "synth": {"noise_floor_db": noise},
             })
             run_config(tmp, label, doc, TABLE_MATERIALS)
+        for interaction, q_method, noise in itertools.product(
+            INTERACTIONS, Q_METHODS, LONG_NOISE_FLOORS_DB
+        ):
+            label = f"quadrature/{interaction}/{q_method}/n4/{noise:g}dB/{LONG_N_POINTS}pts"
+            doc = config({
+                "extraction": {"model": "quadrature", "interaction": interaction, "q_method": q_method},
+                "mode": {"n": 4},
+                "synth": {"noise_floor_db": noise, "n_points": LONG_N_POINTS},
+            })
+            run_config(tmp, label, doc, TABLE_MATERIALS, pairs=1)
         for label, patch, roster in EXTRA_CASES:
             run_config(tmp, label, config(patch), roster)
 

@@ -4,8 +4,10 @@ These are `permeameter.traceio.q_3db` and `fit_lorentzian` as they were
 before they became peak-local: `q_3db` converted the whole trace to dB
 and walked to each half-power crossing one sample at a time, and the
 fit selected its window with a boolean mask over the whole trace.  They
-are kept unchanged apart from their names; the fit shares the current
-`_quadratic_pass`, which did not change.
+are kept unchanged apart from their names.  So that they pin the bits of
+the current code on their own, they also keep their own copies of the
+dB conversion and of the least-squares pass, as they were before those
+were made leaner.
 """
 
 from __future__ import annotations
@@ -19,8 +21,27 @@ from permeameter.traceio import (
     FrequencyTrace,
     Resonance,
     _parabolic_vertex,
-    _quadratic_pass,
 )
+
+
+def _db(s21: np.ndarray) -> np.ndarray:
+    """|S21| in dB, a zero magnitude read as 1e-300 (-6000 dB)."""
+    return 20.0 * np.log10(np.maximum(np.abs(s21), 1e-300))
+
+
+def _quadratic_pass(
+    powers: np.ndarray, root_w: np.ndarray, target: np.ndarray, fallback
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares quadratic with rows scaled by root_w: (coefficients, model)."""
+    rows = powers * root_w[:, None]
+    try:
+        coef = np.linalg.solve(rows.T @ rows, rows.T @ target)
+    except np.linalg.LinAlgError:
+        raise FitFailureError("singular normal equations", fallback) from None
+    model = powers @ coef
+    if not np.all(model > 0):
+        raise FitFailureError("fitted 1/|S21|^2 is not positive over the window", fallback)
+    return coef, model
 
 
 def _crossing(
@@ -42,7 +63,7 @@ def _crossing(
 
 def reference_q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     """The whole-trace `q_3db` that the peak-local one replaced."""
-    db = trace.s21_db
+    db = _db(trace.s21)
     f = trace.freqs
     i = peak_index
     if i <= 0 or i >= len(f) - 1:

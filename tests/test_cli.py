@@ -752,6 +752,28 @@ def test_infinite_sweep_exit_2_names_both_keys(capsys, tmp_path, config_file, ma
     assert "it must be finite" in err
 
 
+def test_unresolved_sweep_exit_2_names_both_keys(capsys, tmp_path, config_file, materials_file):
+    # f0 -+ span/2 both round to f0, so the sweep has no width at all
+    code, out, err = run(
+        capsys, "--config", str(config_file(synth={"span_bandwidths": 1e-300})), "compare",
+        "--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert "synth.span_bandwidths" in err and "synth.q0_empty" in err
+    assert "f_start" not in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_names_the_flag(capsys, tmp_path, config_file, materials_file, seed):
+    # the value came from the flag, so the error names the flag, not synth.seed
+    code, out, err = run(
+        capsys, "--config", str(config_file()), "--seed", seed, "compare",
+        "--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must fit in 64 bits\n"
+
+
 @pytest.mark.parametrize(
     "target, old, new, message",
     [

@@ -58,6 +58,36 @@ def box_energy_dblquad(cavity, sample, mode, choice):
     return value * sample.thickness
 
 
+def reference_sample_energy_midpoint(cavity, sample, mode, choice, cells_per_axis):
+    """sample_energy_midpoint as it was before it computed only the sums
+    the chosen components need: all four m-point sums, every time."""
+    a, l = cavity.a_eff, cavity.length_l
+    l1, a1 = sample.extent_x_l1, sample.extent_z_a1
+    m = cells_per_axis
+    dx = l1 / m
+    dz = a1 / m
+    x = (a - l1) / 2.0 + (np.arange(m) + 0.5) * dx
+    z = (l - a1) / 2.0 + (np.arange(m) + 0.5) * dz
+    k_x, k_z = wavenumbers(cavity, mode)
+    sin_x, cos_x = (float(np.sum(trig(k_x * x) ** 2)) for trig in (np.sin, np.cos))
+    sin_z, cos_z = (float(np.sum(trig(k_z * z) ** 2)) for trig in (np.sin, np.cos))
+    total = 0.0
+    if choice != InteractionChoice.TRANSVERSE_HZ:
+        total += k_z**2 * sin_x * cos_z
+    if choice != InteractionChoice.AXIAL_HX:
+        total += k_x**2 * cos_x * sin_z
+    return total * dx * dz * sample.thickness
+
+
+def assert_midpoint_matches_reference(cavity, sample):
+    for choice in CHOICES:
+        for n in range(1, 7):
+            for m in (8, 64, 512):
+                args = (cavity, sample, ModeSpec(n), choice, m)
+                got, expected = sample_energy_midpoint(*args), reference_sample_energy_midpoint(*args)
+                assert (type(got), got) == (type(expected), expected), args
+
+
 class TestGeometryFactorPrinted:
     def test_worked_value(self, worked_cavity, worked_sample, mode4):
         g = geometry_factor_printed(worked_cavity, worked_sample, mode4)
@@ -272,6 +302,26 @@ class TestQuadratureShift:
             reference = float(grid.sum()) * (l1 / m) * (a1 / m) * worked_sample.thickness
             got = sample_energy_midpoint(worked_cavity, worked_sample, mode, choice, m)
             assert got == pytest.approx(reference, rel=1e-14, abs=0)
+
+    def test_midpoint_matches_the_four_sum_reference(self, worked_cavity, worked_sample):
+        # the sums a choice does not read are skipped, not approximated
+        assert_midpoint_matches_reference(worked_cavity, worked_sample)
+
+    @given(
+        width=st.floats(0.005, 0.1),
+        length=st.floats(0.005, 0.2),
+        eps_r=st.floats(1.0, 12.0),
+        x_frac=st.floats(0.01, 1.0),
+        z_frac=st.floats(0.01, 1.0),
+        t_frac=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_midpoint_matches_the_four_sum_reference_on_drawn_geometries(
+        self, width, length, eps_r, x_frac, z_frac, t_frac
+    ):
+        cavity = CavitySpec(width, length, 0.5 * width, eps_r)
+        sample = SampleSpec(x_frac * width, z_frac * length, t_frac * 0.5 * width)
+        assert_midpoint_matches_reference(cavity, sample)
 
     def test_lossless_high_mu_moves_down(self, worked_cavity, worked_sample, mode4):
         g = geometry_factor(worked_cavity, worked_sample, mode4, "quadrature")

@@ -508,6 +508,14 @@ class TestFindResonances:
     # a pruned last peak: the valleys on both its sides fold into the tail
     @example(levels=[2.4, 0.0, 2.8, -2.7, -2.4, -1.5, -2.9, 2.8], p=3.0)
     @example(levels=[0.8, 2.9, 2.0, 2.6, 0.1], p=1.0)
+    # the valleys at the edges: the lowest sample before the first peak is
+    # the first sample or a minimum between it and the peak, and likewise
+    # after the last peak; each case below fails if one of the two is dropped
+    @example(levels=[0, -1, 2, -1, 0], p=3.0)  # a single maximum
+    @example(levels=[0, 3, 1, 3, 0], p=3.0)  # maxima at index 1 and n - 2
+    @example(levels=[1, -1, 2, 0, 1], p=2.0)  # falls before its first peak
+    @example(levels=[-1, 0, 2, 1, -1], p=3.0)  # falls after its last peak
+    @example(levels=[1, 0, 0, 3, -1], p=3.0)  # a plateau next to the first maximum
     @settings(max_examples=400, deadline=None)
     def test_matches_scipy_find_peaks(self, levels, p):
         db = np.array(levels)
