@@ -274,13 +274,14 @@ def sample_energy_midpoint(
     m = cells_per_axis
     dx = l1 / m
     dz = a1 / m
-    x = (a - l1) / 2.0 + (np.arange(m) + 0.5) * dx
-    z = (l - a1) / 2.0 + (np.arange(m) + 0.5) * dz
+    mid = np.arange(m) + 0.5  # midpoint index, shared by both axes
     k_x, k_z = wavenumbers(cavity, mode)
+    arg_x = k_x * ((a - l1) / 2.0 + mid * dx)
+    arg_z = k_z * ((l - a1) / 2.0 + mid * dz)
     total = _selected_energy(
         choice, k_x, k_z,
-        lambda trig: float(np.sum(trig(k_x * x) ** 2)),
-        lambda trig: float(np.sum(trig(k_z * z) ** 2)),
+        lambda trig: float((trig(arg_x) ** 2).sum()),
+        lambda trig: float((trig(arg_z) ** 2).sum()),
     )
     return total * dx * dz * sample.thickness
 

@@ -8,7 +8,13 @@ Accepted file grammar (Touchstone v1.0, two ports):
                                  GHZ S MA R 50), unit in {HZ, KHZ, MHZ,
                                  GHZ}, fmt in {RI, MA, DB}
     f  S11 S11  S21 S21  S12 S12  S22 S22     nine numbers per row,
-                                              v1 column order
+                                              v1 column order, f strictly
+                                              increasing
+    f  NFmin  Gopt Gopt  Rn                   optional noise-parameter
+                                              block: five numbers per row,
+                                              the first f not above the
+                                              last S row's, then strictly
+                                              increasing; checked, not read
 
 v2 files ([Version] ...) are rejected.  All parse errors carry the
 1-based line number of the offending line.
@@ -19,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -211,8 +216,10 @@ def parse_touchstone(data: bytes | str) -> FrequencyTrace:
 
     The lines up to the option line are read one by one, and the data
     rows after it in one np.loadtxt pass, checked as whole arrays.  Only
-    when a check fails are the data lines walked again, to raise the
-    error of the first offending line with its line number.
+    when a check fails are the data lines walked again: to raise the
+    error of the first offending line with its line number, or to find
+    the noise-parameter block that ends the S data, which one pass then
+    reads without it.
     """
     text = data.decode("latin-1") if isinstance(data, bytes) else data
     lines = text.splitlines()
@@ -224,48 +231,69 @@ def parse_touchstone(data: bytes | str) -> FrequencyTrace:
     else:
         raise TouchstoneParseError(max(len(lines), 1), "missing option line")
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an empty data block warns: "no data rows" below
-            rows = np.loadtxt(lines[start:], comments="!", ndmin=2)
-        with np.errstate(over="ignore"):  # an overflow fails the isfinite check
-            freqs = rows[:, 0] * FREQ_UNITS[unit]
-        valid = rows.shape[1] == 9 and len(rows) and np.isfinite(rows).all()
-        if not (valid and np.isfinite(freqs).all() and (freqs[1:] > freqs[:-1]).all()):
-            raise ValueError("a data row is rejected")
-        s11 = _to_complex(rows[:, 1], rows[:, 2], fmt)
-        s21 = _to_complex(rows[:, 3], rows[:, 4], fmt)
+        freqs, s11, s21 = _data_rows(lines[start:], unit, fmt)
     except (ValueError, OverflowError):
-        _raise_first_bad_row(lines, start, unit, fmt)
+        noise = _noise_block_start(lines, start, unit, fmt)
+        freqs, s11, s21 = _data_rows(lines[start:noise - 1], unit, fmt)
     return FrequencyTrace(freqs, s21, s11, z0=z0, fmt=fmt)
 
 
-def _raise_first_bad_row(lines: list[str], start: int, unit: str, fmt: str) -> NoReturn:
-    """Raise the error of the first data line after line `start` that
-    parse_touchstone's one pass rejects, or else "no data rows"."""
+def _data_rows(lines: list[str], unit: str, fmt: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(freqs, s11, s21) of S data lines in one np.loadtxt pass;
+    ValueError or OverflowError if any line is rejected."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty data block warns: "no data rows" later
+        rows = np.loadtxt(lines, comments="!", ndmin=2)
+    with np.errstate(over="ignore"):  # an overflow fails the isfinite check
+        freqs = rows[:, 0] * FREQ_UNITS[unit]
+    valid = rows.shape[1] == 9 and len(rows) and np.isfinite(rows).all()
+    if not (valid and np.isfinite(freqs).all() and (freqs[1:] > freqs[:-1]).all()):
+        raise ValueError("a data row is rejected")
+    return freqs, _to_complex(rows[:, 1], rows[:, 2], fmt), _to_complex(rows[:, 3], rows[:, 4], fmt)
+
+
+def _noise_block_start(lines: list[str], start: int, unit: str, fmt: str) -> int:
+    """Walk the data lines after line `start` and raise the error of the
+    first one that parse_touchstone's one pass rejects.  A 5-number row
+    whose frequency is not above the last S row's starts a noise-parameter
+    block (Touchstone v1): its rows are checked (5 finite numbers,
+    frequencies increasing within the block) but not read, and its first
+    line number is returned.  With no bad line and no block: "no data rows"."""
     last = -math.inf
+    noise = 0  # line number of the noise block's first row, once met
     for lineno, line in _content_lines(lines, start):
         if line.startswith("#"):
             raise TouchstoneParseError(lineno, "multiple option lines")
         fields = line.split()
-        if len(fields) != 9:
-            raise TouchstoneParseError(lineno, f"expected 9 numbers per row, got {len(fields)}")
+        if len(fields) == 5 and not noise and last > -math.inf:
+            try:
+                if _number(fields[0]) * FREQ_UNITS[unit] <= last:
+                    noise, last = lineno, -math.inf
+            except ValueError:
+                pass  # not a frequency, so an S row with too few numbers
+        width, kind = (5, "noise-parameter") if noise else (9, "data")
+        if len(fields) != width:
+            per = "noise-parameter row" if noise else "row"
+            raise TouchstoneParseError(lineno, f"expected {width} numbers per {per}, got {len(fields)}")
         try:
             nums = [_number(tok) for tok in fields]
         except ValueError as exc:
             raise TouchstoneParseError(lineno, f"bad number: {exc}") from None
         if not all(math.isfinite(v) for v in nums):
-            raise TouchstoneParseError(lineno, "non-finite number in data row")
+            raise TouchstoneParseError(lineno, f"non-finite number in {kind} row")
         f_hz = nums[0] * FREQ_UNITS[unit]
         if not math.isfinite(f_hz):
             raise TouchstoneParseError(lineno, f"frequency {fields[0]} {unit} overflows in Hz")
         if f_hz <= last:
             raise TouchstoneParseError(lineno, f"frequency {f_hz:.6g} Hz not strictly increasing")
         last = f_hz
-        if fmt == "DB":
+        if fmt == "DB" and not noise:
             try:
                 _to_complex(np.array(nums[1:5:2]), np.array(nums[2:5:2]), fmt)
             except OverflowError:
                 raise TouchstoneParseError(lineno, "dB level overflows |S|") from None
+    if noise:
+        return noise
     raise TouchstoneParseError(max(len(lines), 1), "no data rows")
 
 
@@ -351,19 +379,19 @@ def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> li
     if not min_prominence_db > 0:
         raise InvalidGeometryError("min_prominence_db must be > 0")
     db = trace.s21_db
-    step = np.diff(db)
+    step = db[1:] - db[:-1]  # np.diff without its wrapper
     runs = None
     if not step.all():
         # one sample per run of equal samples, so a plateau is one maximum;
         # done only when needed, as it costs more than the whole search on
         # a typical noiseless trace
-        runs = np.flatnonzero(np.concatenate(([True], step != 0)))
+        runs = np.concatenate(([True], step != 0)).nonzero()[0]
         db = db[runs]
-        step = np.diff(db)
+        step = db[1:] - db[:-1]
     rising = step > 0
     # no step is zero now, so "not rising" is falling, and the turning
     # points alternate, a maximum first when the trace starts by rising
-    turns = np.flatnonzero(rising[:-1] != rising[1:]) + 1
+    turns = (rising[:-1] != rising[1:]).nonzero()[0] + 1
     first = 0 if turns.size and rising[0] else 1
     peaks = turns[first::2]
     if not peaks.size:
@@ -386,7 +414,7 @@ def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> li
         blocked = np.zeros(heights.size, dtype=bool)
         blocked[1:] = (heights[:-1] > heights[1:]) & (heights[1:] - valleys < p)
         blocked[:-1] |= (heights[1:] > heights[:-1]) & (heights[:-1] - valleys < p)
-        keep = np.flatnonzero(~blocked)
+        keep = (~blocked).nonzero()[0]
         # the merged valley between two kept peaks is the lowest of the
         # valleys they span, the right tail included
         gaps = np.minimum.reduceat(gaps, np.concatenate(([0], keep + 1)))
@@ -457,21 +485,25 @@ def q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     Each crossing is linearly interpolated in (f, dB) next to the sample
     nearest the peak at or below its level less 3 dB; the peak frequency
     and level are refined by a parabola through the three dB samples
-    around the maximum.  Only +-64 samples around the peak are converted
-    to dB, widened x4 until both crossings or the whole trace are inside.
+    around the maximum.  Only the samples near the peak are converted to
+    dB: +-max(64, len(trace) // 64) of them, which hold both crossings
+    at the first try when the trace spans at least ~32 bandwidths, and
+    the window is widened x4 until both crossings or the whole trace are
+    inside.
     """
     f = trace.freqs
     i = peak_index
     if i <= 0 or i >= len(f) - 1:
         raise InsufficientSpanError("left" if i <= 0 else "right", "peak at trace edge")
-    half = 64
+    half = max(64, len(f) // 64)
     while True:
         lo, hi = max(i - half, 0), min(i + half + 1, len(f))
         db = _db(trace.s21[lo:hi])
         k = i - lo
         target = db[k] - HALF_POWER_DB
-        left = np.flatnonzero(db[:k] <= target)
-        right = np.flatnonzero(db[k + 1:] <= target)
+        below = db <= target
+        left = below[:k].nonzero()[0]
+        right = below[k + 1:].nonzero()[0]
         if (left.size or lo == 0) and (right.size or hi == len(f)):
             break
         half *= 4
@@ -519,7 +551,7 @@ def fit_lorentzian(trace: FrequencyTrace, peak_index: int) -> Resonance:
         f_s, bandwidth = f[min(max(peak_index, 0), len(f) - 1)], f[-1] - f[0]
     h = 0.5 * FIT_WINDOW_BANDWIDTHS * bandwidth
     # freqs strictly increase, so the samples in [f_s - h, f_s + h] are one slice
-    window = slice(np.searchsorted(f, f_s - h), np.searchsorted(f, f_s + h, side="right"))
+    window = slice(f.searchsorted(f_s - h), f.searchsorted(f_s + h, side="right"))
     f = f[window]
     if len(f) < 4:
         raise FitFailureError("fewer than 4 samples in the fit window", fallback)

@@ -1,0 +1,103 @@
+"""A/B the benchmark: alternating pairs of runs, a git revision against the working tree.
+
+    python tests/bench_pairs.py --against HEAD --workload extract-sweep --seeds 12-21
+
+Each pair runs `perfbench/run.py --workload W --seed s --seconds S
+--trace 0` once on REF and once on the working tree, one run at a time;
+which side goes first alternates from pair to pair.  REF is extracted
+with `git archive` into a temporary directory, as `output_grid.py
+--against` does, and its own perfbench/ runs its own src/.  For every
+pair the script prints each end-to-end metric of both sides, whether
+the run was correct, its failed share and its count of KNOWN lines.
+Then, per metric: each side's median and quartiles, the number of
+pairs the working tree wins (BENCHMARK.json says which way is better),
+and whether the gap between the medians is wider than REF's quartile
+spread.  It exits 1 if a run fails or reads `correct: false`.  The
+script is not named test_*, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def seeds(text: str) -> list[int]:
+    """'12-21' or '3,5,8' as a list of seeds."""
+    if "-" in text:
+        first, last = (int(part) for part in text.split("-"))
+        return list(range(first, last + 1))
+    return [int(part) for part in text.split(",")]
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run on a checkout: its result line, with the stderr KNOWN count."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode:
+        raise SystemExit(f"{tree}: run exited {proc.returncode}\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    result["known"] = sum(line.startswith("KNOWN") for line in proc.stderr.splitlines())
+    return result
+
+
+def report(pairs: list[tuple[int, dict, dict]], ref: str) -> int:
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    names = [name for name in better if name in pairs[0][1]["metrics"]]
+    for seed, old, new in pairs:
+        cells = [f"{name} {old['metrics'][name]['value']:.6g} -> {new['metrics'][name]['value']:.6g}"
+                 for name in names]
+        runs = "; ".join(
+            f"{side}: correct {r['correct']}, failed {r['failed']}/{r['attempted']}, KNOWN {r['known']}"
+            for side, r in ((ref, old), ("tree", new))
+        )
+        print(f"seed {seed}: " + ", ".join(cells) + f" [{runs}]")
+    for name in names:
+        olds = [old["metrics"][name]["value"] for _, old, _ in pairs]
+        news = [new["metrics"][name]["value"] for _, _, new in pairs]
+        sign = 1.0 if better[name] == "higher" else -1.0
+        wins = sum(sign * (b - a) > 0 for a, b in zip(olds, news))
+        (o1, o2, o3), (n1, n2, n3) = (statistics.quantiles(v, n=4, method="inclusive") for v in (olds, news))
+        print(f"{name}: {ref} {o2:.6g} [{o1:.6g}, {o3:.6g}] -> tree {n2:.6g} [{n1:.6g}, {n3:.6g}]"
+              f" ({(n2 - o2) / o2:+.1%}), tree better in {wins} of {len(pairs)},"
+              f" median gap {abs(n2 - o2):.4g} {'>' if abs(n2 - o2) > o3 - o1 else '<='}"
+              f" {ref} quartile spread {o3 - o1:.4g}")
+    return 0 if all(r["correct"] for _, *sides in pairs for r in sides) else 1
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--against", default="HEAD", metavar="REF", help="git revision to compare with")
+    parser.add_argument("--workload", default="extract-sweep")
+    parser.add_argument("--seeds", type=seeds, default=seeds("12-21"), help="'12-21' or '3,5,8': one pair each")
+    parser.add_argument("--seconds", type=float, default=16.0)
+    args = parser.parse_args()
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two pairs")
+    pairs = []
+    with tempfile.TemporaryDirectory() as name:
+        archive = subprocess.run(["git", "archive", args.against], cwd=ROOT, check=True,
+                                 stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", name], input=archive, check=True)
+        for k, seed in enumerate(args.seeds):
+            trees = [Path(name), ROOT]
+            sides = {}
+            for side in (0, 1) if k % 2 == 0 else (1, 0):
+                sides[side] = run(trees[side], args.workload, seed, args.seconds)
+            pairs.append((seed, sides[0], sides[1]))
+            print(f"pair {k + 1} of {len(args.seeds)} done", file=sys.stderr, flush=True)
+    return report(pairs, args.against)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

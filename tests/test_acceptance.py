@@ -204,6 +204,8 @@ VALID_CORPUS = [
     ("ri_tabs", "# HZ	S	RI	R	50\n1e9\t0.1\t0\t0.5\t0\t0.5\t0\t0.1\t0\n2e9\t0\t0\t0.25\t0\t0.25\t0\t0\t0\n"),
     ("option_any_order", "# S RI R 50 GHZ\n7.5 0.1 0 0.5 0.2 0.5 0.2 0.1 0\n7.6 0.1 0 0.4 0.3 0.4 0.3 0.1 0\n"),
     ("option_defaults", "#\n7.5 0.1 0 0.5 20 0.5 20 0.1 0\n7.6 0.1 0 0.4 30 0.4 30 0.1 0\n"),
+    ("noise_block", "# GHZ S MA R 50\n7.5 0.1 0 0.5 20 0.5 20 0.1 0\n7.6 0.1 0 0.4 30 0.4 30 0.1 0\n"
+     "! noise parameters\n7.5 1.2 0.3 45 0.4\n7.6 1.3 0.31 50 0.41\n"),
 ]
 
 MALFORMED_CORPUS = [
@@ -219,6 +221,10 @@ MALFORMED_CORPUS = [
     ("frequency_overflows_in_hz", "# GHZ S RI R 50\n1e300 0 0 0.5 0 0 0 0 0\n", 2),
     ("nan_in_data_row", "# HZ S RI R 50\n1e9 0 0 nan 0 0 0 0 0\n", 2),
     ("inf_in_data_row", "# HZ S RI R 50\n1e9 0 0 0.5 0 0 0 0 0\n2e9 0 0 0.5 0 0 0 0 -inf\n", 3),
+    ("noise_row_short", "# HZ S RI R 50\n1e9 0 0 0.5 0 0 0 0 0\n2e9 0 0 0.5 0 0 0 0 0\n"
+     "1e9 1.2 0.3 45 0.4\n2e9 1.3 0.31 50\n", 5),
+    ("noise_non_increasing", "# HZ S RI R 50\n1e9 0 0 0.5 0 0 0 0 0\n2e9 0 0 0.5 0 0 0 0 0\n"
+     "1e9 1.2 0.3 45 0.4\n2e9 1.3 0.31 50 0.41\n2e9 1.4 0.32 55 0.42\n", 6),
 ]
 
 

@@ -191,8 +191,8 @@ def touchstone_texts(draw):
             a = draw(st.one_of(zeros, first))
             b = draw(st.one_of(zeros, second))
             cells += [_number_text(draw, a), _number_text(draw, b)]
-        if kind == "short_row":
-            cells = cells[: draw(st.integers(1, 8))]
+        if kind == "short_row":  # never 5 numbers, which may start a noise block
+            cells = cells[: draw(st.sampled_from([1, 2, 3, 4, 6, 7, 8]))]
         elif kind == "long_row":
             cells.append("0")
         elif kind == "bad_token":
@@ -228,13 +228,19 @@ class TestParseDifferential:
       generated values never overflow;
     * a '_' digit separator ('1_0') is a bad number at its line, as the
       Touchstone grammar has none; the generator does make such tokens,
-      and the reference reads them with '_' replaced by an invalid '@'.
+      and the reference reads them with '_' replaced by an invalid '@';
+    * a 5-number row whose frequency is not above the last S row's starts
+      a noise-parameter block, which ends the S data (the old parser
+      rejected every 5-number row); generated short rows never have 5
+      numbers, and a 5-number row whose frequency increases is pinned
+      as an example: both parsers reject it.
     """
 
     @given(text=touchstone_texts(), as_bytes=st.booleans())
     @example(text="# HZ S MA R 50\n1e9 0 90 0 -90 0 0 0 0\n", as_bytes=True)  # zero parts' signs
     @example(text="# HZ S RI R 50\n1e9 0 0 1_0 0 0 0 0 0\n", as_bytes=True)
     @example(text="! comments only\n# HZ S RI R 50\n! no data\n", as_bytes=False)
+    @example(text="# HZ S RI R 50\n1e9 0 0 0.5 0 0 0 0 0\n2e9 1.2 0.3 45 0.4\n", as_bytes=False)
     @settings(max_examples=300, deadline=None)
     def test_matches_the_row_by_row_parser(self, text, as_bytes):
         def encode(t):
@@ -267,6 +273,51 @@ class TestParseDifferential:
             with pytest.raises(TouchstoneParseError, match="no data rows") as err:
                 parse_touchstone(b"# HZ S RI R 50\n! nothing\n\n")
         assert err.value.line == 3
+
+
+class TestNoiseBlock:
+    """A Touchstone v1 noise-parameter block ends the S data: it starts at
+    the first 5-number row whose frequency is not above the last S row's."""
+
+    S_ROWS = "# GHZ S RI R 50\n7.5 0.1 0 0.5 0.2 0.5 0.2 0.1 0\n7.6 0.1 0 0.4 0.3 0.4 0.3 0.1 0\n"
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            "7.5 1.2 0.3 45 0.4\n7.6 1.3 0.31 50 0.41\n",
+            "! noise\n7.6 1.2 0.3 45 0.4 ! same f as the last S row\n\n",
+            "1 1.2 0.3 45 0.4\n1e3 -1e300 0 0 0\n",
+        ],
+        ids=["below", "equal-with-comments", "far-below"],
+    )
+    def test_block_is_checked_and_not_read(self, noise):
+        assert _outcome(parse_touchstone, self.S_ROWS + noise) == _outcome(parse_touchstone, self.S_ROWS)
+
+    @pytest.mark.parametrize(
+        "noise,line,needle",
+        [
+            ("7.5 1.2 0.3 45\n", 4, "expected 9 numbers per row, got 4"),
+            ("7.7 1.2 0.3 45 0.4\n", 4, "expected 9 numbers per row, got 5"),
+            ("7.5 1.2 0.3 45 0.4\n7.6 1.3 0.31 50\n", 5, "expected 5 numbers per noise-parameter row, got 4"),
+            ("7.5 1.2 0.3 45 0.4\n7.7 0.1 0 0.5 0.2 0.5 0.2 0.1 0\n", 5, "expected 5 numbers per noise"),
+            ("7.5 1.2 0.3 45 0.4\n7.5 1.3 0.31 50 0.41\n", 5, "not strictly increasing"),
+            ("7.5 1.2 0.3 45 0.4\n7.6 1.3 inf 50 0.41\n", 5, "non-finite number in noise-parameter row"),
+            ("7.5 1.2 0.3 45 0.4\n7.6 1.3 0.3_1 50 0.41\n", 5, "bad number"),
+            ("7.5 1.2 0.3 45 0.4\n# GHZ S RI R 50\n", 5, "multiple option lines"),
+            ("half 1.2 0.3 45 0.4\n", 4, "expected 9 numbers per row, got 5"),
+        ],
+        ids=["short-s-row", "increasing-5-numbers", "short-noise-row", "s-row-after-block",
+             "repeat-noise-f", "non-finite-noise", "bad-noise-number", "option-in-block", "bad-frequency"],
+    )
+    def test_bad_rows_rejected_at_their_line(self, noise, line, needle):
+        with pytest.raises(TouchstoneParseError, match=needle) as err:
+            parse_touchstone(self.S_ROWS + noise)
+        assert err.value.line == line
+
+    def test_no_block_without_s_rows(self):
+        with pytest.raises(TouchstoneParseError, match="expected 9 numbers per row, got 5") as err:
+            parse_touchstone("# GHZ S RI R 50\n7.5 1.2 0.3 45 0.4\n")
+        assert err.value.line == 2
 
 
 class TestOptionLine:
@@ -790,6 +841,14 @@ class TestPeakLocalQ:
     @example(1001, 500.0, 40.0, 0.7, None, 0, 0, 0, 0, 0.5)
     # crossings ~1250 samples out: the window grows three times
     @example(5000, 500.0, 2.0, 0.0, -90.0, 0, 0, 0, 4, 0.5)
+    # the first window is +-625 samples at 40001 points: peaks 50 samples
+    # from an edge, a crossing on the first (last) sample itself
+    @example(40001, 500.0, 400.0, 0.49875, None, 0, 0, 0, 0, 0.5)
+    @example(40001, 500.0, 400.0, -0.49875, None, 0, 0, 0, 0, 0.5)
+    # crossings ~2000 samples out, past the first window: it must still grow
+    @example(40001, 500.0, 10.0, 0.0, -90.0, 0, 0, 0, 5, 0.5)
+    # a trace shorter than one first window
+    @example(100, 500.0, 10.0, 0.1, None, 0, 0, 0, 0, 0.5)
     def test_matches_the_whole_trace_versions(
         self, n, q_loaded, span_bw, offset, noise_db, levels, zeros, spikes, seed, pick
     ):
@@ -817,11 +876,12 @@ class TestPeakLocalQ:
             reference_fit_lorentzian, edged, peak + 1
         )
 
-    @pytest.mark.parametrize("n_points", [4001, 40001])
+    @pytest.mark.parametrize("n_points", [4001, 10001, 20001, 40001])
     def test_converts_only_samples_near_the_peak(self, monkeypatch, n_points):
         # the same resonance over 40 bandwidths, so a bandwidth is n_points / 40
-        # samples; the window stops growing at the first half-width past the
-        # crossings, < 2 bandwidths, and all windows together hold < 6
+        # samples and each crossing lies half a bandwidth from the peak: the
+        # first window, +-max(64, n_points // 64) samples, holds both, so one
+        # conversion of < 6 bandwidths' worth of samples does
         trace = lorentz_trace(7.5e9, 500.0, 0.5, n_points, span_bw=40.0)
         peak = find_resonances(trace)[0]
         converted = []
@@ -830,6 +890,7 @@ class TestPeakLocalQ:
         for extract in (q_3db, fit_lorentzian):
             converted.clear()
             extract(trace, peak)
+            assert len(converted) == 1
             assert 0 < sum(converted) <= 6 * n_points / 40
             assert max(converted) < n_points
 
