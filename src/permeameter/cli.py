@@ -16,9 +16,9 @@ schema does not list, or a key repeated in one JSON object is a config
 error that names its key.  The choice keys (extraction.q_method,
 interaction, model) take one of the strings CHOICES lists, and the
 error reads "extraction.<key> must be one of [...]".  synth and compare
-check the synth values that shape the traces (q0_empty and
-span_bandwidths > 0, il_linear in (0, 1), a finite sweep whose edges
-differ) and name the keys too.
+check the synth values that shape the traces (q0_empty > 0,
+span_bandwidths >= 6, il_linear in (0, 1), a finite sweep above 0 Hz
+whose edges differ) and name the keys too.
 
 Exit codes: 0 success, 2 config/parse error, 3 no usable resonance (none
 found, none pairable, or its Q could not be read), 4 unphysical
@@ -64,7 +64,7 @@ from .perturbation import (
 )
 # imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
 from .perturbation import geometry_factor_derived, sample_energy_quadrature  # noqa: F401
-from .synth import SynthConfig, campaign_traces, synth_campaign
+from .synth import MARGIN_BANDWIDTHS, SynthConfig, campaign_traces, synth_campaign
 from .traceio import (
     FrequencyTrace,
     Resonance,
@@ -387,17 +387,17 @@ def _pair_report(
 def _roster_traces(cfg: RunConfig, roster: list[dict], g: GeometryFactor) -> dict[str, FrequencyTrace]:
     """Empty-cavity and per-material traces of the roster, in memory.
 
-    The sweep is centered on the modeled empty resonance and spans
-    span_bandwidths of its loaded bandwidth.  campaign_traces widens it
-    where a modelled loaded resonance inside it is too broad for the
-    3-bandwidth margin, as with axial-hx or both-components on a lossy
-    material; a resonance shifted out of the sweep is still an error.
+    The empty sweep is centered on the modeled empty resonance and spans
+    span_bandwidths of its loaded bandwidth, at least the 3-bandwidth
+    margin on each side; campaign_traces re-centres it on each loaded
+    resonance, in that resonance's bandwidths.
     """
     syn = cfg.synth
     for key, valid, bound in (
         ("q0_empty", syn.q0_empty > 0, "> 0"),
         ("il_linear", 0 < syn.il_linear < 1, "in (0, 1)"),
-        ("span_bandwidths", syn.span_bandwidths > 0, "> 0"),
+        ("span_bandwidths", syn.span_bandwidths >= 2 * MARGIN_BANDWIDTHS,
+         f">= {2 * MARGIN_BANDWIDTHS:g} ({MARGIN_BANDWIDTHS:g} bandwidths of margin on each side)"),
     ):
         if not valid:
             raise ConfigurationError(f"synth.{key} must be {bound}")
@@ -406,11 +406,11 @@ def _roster_traces(cfg: RunConfig, roster: list[dict], g: GeometryFactor) -> dic
     empty = Resonance(f0, q0 * (1.0 - syn.il_linear), q0, syn.il_linear, method="model")
     span = syn.span_bandwidths * f0 / empty.q_loaded
     f_start, f_stop = f0 - span / 2.0, f0 + span / 2.0
-    if not (math.isfinite(f_start) and math.isfinite(f_stop) and f_start < f_stop):
+    if not (math.isfinite(f_stop) and 0 < f_start < f_stop):
         raise ConfigurationError(
             f"synth.span_bandwidths = {syn.span_bandwidths:g} bandwidths at "
-            f"synth.q0_empty = {q0:g} give a sweep of {span:g} Hz; it must be finite "
-            f"and wide enough that its edges around {f0:g} Hz differ"
+            f"synth.q0_empty = {q0:g} give a sweep of {span:g} Hz; it must be finite, "
+            f"start above 0 Hz and be wide enough that its edges around {f0:g} Hz differ"
         )
     sweep = _built(
         SynthConfig, "synth", f_start, f_stop,

@@ -4,12 +4,13 @@ Stands in for a full-wave solver at desk scale: the perturbation model
 maps a material to a resonance shift, and a single-resonance Lorentzian
 with optional seeded noise renders the scattering trace.  Coupling
 (insertion loss) is held constant between empty and loaded states.
+Each loaded trace spans the empty trace's window in its own bandwidths,
+centred on its own resonance, as an operator re-centres the analyzer.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,8 +43,8 @@ class SynthConfig:
     il_linear: float = 0.3
 
     def __post_init__(self):
-        if not self.f_start < self.f_stop:
-            raise ConfigurationError("f_start must be < f_stop")
+        if not 0 < self.f_start < self.f_stop:
+            raise ConfigurationError("f_start must be > 0 and < f_stop")
         if self.n_points < 101:
             raise ConfigurationError("n_points must be >= 101")
         if self.noise_floor_db is not None and not self.noise_floor_db < -20:
@@ -95,10 +96,6 @@ def _loaded(
 MARGIN_BANDWIDTHS = 3.0
 
 
-def _margin(res: Resonance) -> float:
-    return MARGIN_BANDWIDTHS * (res.f0 / res.q_loaded)
-
-
 def lorentzian_trace(res: Resonance, cfg: SynthConfig) -> FrequencyTrace:
     """Single-resonance transmission trace on a uniform frequency grid.
 
@@ -107,7 +104,9 @@ def lorentzian_trace(res: Resonance, cfg: SynthConfig) -> FrequencyTrace:
     is complex Gaussian with RMS 10^(noise_floor_db/20), reproducible
     for a fixed seed.
     """
-    margin = _margin(res)
+    # to 1 part in 10^9, so that rounding cannot fail a window built at
+    # exactly MARGIN_BANDWIDTHS a side for a Q_L below ~10^6
+    margin = MARGIN_BANDWIDTHS * (1.0 - 1e-9) * (res.f0 / res.q_loaded)
     if not (cfg.f_start + margin <= res.f0 <= cfg.f_stop - margin):
         raise ConfigurationError(
             f"resonance at {res.f0:.6g} Hz needs {MARGIN_BANDWIDTHS:g} bandwidths "
@@ -142,42 +141,29 @@ def campaign_traces(
     Each loaded resonance is the one forward_load predicts for geometry
     factor g and the cavity's mu_rs.  Returns {label: trace}; the empty
     trace is keyed "empty".  Labels may not collide with it or each other.
-    Every trace shares one grid: cfg's, widened where a modelled resonance
-    inside it lacks the margin that lorentzian_trace demands (see _widened).
+    The empty trace is rendered on cfg, and each loaded one on cfg's
+    window re-centred on its own resonance in its own bandwidths bw =
+    f0/Q_L, f -> f0 + (f - f0_empty) bw/bw_empty, as an operator
+    re-centres the analyzer.  A window reaching 0 Hz names its material.
     """
     labels = [name for name, _ in sample_table]
     if len(set(labels)) != len(labels) or "empty" in labels:
         raise ConfigurationError("material labels must be unique and not 'empty'")
 
-    resonances = {"empty": empty}
+    traces = {"empty": lorentzian_trace(empty, replace(cfg, seed=_item_seed(cfg.seed, "empty")))}
     for name, mu_r in sample_table:
-        resonances[name] = _loaded(mu_r, mu_rs, g, empty)
-    sweep = _widened(cfg, resonances.values())
-    return {
-        label: lorentzian_trace(res, replace(sweep, seed=_item_seed(cfg.seed, label)))
-        for label, res in resonances.items()
-    }
-
-
-def _widened(cfg: SynthConfig, resonances: Iterable[Resonance]) -> SynthConfig:
-    """cfg with each edge moved out only as far as a resonance needs.
-
-    A resonance inside the sweep that lacks MARGIN_BANDWIDTHS on one side
-    moves that edge to one bandwidth beyond its margin, so rounding cannot
-    fail the margin check of lorentzian_trace.  A resonance outside the
-    sweep moves nothing and is left for that check to reject.
-    """
-    f_start, f_stop = cfg.f_start, cfg.f_stop
-    for res in resonances:
-        if not cfg.f_start < res.f0 < cfg.f_stop:
-            continue
-        margin = _margin(res)
-        reach = margin + res.f0 / res.q_loaded
-        if cfg.f_start + margin > res.f0:
-            f_start = min(f_start, res.f0 - reach)
-        if res.f0 > cfg.f_stop - margin:
-            f_stop = max(f_stop, res.f0 + reach)
-    return replace(cfg, f_start=f_start, f_stop=f_stop)
+        res = _loaded(mu_r, mu_rs, g, empty)
+        scale = (res.f0 / res.q_loaded) / (empty.f0 / empty.q_loaded)
+        f_start = res.f0 + (cfg.f_start - empty.f0) * scale
+        f_stop = res.f0 + (cfg.f_stop - empty.f0) * scale
+        if not 0 < f_start:
+            raise ConfigurationError(
+                f"material {name!r}: its sweep, re-centred on {res.f0:.6g} Hz, "
+                f"starts at {f_start:.6g} Hz; it must start above 0 Hz"
+            )
+        sweep = replace(cfg, f_start=f_start, f_stop=f_stop, seed=_item_seed(cfg.seed, name))
+        traces[name] = lorentzian_trace(res, sweep)
+    return traces
 
 
 def synth_campaign(traces: dict[str, FrequencyTrace], out_dir: str | Path) -> dict[str, Path]:

@@ -47,6 +47,9 @@ OPTION_TOKENS = {**dict.fromkeys(FREQ_UNITS, "unit"), **dict.fromkeys(FORMATS, "
 HALF_POWER_DB = 10.0 * math.log10(2.0)  # 3.0103 dB
 DB_FLOOR = -400.0  # clamp for log of zero magnitudes
 
+#: Least prominence of a |S21| maximum that find_resonances reports, in dB.
+MIN_PROMINENCE_DB = 3.0
+
 #: Pairing guard band: loaded resonance must sit within this fraction
 #: of the empty resonance frequency.
 PAIRING_GUARD = 0.10
@@ -338,10 +341,15 @@ def write_touchstone(trace: FrequencyTrace, fmt: str = "RI") -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> list[int]:
-    """Indices of |S21| (dB) local maxima with at least the given prominence.
+def find_resonances(trace: FrequencyTrace) -> list[int]:
+    """Indices of |S21| (dB) peaks of prominence >= MIN_PROMINENCE_DB; see _prominent_peaks."""
+    return _prominent_peaks(trace.s21_db, MIN_PROMINENCE_DB)
 
-    The rule is that of ``scipy.signal.find_peaks(s21_db, prominence=p)``,
+
+def _prominent_peaks(db: np.ndarray, p: float) -> list[int]:
+    """Indices of the local maxima of db with a prominence of at least p > 0.
+
+    The rule is that of ``scipy.signal.find_peaks(db, prominence=p)``,
     and the indices are the same on every trace:
 
     * a peak is a sample, or a plateau of equal samples, with a strictly
@@ -376,9 +384,7 @@ def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> li
 
     Sorted by frequency.
     """
-    if not min_prominence_db > 0:
-        raise InvalidGeometryError("min_prominence_db must be > 0")
-    db = trace.s21_db
+    size = db.size
     step = db[1:] - db[:-1]  # np.diff without its wrapper
     runs = None
     if not step.all():
@@ -397,7 +403,6 @@ def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> li
     if not peaks.size:
         return []
     heights = db[peaks]
-    p = min_prominence_db
     # gaps[k]: lowest sample between peak k-1 (or the left edge) and peak k;
     # gaps[-1]: lowest sample right of the last peak.  A minimum between
     # an edge and its nearest peak is the first (last) turn, and a peak
@@ -427,7 +432,7 @@ def find_resonances(trace: FrequencyTrace, min_prominence_db: float = 3.0) -> li
     right = _base_levels(levels[::-1], gaps[:0:-1])[::-1]
     found = peaks[heights - np.maximum(left, right) >= p]
     if runs is not None:
-        ends = np.append(runs[1:], len(trace)) - 1
+        ends = np.append(runs[1:], size) - 1
         found = (runs[found] + ends[found]) // 2
     return [int(i) for i in found]
 
@@ -614,7 +619,8 @@ def pair_resonances(
     Each empty resonance, in frequency order, takes the closest unused
     loaded one if it lies within +-PAIRING_GUARD (10 %) of the empty
     frequency; every resonance is used at most once.
-    Raises NoPairableResonanceError when nothing pairs.
+    Raises NoPairableResonanceError when nothing pairs, saying how far
+    the nearest loaded resonance lies.
     """
     pairs: list[tuple[Resonance, Resonance]] = []
     remaining = list(loaded)
@@ -626,7 +632,10 @@ def pair_resonances(
             pairs.append((e, best))
             remaining.remove(best)
     if not pairs:
+        gaps = [abs(r.f0 - e.f0) / e.f0 for e in empty for r in loaded]
+        nearest = f"; the nearest lies {min(gaps):.3g} of its f0 away" if gaps else ""
         raise NoPairableResonanceError(
-            f"no loaded resonance within {PAIRING_GUARD:.0%} of an empty one"
+            f"no loaded resonance within {PAIRING_GUARD:.0%} of an empty one, "
+            f"the perturbation model's guard{nearest}"
         )
     return pairs

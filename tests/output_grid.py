@@ -20,12 +20,13 @@ x 2 Q methods x n = 4 x {-90, -60 dB}, where ~10^4 noise maxima take
 several pruning passes, the 3-dB window grows and the fit window holds
 ~5000 samples.  So that it adds only ~30 s, it runs `extract` (with and
 without --json) on the first material pair only; compare still
-extracts every material.  The grid prints 3277 lines.
+extracts every material.  The grid prints 3289 lines.
 One line per output gives the config, the verb, the exit code and the
 sha256 of stdout and of stderr, with the temporary directory replaced by
 a fixed token; each written .s2p and CSV file gets a line with its
-sha256 as well.  Extra cases at the end cover configs that fail in more
-than one way, where only the exit code is promised to stay the same.
+sha256 as well.  Extra cases at the end cover configs that fail, two of
+them in more than one way, where only the exit code is promised to stay
+the same.
 
 To check that a change keeps outputs byte-identical, pass `--against`
 a git revision such as HEAD: its `src/` is extracted with `git archive`
@@ -65,12 +66,15 @@ NOISE_FLOORS_DB = (None, -90.0, -60.0)
 LONG_N_POINTS = 40001
 LONG_NOISE_FLOORS_DB = (-90.0, -60.0)
 
-# (label, config patch, roster): each fails on the geometry and on one other check
+# (label, config patch, roster): the first two fail on the geometry and on one
+# other check; the sweep of the last two reaches 0 Hz or lacks the 3-bandwidth margins
 EXTRA_CASES = [
     ("duplicate-labels+oversize-sample", {"sample": {"extent_x_l1_mm": 40.0}},
      [{"name": "A", "mu_re": 1.2}, {"name": "A", "mu_re": 1.3}]),
     ("short-sweep+oversize-sample", {"sample": {"extent_x_l1_mm": 40.0}, "synth": {"n_points": 50}},
      TABLE_MATERIALS),
+    ("zero-hz-sweep", {"synth": {"q0_empty": 30.0, "il_linear": 0.5}}, TABLE_MATERIALS),
+    ("narrow-span", {"synth": {"span_bandwidths": 5.0}}, TABLE_MATERIALS),
 ]
 
 

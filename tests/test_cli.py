@@ -159,7 +159,9 @@ class TestSynth:
     def test_failing_roster_writes_no_files(
         self, capsys, tmp_path, config_file, materials_file
     ):
-        # the middle material shifts the resonance out of the sweep window
+        # on a lossy substrate (mu_rs = 1 - 2j) the middle material, lossless
+        # with a huge mu', takes away more loss than the cavity has: the
+        # model predicts a Q that is not positive
         roster = [
             {"name": "U", "mu_re": 1.2, "tan_dm": 0.04},
             {"name": "huge", "mu_re": 1e4},
@@ -167,11 +169,28 @@ class TestSynth:
         ]
         out_dir = tmp_path / "camp"
         code, _, err = run(
+            capsys, "--config", str(config_file(cavity={"mu_rs": [1.0, -2.0]})), "synth",
+            "--materials", str(materials_file(roster)), "--out-dir", str(out_dir),
+        )
+        assert (code, err) == (2, "error: predicted unloaded Q is not positive\n")
+        assert list(out_dir.glob("*.s2p")) == []
+
+    def test_loaded_sweep_reaching_zero_hz_exit_2_names_the_material(
+        self, capsys, tmp_path, config_file, materials_file
+    ):
+        # Q_L ~ 6: re-centred, the 20 bandwidths below its f0 reach below 0 Hz
+        roster = [
+            {"name": "U", "mu_re": 1.2, "tan_dm": 0.04},
+            {"name": "lossy", "mu_re": 1.5, "mu_im": 1e4},
+        ]
+        out_dir = tmp_path / "camp"
+        code, out, err = run(
             capsys, "--config", str(config_file()), "synth",
             "--materials", str(materials_file(roster)), "--out-dir", str(out_dir),
         )
-        assert code == 2 and "margin" in err
-        assert list(out_dir.glob("*.s2p")) == []
+        assert (code, out) == (2, "")
+        assert "material 'lossy'" in err and "above 0 Hz" in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("name", ["Ni/Zn", "a\u0000b"], ids=["slash", "nul"])
     def test_name_that_cannot_be_a_file_name_writes_no_files(
@@ -429,13 +448,15 @@ class TestCompare:
             assert row["mu_re_modified"] == pair["mu_re"]
             assert row["tan_dm_modified"] == pair["tan_dm"]
 
+    @pytest.mark.parametrize("span", [40.0, 6.0])
     @pytest.mark.parametrize("interaction", ["axial-hx", "both-components"])
-    def test_broad_loaded_resonance_widens_the_sweep(
-        self, capsys, tmp_path, config_file, materials_file, interaction
+    def test_broad_loaded_resonance_gets_its_own_sweep(
+        self, capsys, tmp_path, config_file, materials_file, interaction, span
     ):
-        # g ~ 0.032: lossy W (Q_L ~ 110) lacks the 3-bandwidth margin inside
-        # the span_bandwidths window of the empty resonance
-        cfg = str(config_file(extraction={"interaction": interaction}))
+        # g ~ 0.032: lossy W (Q_L ~ 110) would lack the 3-bandwidth margin on
+        # the empty trace's grid; at span_bandwidths 6 every trace has
+        # exactly that margin, and rounding must not fail it
+        cfg = str(config_file(extraction={"interaction": interaction}, synth={"span_bandwidths": span}))
         code, out, err = run(capsys, "--config", cfg, "--json", "compare",
                              "--materials", str(materials_file()),
                              "--out-csv", str(tmp_path / "t.csv"))
@@ -698,7 +719,10 @@ class TestQuadcheck:
         # a synth value out of range names its key, not the trace value it leads to
         ({"synth": {"il_linear": 1.2}}, None, "synth.il_linear must be in (0, 1)"),
         ({"synth": {"q0_empty": -1}}, None, "synth.q0_empty must be > 0"),
-        ({"synth": {"span_bandwidths": 0}}, None, "synth.span_bandwidths must be > 0"),
+        ({"synth": {"span_bandwidths": 0}}, None, "synth.span_bandwidths must be >= 6"),
+        # narrower than the 3-bandwidth margin on each side of the resonance
+        ({"synth": {"span_bandwidths": 5.99}}, None,
+         "synth.span_bandwidths must be >= 6 (3 bandwidths of margin on each side)"),
         # a choice is one of its listed strings; a list, null or object is none of them
         ({"extraction": {"q_method": ["three-db"]}}, None,
          "extraction.q_method must be one of ['lorentzian-fit', 'three-db']"),
@@ -755,12 +779,23 @@ def test_infinite_sweep_exit_2_names_both_keys(capsys, tmp_path, config_file, ma
 def test_unresolved_sweep_exit_2_names_both_keys(capsys, tmp_path, config_file, materials_file):
     # f0 -+ span/2 both round to f0, so the sweep has no width at all
     code, out, err = run(
-        capsys, "--config", str(config_file(synth={"span_bandwidths": 1e-300})), "compare",
+        capsys, "--config", str(config_file(synth={"q0_empty": 1e300})), "compare",
         "--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv"),
     )
     assert (code, out) == (2, "")
     assert "synth.span_bandwidths" in err and "synth.q0_empty" in err
     assert "f_start" not in err
+
+
+def test_sweep_reaching_zero_hz_exit_2_names_both_keys(capsys, tmp_path, config_file, materials_file):
+    # Q_L = 15: 20 bandwidths below f0 reach 2.5 GHz below 0 Hz
+    code, out, err = run(
+        capsys, "--config", str(config_file(synth={"q0_empty": 30, "il_linear": 0.5})), "compare",
+        "--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert "synth.span_bandwidths" in err and "synth.q0_empty" in err
+    assert "start above 0 Hz" in err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -151,8 +151,9 @@ class TestLorentzianTrace:
         assert fits[0] != fits[1]
 
     def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            SynthConfig(2e9, 1e9, 1001, None, 0, 0.5)
+        for f_start, f_stop in ((2e9, 1e9), (0.0, 2e9), (-1e9, 2e9)):
+            with pytest.raises(ConfigurationError, match="f_start must be > 0 and < f_stop"):
+                SynthConfig(f_start, f_stop, 1001, None, 0, 0.5)
         with pytest.raises(ConfigurationError):
             SynthConfig(1e9, 2e9, 51, None, 0, 0.5)
         with pytest.raises(ConfigurationError):
@@ -207,37 +208,56 @@ class TestCampaign:
                 [("empty", ComplexPermeability(1.2, 0.0))],
             )
 
-    def test_sweep_widens_only_where_a_resonance_lacks_margin(
-        self, worked_cavity, worked_sample, mode4, empty_resonance
+    @pytest.mark.parametrize("choice", list(InteractionChoice))
+    def test_each_trace_spans_the_empty_window_in_its_own_bandwidths(
+        self, worked_cavity, worked_sample, mode4, empty_resonance, choice
     ):
+        # axial-hx and both-components broaden lossy W to Q_L ~ 110, which
+        # would lack its 3-bandwidth margin on the empty trace's grid
+        table = self.table() + [("W", ComplexPermeability.from_loss_tangent(1.6, 0.1))]
         cfg = sweep_for(empty_resonance)
-        grid = np.linspace(cfg.f_start, cfg.f_stop, cfg.n_points)
-        traces = self.traces(
-            worked_cavity, worked_sample, mode4, empty_resonance, self.table()
-        )
-        assert all(np.array_equal(t.freqs, grid) for t in traces.values())
-        # axial-hx: a lossy bar broadens and pulls the loaded resonance down
-        # until the low edge lacks 3 of its bandwidths
-        lossy = [("W", ComplexPermeability.from_loss_tangent(1.6, 0.1))]
-        g = geometry_factor(
-            worked_cavity, worked_sample, mode4, choice=InteractionChoice.AXIAL_HX
-        )
-        traces = campaign_traces(lossy, empty_resonance, cfg, g, worked_cavity.mu_rs)
-        freqs = traces["W"].freqs
-        assert freqs[0] < cfg.f_start and freqs[-1] == cfg.f_stop
-        assert np.array_equal(traces["empty"].freqs, freqs)
+        g = geometry_factor(worked_cavity, worked_sample, mode4, choice=choice)
+        traces = campaign_traces(table, empty_resonance, cfg, g, worked_cavity.mu_rs)
+        empty = traces["empty"].freqs
+        assert np.array_equal(empty, np.linspace(cfg.f_start, cfg.f_stop, cfg.n_points))
 
-    def test_sweep_narrower_than_the_margins_widens_both_edges(
+        def in_bandwidths(freqs, res):
+            return (freqs - res.f0) * res.q_loaded / res.f0
+
+        expected = in_bandwidths(empty, empty_resonance)
+        for name, mu in table:
+            res = forward_load(
+                worked_cavity, worked_sample, mode4, mu, empty_resonance, choice=choice
+            )
+            freqs = traces[name].freqs
+            assert freqs.size == empty.size
+            np.testing.assert_allclose(in_bandwidths(freqs, res), expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("choice", list(InteractionChoice))
+    def test_window_of_exactly_the_margins_passes_despite_rounding(
+        self, worked_cavity, worked_sample, mode4, choice
+    ):
+        # 6 bandwidths leave every resonance exactly 3 on each side; an edge
+        # an ulp short of them must not fail the margin check
+        f0 = resonant_frequency(worked_cavity, mode4)
+        table = self.table() + [("W", ComplexPermeability.from_loss_tangent(1.6, 0.1))]
+        g = geometry_factor(worked_cavity, worked_sample, mode4, choice=choice)
+        for q_loaded in np.linspace(200.0, 5000.0, 25):
+            empty = Resonance.from_loaded(f0, q_loaded, 0.3, "model")
+            cfg = sweep_for(empty, n_points=101, span_bw=6.0)
+            traces = campaign_traces(table, empty, cfg, g, worked_cavity.mu_rs)
+            assert len(traces) == 1 + len(table)
+
+    def test_window_reaching_zero_hz_names_the_material(
         self, worked_cavity, worked_sample, mode4, empty_resonance
     ):
-        # 4 bandwidths leave the empty resonance 1 short of its 3 on each
-        # side, so each edge moves to 1 bandwidth beyond the margin
-        bandwidth = empty_resonance.f0 / empty_resonance.q_loaded
-        cfg = sweep_for(empty_resonance, n_points=1001, span_bw=4.0)
+        # Q_L ~ 6: 20 of its bandwidths below f0 reach below 0 Hz
+        table = self.table() + [("lossy", ComplexPermeability(1.5, 1.0e4))]
         g = geometry_factor(worked_cavity, worked_sample, mode4)
-        freqs = campaign_traces([], empty_resonance, cfg, g, worked_cavity.mu_rs)["empty"].freqs
-        assert freqs[0] == pytest.approx(empty_resonance.f0 - 4.0 * bandwidth, rel=1e-12)
-        assert freqs[-1] == pytest.approx(empty_resonance.f0 + 4.0 * bandwidth, rel=1e-12)
+        with pytest.raises(ConfigurationError, match="material 'lossy'.*above 0 Hz"):
+            campaign_traces(
+                table, empty_resonance, sweep_for(empty_resonance), g, worked_cavity.mu_rs
+            )
 
     @pytest.mark.parametrize("choice", list(InteractionChoice))
     def test_loaded_resonances_are_forward_load_bit_for_bit(

@@ -32,7 +32,7 @@ from permeameter.errors import (
     PermeameterError,
     TouchstoneParseError,
 )
-from permeameter.traceio import FORMATS, FREQ_UNITS
+from permeameter.traceio import FORMATS, FREQ_UNITS, _prominent_peaks
 
 FLOAT_MAX = np.finfo(float).max
 
@@ -520,21 +520,17 @@ class TestFindResonances:
 
     def test_two_mode_trace(self):
         trace = two_peak_trace()
-        peaks = find_resonances(trace, 20.0)
+        peaks = find_resonances(trace)
         assert len(peaks) == 2
         np.testing.assert_allclose(trace.freqs[peaks], [3.77e9, 7.53e9], rtol=1e-12)
 
     def test_threshold_above_tallest(self):
-        assert find_resonances(two_peak_trace(), 80.0) == []
+        assert _prominent_peaks(two_peak_trace().s21_db, 80.0) == []
 
     def test_db_offset_invariance(self):
         trace = two_peak_trace()
         shifted = FrequencyTrace(trace.freqs, trace.s21 * 10 ** (-12 / 20))
-        assert find_resonances(shifted, 20.0) == find_resonances(trace, 20.0)
-
-    def test_prominence_validation(self):
-        with pytest.raises(InvalidGeometryError):
-            find_resonances(two_peak_trace(), 0.0)
+        assert find_resonances(shifted) == find_resonances(trace)
 
     # find_resonances promises scipy's find_peaks(prominence=p) peaks exactly;
     # coarse levels make plateaus, ties and equal neighbouring maxima common
@@ -572,7 +568,7 @@ class TestFindResonances:
         db = np.array(levels)
         trace = FrequencyTrace(1e9 + np.arange(len(db)) * 1e6, 10 ** (db / 20))
         expected = find_peaks(trace.s21_db, prominence=p)[0].tolist()
-        assert find_resonances(trace, p) == expected
+        assert _prominent_peaks(trace.s21_db, p) == expected
 
     # slow random walks nest shallow valleys inside deeper ones, so short
     # arrays take several pruning passes before the base walk
@@ -585,7 +581,7 @@ class TestFindResonances:
         db = np.round(np.cumsum(steps), 1)
         trace = FrequencyTrace(1e9 + np.arange(len(db)) * 1e6, 10 ** (db / 20))
         expected = find_peaks(trace.s21_db, prominence=p)[0].tolist()
-        assert find_resonances(trace, p) == expected
+        assert _prominent_peaks(trace.s21_db, p) == expected
 
     @pytest.mark.parametrize("n_points", [4001, 40001])
     @pytest.mark.parametrize(
@@ -602,7 +598,7 @@ class TestFindResonances:
         trace = lorentz_trace(7.5e9, 560.0, 0.3, n_points, noise_db=noise_db, seed=seed)
         for p in (0.01, 0.5, 3.0):
             expected = find_peaks(trace.s21_db, prominence=p)[0].tolist()
-            assert find_resonances(trace, p) == expected
+            assert _prominent_peaks(trace.s21_db, p) == expected
 
 
 class TestQ3db:
@@ -643,7 +639,7 @@ class TestQ3db:
         # samples peaks near +3e7 dB, whose linear level overflows to inf
         f = np.array([1.0e9, 1.0e9 + 2.0, 1.0e9 + 4e7, 1.0e9 + 8e7])
         trace = FrequencyTrace(f, 10 ** (np.array([-30.0, -24.0, -30.0, -40.0]) / 20))
-        assert find_resonances(trace, 0.5) == [1]
+        assert _prominent_peaks(trace.s21_db, 0.5) == [1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverCoupledError):
@@ -726,7 +722,7 @@ class TestFitLorentzian:
         if resonant:
             s21 = s21 + il / (1.0 + 2j * q_loaded * (f - f0) / f0)
         trace = FrequencyTrace(f, s21)
-        for peak in find_resonances(trace, 0.5):
+        for peak in _prominent_peaks(trace.s21_db, 0.5):
             try:
                 res = fit_lorentzian(trace, peak)
             except PermeameterError:
@@ -854,7 +850,7 @@ class TestPeakLocalQ:
     ):
         trace = _q_case_trace(n, q_loaded, span_bw, offset, noise_db, levels, zeros, spikes, seed)
         peaks = {-1, 0, 1, n - 2, n - 1, n, int(np.argmax(np.abs(trace.s21))), round(pick * (n - 1))}
-        peaks.update(find_resonances(trace, 0.5)[:8])
+        peaks.update(_prominent_peaks(trace.s21_db, 0.5)[:8])
         for peak in sorted(peaks):
             assert _q_outcome(q_3db, trace, peak) == _q_outcome(reference_q_3db, trace, peak)
             assert _q_outcome(fit_lorentzian, trace, peak) == _q_outcome(
@@ -976,8 +972,13 @@ class TestPairing:
         assert [(e.f0, l.f0) for e, l in pairs] == [(3.77e9, 3.75e9), (7.53e9, 7.51e9)]
 
     def test_out_of_band_rejected(self):
-        with pytest.raises(NoPairableResonanceError):
-            pair_resonances([self.r(3.77e9)], [self.r(7.53e9)])
+        # the message says how far the nearest loaded resonance lies
+        with pytest.raises(
+            NoPairableResonanceError,
+            match=r"within 10% of an empty one, the perturbation model's guard; "
+            r"the nearest lies 0\.108 of its f0 away$",
+        ):
+            pair_resonances([self.r(3.7e9), self.r(6.0e9)], [self.r(7.53e9), self.r(4.1e9)])
 
     def test_each_loaded_used_once(self):
         pairs = pair_resonances(
