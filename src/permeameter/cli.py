@@ -8,14 +8,16 @@ flags (--config, --seed, --json) work before or after the verb; a value
 given after the verb overrides one given before it.  A --seed outside
 [0, 2**64) is a config error that names the flag.
 
-Config and materials values are type-checked: a number is a finite JSON
-number (not a string, boolean or null, nor the NaN and Infinity that
-Python's json reads), and the integer keys (mode.n, cells_per_axis,
-n_points, seed) take JSON integers only.  A malformed value, a key the
-schema does not list, or a key repeated in one JSON object is a config
-error that names its key.  The choice keys (extraction.q_method,
-interaction, model) take one of the strings CHOICES lists, and the
-error reads "extraction.<key> must be one of [...]".  synth and compare
+Config and materials files are read as UTF-8 JSON, and their values are
+type-checked: a number is a finite JSON number (not a string, boolean or
+null, nor the NaN and Infinity that Python's json reads), and the integer
+keys (mode.n, cells_per_axis, n_points, seed) take JSON integers only,
+within the float range too.  A malformed value, a key the schema does not
+list, or a key repeated in one JSON object is a config error that names
+its key.  The choice keys (extraction.q_method, interaction, model) take
+one of the strings CHOICES lists, and the error reads "extraction.<key>
+must be one of [...]".  A cavity and mode whose TE10n frequency or field
+norm leaves the float range are a config error too.  synth and compare
 check the synth values that shape the traces (q0_empty > 0,
 span_bandwidths >= 6, il_linear in (0, 1), a finite sweep above 0 Hz
 whose edges differ) and name the keys too.
@@ -39,7 +41,7 @@ import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .cavity import CavitySpec, ModeSpec, guided_wavelength, resonant_frequency
+from .cavity import CavitySpec, ModeSpec, guided_wavelength, resonant_frequency, stored_field_norm
 from .errors import (
     ConfigurationError,
     FitFailureError,
@@ -60,6 +62,7 @@ from .perturbation import (
     complex_shift_from_resonances,
     geometry_factor,
     geometry_factor_conventional,
+    geometry_factor_printed,
     invert_permeability,
 )
 # imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
@@ -141,10 +144,12 @@ def _read_json(path: str | Path, what: str):
             obj[key] = value
         return obj
 
-    try:
-        return json.loads(Path(path).read_text(), object_pairs_hook=unique)
+    try:  # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+        return json.loads(Path(path).read_bytes().decode("utf-8"), object_pairs_hook=unique)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {what}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{what} {str(path)!r} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{what} is not valid JSON: {exc}") from None
 
@@ -189,9 +194,10 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: boo
     if value is _REQUIRED:
         raise ConfigurationError(f"missing {where}.{key}")
     if integer:
-        if type(value) is int:
-            return value
-        raise ConfigurationError(f"{where}.{key} must be an integer")
+        if type(value) is not int:
+            raise ConfigurationError(f"{where}.{key} must be an integer")
+        _finite(value, f"{where}.{key}")
+        return value
     if value is None and default is None:
         return None
     # type(), not isinstance: JSON true and false are bools, an int subclass
@@ -263,6 +269,14 @@ def load_config(path: str | Path) -> RunConfig:
         thickness_mm=_number(smp, "thickness_mm", "sample"),
     )
     mode = _built(ModeSpec, "mode", n=_number(mod, "n", "mode", integer=True))
+    try:  # Python's float power raises where a product would reach inf
+        scales = (resonant_frequency(cavity, mode), stored_field_norm(cavity, mode))
+    except OverflowError:
+        scales = (math.inf,)
+    if not all(0 < scale < math.inf for scale in scales):
+        raise ConfigurationError(
+            "cavity and mode give a TE10n frequency or field norm outside the float range"
+        )
     extraction = _options(ExtractionOptions, _section(doc, "extraction", required=False), "extraction")
     synth = _options(SynthOptions, _section(doc, "synth", required=False), "synth")
     for section, where in ((cav, "cavity"), (smp, "sample"), (mod, "mode"), (doc, "config")):
@@ -476,12 +490,12 @@ def quadcheck_report(cfg: RunConfig) -> dict:
     """
     cavity, sample, mode = cfg.cavity, cfg.sample, cfg.mode
 
-    def g(model: str, choice: InteractionChoice = InteractionChoice.TRANSVERSE_HZ) -> float:
+    def g(model: str, choice: InteractionChoice) -> float:
         return geometry_factor(
             cavity, sample, mode, model, choice, cfg.extraction.cells_per_axis
         ).value
 
-    g_printed = g("printed") if mode.is_even else None
+    g_printed = geometry_factor_printed(cavity, sample, mode).value if mode.is_even else None
     report: dict = {"g_printed": g_printed}
     for choice in InteractionChoice:
         tag = choice.value
@@ -578,7 +592,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
     rows = compare_rows(cfg, load_materials(args.materials))
     text = compare_csv(rows)
     try:
-        Path(args.out_csv).write_text(text)
+        Path(args.out_csv).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot write {args.out_csv!r}: {exc}") from None
     return {"rows": rows, "csv_path": args.out_csv}, text

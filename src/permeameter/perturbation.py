@@ -6,14 +6,14 @@ couples the sample to the TE10n mode:
   * closed forms: analytic integrals of the selected |H|^2 components
     over the centered box (sinc products), plus the published prefactor
     variant 4 a^2 (1 - sinc(k_z a1)) (4 pi a^2 + lambda_g^2)^-1
-    (1 - sinc(k_x l1)) kept verbatim for diagnostics;
+    (1 - sinc(k_x l1)) kept verbatim for quadcheck alone;
   * numerical quadrature: midpoint box integration of the same field
     energy with Richardson acceleration over grid doublings.
 
 The two routes cross-check each other; extraction defaults to the
 quadrature-backed value.  geometry_factor is the one place a model name
-("quadrature", "derived" or "printed") selects a route.  Sign
-conventions (time factor e^{+j w t}, mu_r = mu_re - j mu_im):
+("quadrature" or "derived") selects a route.  Sign conventions (time
+factor e^{+j w t}, mu_r = mu_re - j mu_im):
 
     shift = -(mu_r / (2 mu_rs) - 1/2) * g
     re(shift) = (f_loaded - f_empty) / f_loaded  (< 0 when mu_re > 1)
@@ -60,7 +60,7 @@ QUADRATURE_RTOL = 1e-6
 MAX_DOUBLINGS = 3
 
 #: Geometry-factor models that geometry_factor accepts by name.
-MODELS = ("quadrature", "derived", "printed")
+MODELS = ("quadrature", "derived")
 
 
 class InteractionChoice(str, Enum):
@@ -160,8 +160,8 @@ def geometry_factor_printed(
     4 a^2 (1 - sinc(k_z a1)) (4 pi a^2 + lambda_g^2)^-1 (1 - sinc(k_x l1))
 
     Whether the 4 pi a^2 term should read 4 pi^2 a^2 is an open question;
-    this form is reported as a diagnostic (see cli quadcheck) and never
-    silently preferred for extraction.
+    cli quadcheck reports this form as a diagnostic; it is no model of
+    geometry_factor, so extraction and synthesis never use it.
     """
     if not mode.is_even:
         raise UnsupportedModeError(
@@ -341,7 +341,7 @@ def geometry_factor(
 
     "quadrature" integrates the selected |H|^2 numerically (provenance
     quadrature-<choice>), "derived" is the closed form for the same
-    components, "printed" the published form (choice does not apply).
+    components.  The published prefactor is no model (see quadcheck).
     """
     if model == "quadrature":
         integral = sample_energy_quadrature(cavity, sample, mode, choice, cells_per_axis)
@@ -349,8 +349,6 @@ def geometry_factor(
         return GeometryFactor(value, f"quadrature-{choice.value}")
     if model == "derived":
         return geometry_factor_derived(cavity, sample, mode, choice)
-    if model == "printed":
-        return geometry_factor_printed(cavity, sample, mode)
     raise ConfigurationError(f"unknown geometry-factor model {model!r}; expected one of {MODELS}")
 
 

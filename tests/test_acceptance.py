@@ -206,6 +206,9 @@ VALID_CORPUS = [
     ("option_defaults", "#\n7.5 0.1 0 0.5 20 0.5 20 0.1 0\n7.6 0.1 0 0.4 30 0.4 30 0.1 0\n"),
     ("noise_block", "# GHZ S MA R 50\n7.5 0.1 0 0.5 20 0.5 20 0.1 0\n7.6 0.1 0 0.4 30 0.4 30 0.1 0\n"
      "! noise parameters\n7.5 1.2 0.3 45 0.4\n7.6 1.3 0.31 50 0.41\n"),
+    # NEL (cp1252's ellipsis) and a form feed in comments end no line
+    ("comment_nel_ff", "! measured \x85 by VNA\x0c\r\n# HZ S RI R 50\r\n"
+     "1e9 0.1 0 0.5 0 0.5 0 0.1 0 ! \x85\r\n2e9 0 0 0.25 0.1 0.25 0.1 0 0\r\n"),
 ]
 
 MALFORMED_CORPUS = [

@@ -747,6 +747,14 @@ class TestQuadcheck:
         # a library message that starts with no field name is left as it is
         ({"cavity": {"via_diameter_d_mm": 0.5, "via_pitch_p_mm": 0.4}}, None,
          "error: via geometry requires 0 < via_diameter_d < via_pitch_p"),
+        # the published prefactor is a quadcheck diagnostic, not an extraction model
+        ({"extraction": {"model": "printed"}}, None,
+         "error: extraction.model must be one of ['quadrature', 'derived']"),
+        # an integer key beyond the float range fails like any other number
+        ({"mode": {"n": 10**400}}, None, "error: mode.n must be a finite number"),
+        # (n / l)^2 overflows in the TE10n frequency and field norm
+        ({"cavity": {"length_l_mm": 1e-300}}, None,
+         "error: cavity and mode give a TE10n frequency or field norm outside the float range"),
     ],
 )
 def test_malformed_value_exit_2_names_key(
@@ -935,3 +943,51 @@ def test_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "verb, overrides",
+    [("quadcheck", {"mode": {"n": 10**400}}), ("modes", {"cavity": {"length_l_mm": 1e-300}})],
+    ids=["n", "length"],
+)
+def test_float_overflow_exit_2(capsys, config_file, verb, overrides):
+    # an OverflowError escaping main is the traceback a user would see
+    code, out, err = run(capsys, "--config", str(config_file(**overrides)), verb)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("which", ["config", "materials"])
+def test_json_that_is_not_utf8_exit_2_names_the_file(capsys, tmp_path, config_file, materials_file, which):
+    # byte 0xB5 is the micro sign in latin-1 and cp1252, and no UTF-8 text on its own
+    cfg, mats = config_file(), materials_file()
+    if which == "config":
+        cfg.write_bytes(cfg.read_bytes().replace(b'"transverse-hz"', b'"transverse-hz \xb5"'))
+    else:
+        mats.write_bytes(b'[{"name": "U", "mu_re": 1.5, "note": "\xb5-metal"}]')
+    code, out, err = run(
+        capsys, "--config", str(cfg), "compare",
+        "--materials", str(mats), "--out-csv", str(tmp_path / "t.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert repr(str(cfg if which == "config" else mats)) in err
+    assert "is not UTF-8 text" in err
+
+
+def test_json_in_and_csv_out_are_utf8_in_the_c_locale(tmp_path, config_file):
+    # with neither UTF-8 mode nor locale coercion, the C locale's text encoding is ASCII
+    mats = tmp_path / "materials.json"
+    mats.write_bytes('[{"name": "µ-metal", "mu_re": 1.5, "note": "µ ≈ 1.5"}]'.encode("utf-8"))
+    src = str(Path(permeameter.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key not in ("PYTHONIOENCODING", "LANG")}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    out_csv = tmp_path / "t.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "permeameter.cli", "--config", str(config_file()), "--json",
+         "compare", "--materials", str(mats), "--out-csv", str(out_csv)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["rows"][0]["material"] == "µ-metal"
+    row = out_csv.read_bytes().split(b"\n")[1]
+    assert row.startswith("µ-metal,".encode("utf-8")) and row.endswith("µ ≈ 1.5".encode("utf-8"))

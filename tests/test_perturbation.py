@@ -28,6 +28,7 @@ from permeameter import (
 )
 from permeameter.errors import (
     AccuracyError,
+    ConfigurationError,
     DegenerateGeometryError,
     InvalidGeometryError,
     UnphysicalResultError,
@@ -234,7 +235,12 @@ class TestGeometryFactorEntryPoint:
             f"quadrature-{choice.value}",
         )
         assert got["derived"] == geometry_factor_derived(*args, choice)
-        assert got["printed"] == geometry_factor_printed(*args)
+
+    def test_printed_is_no_model(self, worked_cavity, worked_sample, mode4):
+        # the published prefactor is a quadcheck diagnostic, not a route for extraction
+        assert MODELS == ("quadrature", "derived")
+        with pytest.raises(ConfigurationError, match="'printed'"):
+            geometry_factor(worked_cavity, worked_sample, mode4, "printed")
 
 
 class TestQuadratureShift:

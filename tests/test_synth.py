@@ -50,14 +50,14 @@ class TestForwardLoad:
         assert loaded.q_unloaded == pytest.approx(empty_resonance.q_unloaded, rel=1e-15)
         assert loaded.il_linear == empty_resonance.il_linear
 
-    def test_worked_chain_printed_model(
+    def test_worked_chain_printed_factor(
         self, worked_cavity, worked_sample, mode4, empty_resonance
     ):
+        # the published worked example, on the forward model with the printed g
         mu = ComplexPermeability.from_loss_tangent(1.5, 0.05)
-        loaded = forward_load(
-            worked_cavity, worked_sample, mode4, mu, empty_resonance, model="printed"
-        )
-        g = geometry_factor_printed(worked_cavity, worked_sample, mode4).value
+        printed = geometry_factor_printed(worked_cavity, worked_sample, mode4)
+        loaded = synth._loaded(mu, worked_cavity.mu_rs, printed, empty_resonance)
+        g = printed.value
         delta_re = -0.25 * g  # -(mu_re - 1)/2 * g for mu_rs = 1
         delta_im = 0.5 * 1.5 * 0.05 * g
         assert loaded.f0 == pytest.approx(empty_resonance.f0 / (1 - delta_re), rel=1e-12)
@@ -86,6 +86,13 @@ class TestForwardLoad:
             forward_load(
                 cavity, full, mode4, mu, empty_resonance,
                 model="derived", choice=InteractionChoice.BOTH,
+            )
+
+    def test_printed_is_no_model(self, worked_cavity, worked_sample, mode4, empty_resonance):
+        with pytest.raises(ConfigurationError, match="'printed'"):
+            forward_load(
+                worked_cavity, worked_sample, mode4,
+                ComplexPermeability(1.5, 0.0), empty_resonance, model="printed",
             )
 
     def test_unknown_model_tag(self, worked_cavity, worked_sample, mode4, empty_resonance):

@@ -118,13 +118,26 @@ class TestParse:
             parse_touchstone(data)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_only_cr_and_lf_end_a_line(self, newline):
+        # 0x85 is NEL in latin-1 (cp1252's ellipsis) and 0x0c a form feed:
+        # str.splitlines breaks at both, a Touchstone line at neither
+        data = newline.join([
+            b"! measured \x85 by VNA\x0c", b"# HZ S RI R 50", b"1e9 0 0 0.5 0 0 0 0 0",
+            b"! \x0b\x1c\x1d\x1e\x85", b"2e9 0 0 zap 0 0 0 0 0", b"",
+        ])
+        with pytest.raises(TouchstoneParseError, match="bad number") as err:
+            parse_touchstone(data)
+        assert err.value.line == 5
+
 
 # ---------------------------------------------------------------------------
 # parse_touchstone against the row-by-row parser it replaced
 # ---------------------------------------------------------------------------
 
-SEPARATORS = [" ", "  ", "\t", "\xa0", " \t "]
-NEWLINES = ["\n", "\r\n", "\r", "\x85"]
+# FF and NEL are whitespace inside a line, and only CR, LF and CRLF end one
+SEPARATORS = [" ", "  ", "\t", "\xa0", " \t ", "\x0c", " \x85"]
+NEWLINES = ["\n", "\r\n", "\r"]
 BAD_TOKENS = ["half", "1_0", "2_5e3", "nan", "-inf", "Infinity", "1e400", "0x10", "1,5", "1e", ".", "--1", "1j"]
 FAULTS = ["short_row", "long_row", "bad_token", "repeat_freq", "earlier_freq", "option", "version"]
 
@@ -169,7 +182,9 @@ def touchstone_texts(draw):
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(kinds))
         if kind == "comment":
-            lines.append(draw(st.sampled_from(["! note", "!", "  ! [Version] # 1_0"])))
+            lines.append(draw(st.sampled_from(
+                ["! note", "!", "  ! [Version] # 1_0", "! measured \x85 by VNA\x0b\x0c\x1c\x1d\x1e 1e9"]
+            )))
             continue
         if kind == "blank":
             lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0"])))

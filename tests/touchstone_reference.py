@@ -2,9 +2,11 @@
 
 The parser is the row-by-row one `permeameter.traceio.parse_touchstone`
 had before it became a single numpy pass, kept unchanged apart from its
-name and the `source` label it no longer passes on (FrequencyTrace has
-none).  The deliberate differences between the two are listed next to
-the test.  The writer is the per-value one `write_touchstone` had before
+name, the `source` label it no longer passes on (FrequencyTrace has
+none) and its line split, which breaks at CR, LF and CRLF only, as the
+parser's does, where `str.splitlines` also broke at FF, NEL and the
+other Unicode line boundaries.  The deliberate differences between the
+two are listed next to the test.  The writer is the per-value one `write_touchstone` had before
 it converted whole columns, kept unchanged apart from its name.
 """
 
@@ -38,7 +40,8 @@ def reference_parse_touchstone(data: bytes | str) -> FrequencyTrace:
     s11: list[complex] = []
     s21: list[complex] = []
     last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         last_line = lineno
         line = raw.split("!", 1)[0].strip()
         if not line:
