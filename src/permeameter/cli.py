@@ -17,7 +17,8 @@ list, or a key repeated in one JSON object is a config error that names
 its key.  The choice keys (extraction.q_method, interaction, model) take
 one of the strings CHOICES lists, and the error reads "extraction.<key>
 must be one of [...]".  A cavity and mode whose TE10n frequency or field
-norm leaves the float range are a config error too.  synth and compare
+norm leaves the float range are a config error too, and so is a modes
+--max-n whose frequency does.  synth and compare
 check the synth values that shape the traces (q0_empty > 0,
 span_bandwidths >= 6, il_linear in (0, 1), a finite sweep above 0 Hz
 whose edges differ) and name the keys too.
@@ -246,6 +247,17 @@ def _as_complex(value) -> complex:
     return complex(*(_finite(part, "cavity.mu_rs") for part in parts))
 
 
+def _in_float_range(what: str, cavity: CavitySpec, mode: ModeSpec, *formulas) -> None:
+    """ConfigurationError "<what> outside the float range" unless each
+    formula(cavity, mode) is a finite positive float."""
+    try:  # Python's float power raises where a product would reach inf
+        scales = [formula(cavity, mode) for formula in formulas]
+    except OverflowError:
+        scales = [math.inf]
+    if not all(0 < scale < math.inf for scale in scales):
+        raise ConfigurationError(f"{what} outside the float range")
+
+
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate the run-configuration JSON document."""
     doc = _read_json(path, "config")
@@ -269,14 +281,8 @@ def load_config(path: str | Path) -> RunConfig:
         thickness_mm=_number(smp, "thickness_mm", "sample"),
     )
     mode = _built(ModeSpec, "mode", n=_number(mod, "n", "mode", integer=True))
-    try:  # Python's float power raises where a product would reach inf
-        scales = (resonant_frequency(cavity, mode), stored_field_norm(cavity, mode))
-    except OverflowError:
-        scales = (math.inf,)
-    if not all(0 < scale < math.inf for scale in scales):
-        raise ConfigurationError(
-            "cavity and mode give a TE10n frequency or field norm outside the float range"
-        )
+    _in_float_range("cavity and mode give a TE10n frequency or field norm",
+                    cavity, mode, resonant_frequency, stored_field_norm)
     extraction = _options(ExtractionOptions, _section(doc, "extraction", required=False), "extraction")
     synth = _options(SynthOptions, _section(doc, "synth", required=False), "synth")
     for section, where in ((cav, "cavity"), (smp, "sample"), (mod, "mode"), (doc, "config")):
@@ -524,6 +530,9 @@ def _text(lines: list[str]) -> str:
 def cmd_modes(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
     if args.max_n < 0:
         raise ConfigurationError("--max-n must be >= 0")
+    if args.max_n:  # the frequency grows with n, so the highest is the one to check
+        _in_float_range(f"cavity and --max-n {args.max_n} give a TE10n frequency",
+                        cfg.cavity, ModeSpec(args.max_n), resonant_frequency)
     rows = []
     lines = [f"{'n':>3}  {'f (GHz)':>10}  {'lambda_g (mm)':>14}  even"]
     for n in range(1, args.max_n + 1):

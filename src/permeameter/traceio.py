@@ -161,21 +161,15 @@ def _number(token: str) -> float:
     raise ValueError(f"could not convert string to float: {token!r}")
 
 
-#: The line boundaries of str.splitlines besides CR and LF: VT, FF, FS, GS,
-#: RS, NEL (latin-1 0x85, which cp1252 reads as an ellipsis), LS and PS.
-_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def _lines(text: str) -> list[str]:
-    """text split where a line ends: at CR, LF or CRLF, and nowhere else.
-    Text with no CR splits at LF, and text with none of _OTHER_BREAKS
-    gives str.splitlines' list; both are faster than rewriting CR and
-    CRLF as LF, which only the rest needs."""
-    if "\r" not in text:
-        return text.removesuffix("\n").split("\n")
-    if any(ch in text for ch in _OTHER_BREAKS):
-        return text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
-    return text.splitlines()
+    """text split where a line ends: at CR, LF or CRLF, and nowhere else
+    (str.splitlines also breaks at VT, FF, FS, GS, RS, NEL, LS and PS).
+    Text with no CR, as write_touchstone writes, is split at LF alone,
+    skipping the rewrite of CR and CRLF, which takes longer than the
+    split itself."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removesuffix("\n").split("\n")
 
 
 def _content_lines(lines: list[str], start: int = 0):

@@ -957,6 +957,16 @@ def test_float_overflow_exit_2(capsys, config_file, verb, overrides):
     assert err.startswith("error: ")
 
 
+def test_modes_checks_its_highest_n(capsys, config_file):
+    # this cavity's TE10n frequency fits a float up to n = 4, and not at n = 5
+    path = str(config_file(
+        cavity={"length_l_mm": 3e-151}, sample={"extent_z_a1_mm": 1e-151}, mode={"n": 1},
+    ))
+    assert run(capsys, "--config", path, "modes", "--max-n", "4")[0] == 0
+    code, _, err = run(capsys, "--config", path, "modes", "--max-n", "5")
+    assert (code, err) == (2, "error: cavity and --max-n 5 give a TE10n frequency outside the float range\n")
+
+
 @pytest.mark.parametrize("which", ["config", "materials"])
 def test_json_that_is_not_utf8_exit_2_names_the_file(capsys, tmp_path, config_file, materials_file, which):
     # byte 0xB5 is the micro sign in latin-1 and cp1252, and no UTF-8 text on its own

@@ -6,8 +6,9 @@ name, the `source` label it no longer passes on (FrequencyTrace has
 none) and its line split, which breaks at CR, LF and CRLF only, as the
 parser's does, where `str.splitlines` also broke at FF, NEL and the
 other Unicode line boundaries.  The deliberate differences between the
-two are listed next to the test.  The writer is the per-value one `write_touchstone` had before
-it converted whole columns, kept unchanged apart from its name.
+two are listed next to the test.  The writer is the per-value one
+`write_touchstone` had before it converted whole columns, kept unchanged
+apart from its name.
 """
 
 from __future__ import annotations
