@@ -18,8 +18,10 @@ its key.  The choice keys (extraction.q_method, interaction, model) take
 one of the strings CHOICES lists, and the error reads "extraction.<key>
 must be one of [...]".  A cavity and mode whose TE10n frequency or field
 norm leaves the float range are a config error too, and so is a modes
---max-n whose frequency does.  synth and compare
-check the synth values that shape the traces (q0_empty > 0,
+--max-n whose frequency does.  A value that a library type rejects, and
+a sample that does not fit the cavity, name each key the message
+involves ("sample.thickness_mm exceeds cavity.height_h_mm").  synth and
+compare check the synth values that shape the traces (q0_empty > 0,
 span_bandwidths >= 6, il_linear in (0, 1), a finite sweep above 0 Hz
 whose edges differ) and name the keys too.
 
@@ -37,6 +39,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -60,6 +63,7 @@ from .perturbation import (
     InteractionChoice,
     SampleSpec,
     check_cells_per_axis,
+    check_sample,
     complex_shift_from_resonances,
     geometry_factor,
     geometry_factor_conventional,
@@ -173,14 +177,16 @@ def _reject_unknown(section: dict, where: str) -> None:
 _REQUIRED = object()
 
 
-def _finite(value: int | float, name: str) -> float:
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
+def _finite(value, name: str, hint: str = "", integer: bool = False) -> float:
+    """A finite JSON number (an int if `integer`) as a float, else a ConfigurationError."""
+    # type(), not isinstance: JSON true and false are bools, an int subclass
+    if integer and type(value) is not int:
+        raise ConfigurationError(f"{name} must be an integer")
+    if type(value) not in (int, float):
+        raise ConfigurationError(f"{name} must be a number{hint}")
+    if not abs(value) <= sys.float_info.max:  # NaN, the infinities, integers beyond the float range
         raise ConfigurationError(f"{name} must be a finite number")
-    return number
+    return float(value)
 
 
 def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: bool = False):
@@ -194,19 +200,11 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: boo
     value = section.pop(key, default)
     if value is _REQUIRED:
         raise ConfigurationError(f"missing {where}.{key}")
-    if integer:
-        if type(value) is not int:
-            raise ConfigurationError(f"{where}.{key} must be an integer")
-        _finite(value, f"{where}.{key}")
-        return value
     if value is None and default is None:
         return None
-    # type(), not isinstance: JSON true and false are bools, an int subclass
-    if type(value) not in (int, float):
-        unit = " (millimeters)" if key.endswith("_mm") else ""
-        raise ConfigurationError(f"{where}.{key} must be a number{unit}")
-    number = _finite(value, f"{where}.{key}")
-    return number * MM if key.endswith("_mm") else number
+    mm = key.endswith("_mm")
+    number = _finite(value, f"{where}.{key}", " (millimeters)" if mm else "", integer)
+    return value if integer else (number * MM if mm else number)
 
 
 def _options(cls, section: dict, where: str):
@@ -227,24 +225,24 @@ def _options(cls, section: dict, where: str):
     return _built(cls, where, **values)
 
 
+def _renamed(exc: PermeameterError, *sections: tuple[str, dict]) -> ConfigurationError:
+    """`exc` as a ConfigurationError that calls each field a (where, keys)
+    section set by its config key, <where>.<field>[_mm]."""
+    names = {key.removesuffix("_mm"): f"{where}.{key}" for where, keys in sections for key in keys}
+    return ConfigurationError(re.sub(r"\w+", lambda word: names.get(word[0], word[0]), str(exc)))
+
+
 def _built(cls, where: str, *args, **keys):
-    """cls(*args, **keys), each key without its _mm.  The library's range
-    errors start with the field name; reword one to name <where>.<key>."""
+    """cls(*args, **keys), each key without its _mm; an error names the keys."""
     try:
         return cls(*args, **{key.removesuffix("_mm"): value for key, value in keys.items()})
     except PermeameterError as exc:
-        name, _, rest = str(exc).partition(" ")
-        key = next((key for key in keys if key.removesuffix("_mm") == name), None)
-        if key is None:
-            raise
-        raise ConfigurationError(f"{where}.{key} {rest}") from None
+        raise _renamed(exc, (where, keys)) from None
 
 
 def _as_complex(value) -> complex:
     parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
-    if any(type(part) not in (int, float) for part in parts):
-        raise ConfigurationError("mu_rs must be a number or a [re, im] pair")
-    return complex(*(_finite(part, "cavity.mu_rs") for part in parts))
+    return complex(*(_finite(part, "cavity.mu_rs", " or a [re, im] pair") for part in parts))
 
 
 def _in_float_range(what: str, cavity: CavitySpec, mode: ModeSpec, *formulas) -> None:
@@ -264,25 +262,26 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
     cav, smp, mod = (_section(doc, name) for name in ("cavity", "sample", "mode"))
-    cavity = _built(
-        CavitySpec, "cavity",
-        width_a_mm=_number(cav, "width_a_mm", "cavity"),
-        length_l_mm=_number(cav, "length_l_mm", "cavity"),
-        height_h_mm=_number(cav, "height_h_mm", "cavity"),
-        eps_r=_number(cav, "eps_r", "cavity", 1.0),
-        mu_rs=_as_complex(cav.pop("mu_rs", 1.0)),
-        via_diameter_d_mm=_number(cav, "via_diameter_d_mm", "cavity", None),
-        via_pitch_p_mm=_number(cav, "via_pitch_p_mm", "cavity", None),
-    )
-    sample = _built(
-        SampleSpec, "sample",
-        extent_x_l1_mm=_number(smp, "extent_x_l1_mm", "sample"),
-        extent_z_a1_mm=_number(smp, "extent_z_a1_mm", "sample"),
-        thickness_mm=_number(smp, "thickness_mm", "sample"),
-    )
+    cavity_keys = {
+        "width_a_mm": _number(cav, "width_a_mm", "cavity"),
+        "length_l_mm": _number(cav, "length_l_mm", "cavity"),
+        "height_h_mm": _number(cav, "height_h_mm", "cavity"),
+        "eps_r": _number(cav, "eps_r", "cavity", 1.0),
+        "mu_rs": _as_complex(cav.pop("mu_rs", 1.0)),
+        "via_diameter_d_mm": _number(cav, "via_diameter_d_mm", "cavity", None),
+        "via_pitch_p_mm": _number(cav, "via_pitch_p_mm", "cavity", None),
+    }
+    cavity = _built(CavitySpec, "cavity", **cavity_keys)
+    sample_keys = {key: _number(smp, key, "sample")
+                   for key in ("extent_x_l1_mm", "extent_z_a1_mm", "thickness_mm")}
+    sample = _built(SampleSpec, "sample", **sample_keys)
     mode = _built(ModeSpec, "mode", n=_number(mod, "n", "mode", integer=True))
     _in_float_range("cavity and mode give a TE10n frequency or field norm",
                     cavity, mode, resonant_frequency, stored_field_norm)
+    try:
+        check_sample(cavity, sample)
+    except PermeameterError as exc:
+        raise _renamed(exc, ("cavity", cavity_keys), ("sample", sample_keys)) from None
     extraction = _options(ExtractionOptions, _section(doc, "extraction", required=False), "extraction")
     synth = _options(SynthOptions, _section(doc, "synth", required=False), "synth")
     for section, where in ((cav, "cavity"), (smp, "sample"), (mod, "mode"), (doc, "config")):
@@ -703,6 +702,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # a name the locale's encoding cannot hold prints escaped, not as a UnicodeEncodeError
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

@@ -143,13 +143,15 @@ def _sinc(u: float) -> float:
     return sin(u) / u if u != 0.0 else 1.0
 
 
-def _check_sample(cavity: CavitySpec, sample: SampleSpec) -> None:
+def check_sample(cavity: CavitySpec, sample: SampleSpec) -> None:
+    """Reject a bar that does not fit the cavity; the message names fields only."""
     if sample.extent_x_l1 > cavity.a_eff:
-        raise InvalidGeometryError("extent_x_l1 exceeds cavity width")
+        vias = "" if cavity.via_diameter_d is None else " less via_diameter_d^2 / (0.95 via_pitch_p)"
+        raise InvalidGeometryError(f"extent_x_l1 exceeds width_a{vias}")
     if sample.extent_z_a1 > cavity.length_l:
-        raise InvalidGeometryError("extent_z_a1 exceeds cavity length_l")
+        raise InvalidGeometryError("extent_z_a1 exceeds length_l")
     if sample.thickness > cavity.height_h:
-        raise InvalidGeometryError("thickness exceeds cavity height_h")
+        raise InvalidGeometryError("thickness exceeds height_h")
 
 
 def geometry_factor_printed(
@@ -167,7 +169,7 @@ def geometry_factor_printed(
         raise UnsupportedModeError(
             f"printed geometry factor is defined for even mode indices only (got n={mode.n})"
         )
-    _check_sample(cavity, sample)
+    check_sample(cavity, sample)
     a = cavity.a_eff
     k_x, k_z = wavenumbers(cavity, mode)
     lam_g = guided_wavelength(cavity, mode)
@@ -214,7 +216,7 @@ def geometry_factor_derived(
     divided by the whole-cavity field norm.  The parity factor (-1)^n is
     cos(n pi) from centering the box at l/2.
     """
-    _check_sample(cavity, sample)
+    check_sample(cavity, sample)
     k_x, k_z = wavenumbers(cavity, mode)
     l1, a1, t = sample.extent_x_l1, sample.extent_z_a1, sample.thickness
     sinc_x = _sinc(k_x * l1)
@@ -240,7 +242,7 @@ def geometry_factor_conventional(
     4 k_z^2 V_s / (V_c (k_x^2 + k_z^2)).  Coincides with the vanishing-
     extent limit of the axial-hx derived factor.
     """
-    _check_sample(cavity, sample)
+    check_sample(cavity, sample)
     k_x, k_z = wavenumbers(cavity, mode)
     value = (
         4.0
@@ -308,7 +310,7 @@ def sample_energy_quadrature(
     raises AccuracyError after MAX_DOUBLINGS doublings without that.
     """
     check_cells_per_axis(cells_per_axis)
-    _check_sample(cavity, sample)
+    check_sample(cavity, sample)
     prev: list[float] = []  # the previous row of the Richardson table
     delta = float("inf")
     for k in range(MAX_DOUBLINGS + 1):

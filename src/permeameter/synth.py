@@ -10,6 +10,7 @@ centred on its own resonance, as an operator re-centres the analyzer.
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -166,10 +167,19 @@ def campaign_traces(
     return traces
 
 
+def _fits_file_name(label: str) -> bool:
+    """No / or NUL, and the file-system encoding (ASCII in the C locale) holds it."""
+    try:
+        os.fsencode(label)
+    except UnicodeEncodeError:
+        return False
+    return "/" not in label and "\0" not in label
+
+
 def synth_campaign(traces: dict[str, FrequencyTrace], out_dir: str | Path) -> dict[str, Path]:
     """Write each trace as campaign_<label>.s2p in RI format; returns {label: path}."""
     for label in traces:  # all before the first write, so a bad name leaves no files
-        if "/" in label or "\0" in label:
+        if not _fits_file_name(label):
             raise ConfigurationError(f"material name {label!r} cannot be part of a file name")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

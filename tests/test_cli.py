@@ -681,7 +681,7 @@ class TestQuadcheck:
         ({"extraction": {"interaction": "radial"}}, None, "extraction.interaction"),
         ({"extraction": {"q_method": "fwhm"}}, None, "extraction.q_method"),
         ({"extraction": {"model": "exact"}}, None, "extraction.model"),
-        ({"cavity": {"mu_rs": [1, 2, 3]}}, None, "mu_rs"),
+        ({"cavity": {"mu_rs": [1, 2, 3]}}, None, "error: cavity.mu_rs must be a number or a [re, im] pair"),
         ({}, [{"mu_re": 1.5, "tan_dm": 0.05}], "materials[0] needs 'name'"),
         # a name is a string: null, true and 1 would become labels "None", "True", "1"
         ({}, [{"name": None, "mu_re": 1.5, "tan_dm": 0.05}], "materials[0].name"),
@@ -744,9 +744,9 @@ class TestQuadcheck:
         # checked at load for every model, not only where the quadrature runs
         ({"extraction": {"model": "derived", "cells_per_axis": 0}}, None,
          "error: extraction.cells_per_axis must be >= 8"),
-        # a library message that starts with no field name is left as it is
+        # every field a library message names is named by its key, wherever it stands
         ({"cavity": {"via_diameter_d_mm": 0.5, "via_pitch_p_mm": 0.4}}, None,
-         "error: via geometry requires 0 < via_diameter_d < via_pitch_p"),
+         "error: via geometry requires 0 < cavity.via_diameter_d_mm < cavity.via_pitch_p_mm"),
         # the published prefactor is a quadcheck diagnostic, not an extraction model
         ({"extraction": {"model": "printed"}}, None,
          "error: extraction.model must be one of ['quadrature', 'derived']"),
@@ -755,6 +755,20 @@ class TestQuadcheck:
         # (n / l)^2 overflows in the TE10n frequency and field norm
         ({"cavity": {"length_l_mm": 1e-300}}, None,
          "error: cavity and mode give a TE10n frequency or field norm outside the float range"),
+        # a mu_rs that is neither a number nor a pair names its key too
+        ({"cavity": {"mu_rs": "x"}}, None, "error: cavity.mu_rs must be a number or a [re, im] pair"),
+        # so in the other cavity messages that name two fields
+        ({"cavity": {"height_h_mm": 31.0}}, None, "error: cavity.height_h_mm must be < cavity.width_a_mm"),
+        ({"cavity": {"via_pitch_p_mm": 1.0}}, None,
+         "error: cavity.via_diameter_d_mm and cavity.via_pitch_p_mm must be given together"),
+        # the sample must fit the cavity, checked at load with the same renaming
+        ({"sample": {"thickness_mm": 1.6}}, None, "error: sample.thickness_mm exceeds cavity.height_h_mm"),
+        ({"sample": {"extent_z_a1_mm": 61.0}}, None, "error: sample.extent_z_a1_mm exceeds cavity.length_l_mm"),
+        ({"sample": {"extent_x_l1_mm": 31.0}}, None, "error: sample.extent_x_l1_mm exceeds cavity.width_a_mm"),
+        # with vias the bar is held to the width the fence leaves
+        ({"cavity": {"via_diameter_d_mm": 1.0, "via_pitch_p_mm": 2.0}, "sample": {"extent_x_l1_mm": 29.9}},
+         None, "error: sample.extent_x_l1_mm exceeds cavity.width_a_mm less "
+         "cavity.via_diameter_d_mm^2 / (0.95 cavity.via_pitch_p_mm)"),
     ],
 )
 def test_malformed_value_exit_2_names_key(
@@ -984,20 +998,60 @@ def test_json_that_is_not_utf8_exit_2_names_the_file(capsys, tmp_path, config_fi
     assert "is not UTF-8 text" in err
 
 
-def test_json_in_and_csv_out_are_utf8_in_the_c_locale(tmp_path, config_file):
-    # with neither UTF-8 mode nor locale coercion, the C locale's text encoding is ASCII
-    mats = tmp_path / "materials.json"
-    mats.write_bytes('[{"name": "µ-metal", "mu_re": 1.5, "note": "µ ≈ 1.5"}]'.encode("utf-8"))
+def run_in_c_locale(*argv):
+    """`python -m permeameter.cli *argv` in the C locale, with neither UTF-8
+    mode nor locale coercion: its text and file-system encodings are ASCII."""
     src = str(Path(permeameter.__file__).resolve().parents[1])
     env = {key: value for key, value in os.environ.items() if key not in ("PYTHONIOENCODING", "LANG")}
     env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "permeameter.cli", *map(str, argv)], env=env, capture_output=True, timeout=120,
+    )
+
+
+@pytest.fixture
+def micro_roster(tmp_path):
+    mats = tmp_path / "materials.json"
+    mats.write_bytes('[{"name": "µ-metal", "mu_re": 1.5, "note": "µ ≈ 1.5"}]'.encode("utf-8"))
+    return mats
+
+
+def test_json_in_and_csv_out_are_utf8_in_the_c_locale(tmp_path, config_file, micro_roster):
     out_csv = tmp_path / "t.csv"
-    done = subprocess.run(
-        [sys.executable, "-m", "permeameter.cli", "--config", str(config_file()), "--json",
-         "compare", "--materials", str(mats), "--out-csv", str(out_csv)],
-        env=env, capture_output=True, timeout=120,
+    done = run_in_c_locale(
+        "--config", config_file(), "--json", "compare", "--materials", micro_roster, "--out-csv", out_csv,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["rows"][0]["material"] == "µ-metal"
     row = out_csv.read_bytes().split(b"\n")[1]
     assert row.startswith("µ-metal,".encode("utf-8")) and row.endswith("µ ≈ 1.5".encode("utf-8"))
+
+
+def test_text_out_and_file_names_in_the_c_locale(tmp_path, config_file, micro_roster):
+    # stdout escapes what ASCII cannot hold, rather than failing after the CSV is written
+    done = run_in_c_locale(
+        "--config", config_file(), "compare", "--materials", micro_roster, "--out-csv", tmp_path / "t.csv",
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.split(b"\n")[1].startswith(b"\\xb5-metal,")
+    # an ASCII file-system encoding cannot hold the name, so no file is written at all
+    out_dir = tmp_path / "campaign"
+    done = run_in_c_locale("--config", config_file(), "synth", "--materials", micro_roster, "--out-dir", out_dir)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: material name '\\xb5-metal' cannot be part of a file name\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", ["modes", "quadcheck", "extract", "synth", "compare"])
+def test_sample_that_does_not_fit_exits_2_before_any_work(capsys, tmp_path, config_file, materials_file, verb):
+    # the trace files do not exist and the output paths are not written: the config fails first
+    mats = materials_file()
+    argv = {
+        "extract": [tmp_path / "no_empty.s2p", tmp_path / "no_loaded.s2p"],
+        "synth": ["--materials", mats, "--out-dir", tmp_path / "campaign"],
+        "compare": ["--materials", mats, "--out-csv", tmp_path / "t.csv"],
+    }.get(verb, [])
+    cfg = config_file(sample={"thickness_mm": 1.6})
+    code, out, err = run(capsys, "--config", str(cfg), verb, *map(str, argv))
+    assert (code, out, err) == (2, "", "error: sample.thickness_mm exceeds cavity.height_h_mm\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "materials.json"]
