@@ -115,8 +115,8 @@ def effective_width(
 ) -> float:
     """Equivalent rectangular width of an SIW cavity.
 
-    a_eff = a - d^2 / (0.95 p).  Raises if the correction consumes the
-    whole width.
+    a_eff = a - d^2 / (0.95 p).  Raises unless a_eff exceeds the via
+    diameter d.
     """
     if not (0 < via_diameter < via_pitch):
         raise InvalidGeometryError(
@@ -127,10 +127,7 @@ def effective_width(
     # below one via diameter the equivalent-width picture has collapsed
     if corrected <= via_diameter:
         raise InvalidGeometryError(
-            f"via correction d^2/(0.95 p) = {correction:.6g} m leaves an "
-            f"effective width of {corrected:.6g} m, not greater than the via "
-            f"diameter {via_diameter:.6g} m; physical_width = {physical_width:.6g} m "
-            "is too narrow for the correction"
+            "width_a less via_diameter_d^2 / (0.95 via_pitch_p) must exceed via_diameter_d"
         )
     return corrected
 

@@ -696,8 +696,7 @@ def main(argv: list[str] | None = None) -> int:
             print(text, end="")
             return EXIT_OK
         except (PermeameterError, OSError) as exc:
-            prefix = "resonance fit failed: " if isinstance(exc, FitFailureError) else ""
-            print(f"error: {prefix}{exc}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             return next((status for cls, status in EXIT_STATUS if isinstance(exc, cls)), EXIT_CONFIG)
 
 

@@ -59,7 +59,7 @@ class FitFailureError(PermeameterError, ArithmeticError):
     """Resonance fit failed; carries the bandwidth-method fallback if any."""
 
     def __init__(self, message: str, fallback=None):
-        super().__init__(message)
+        super().__init__(f"resonance fit failed: {message}")
         self.fallback = fallback
 
 

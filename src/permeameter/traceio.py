@@ -45,7 +45,6 @@ OPTION_TOKENS = {**dict.fromkeys(FREQ_UNITS, "unit"), **dict.fromkeys(FORMATS, "
                  "S": "parameter type", "R": "reference impedance"}
 
 HALF_POWER_DB = 10.0 * math.log10(2.0)  # 3.0103 dB
-DB_FLOOR = -400.0  # clamp for log of zero magnitudes
 
 #: Least prominence of a |S21| maximum that find_resonances reports, in dB.
 MIN_PROMINENCE_DB = 3.0
@@ -311,36 +310,21 @@ def _noise_block_start(lines: list[str], start: int, unit: str, fmt: str) -> int
     raise TouchstoneParseError(max(len(lines), 1), "no data rows")
 
 
-def _to_pairs(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """One complex column as its two Touchstone columns: _to_complex inverted."""
-    if fmt == "RI":
-        return values.real, values.imag
-    mag = np.abs(values)
-    ang = np.degrees(np.arctan2(values.imag, values.real))
-    if fmt == "DB":
-        with np.errstate(divide="ignore"):  # log10(0) = -inf, clamped to DB_FLOOR
-            mag = np.maximum(20.0 * np.log10(mag), DB_FLOOR)
-    return mag, ang
+def write_touchstone(trace: FrequencyTrace) -> bytes:
+    """Serialize a trace as Touchstone v1.0 in RI, normalized to HZ frequencies.
 
-
-def write_touchstone(trace: FrequencyTrace, fmt: str = "RI") -> bytes:
-    """Serialize a trace as Touchstone v1.0, normalized to HZ frequencies.
-
-    Values are written with 17 significant digits so a parse round trip
-    reproduces the trace to working precision.  S12 mirrors S21 and S22
-    mirrors S11 (reciprocal, symmetric network assumed).
+    Values are written with 17 significant digits, so the file parses
+    back to the same floats bit for bit.  S12 mirrors S21 and S22 mirrors
+    S11 (reciprocal, symmetric network assumed).
     """
-    fmt = fmt.upper()
-    if fmt not in FORMATS:
-        raise InvalidGeometryError(f"unknown Touchstone format {fmt!r}")
     lines = []
     if trace.s11 is None:
         lines.append("! s11 synthesized as zero")
         s11 = np.zeros_like(trace.s21)
     else:
         s11 = trace.s11
-    lines.append(f"# HZ S {fmt} R {trace.z0:.17g}")
-    p11, p21 = _to_pairs(s11, fmt), _to_pairs(trace.s21, fmt)
+    lines.append(f"# HZ S RI R {trace.z0:.17g}")
+    p11, p21 = (s11.real, s11.imag), (trace.s21.real, trace.s21.imag)
     rows = np.column_stack((trace.freqs, *p11, *p21, *p21, *p11))  # v1 order: S11 S21 S12 S22
     template = " ".join(["%.17g"] * 9)
     lines += [template % tuple(row) for row in rows.tolist()]

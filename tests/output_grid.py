@@ -20,7 +20,7 @@ x 2 Q methods x n = 4 x {-90, -60 dB}, where ~10^4 noise maxima take
 several pruning passes, the 3-dB window grows and the fit window holds
 ~5000 samples.  So that it adds only ~30 s, it runs `extract` (with and
 without --json) on the first material pair only; compare still
-extracts every material.  The grid prints 2455 lines.
+extracts every material.  The grid prints 2461 lines.
 One line per output gives the config, the verb, the exit code and the
 sha256 of stdout and of stderr, with the temporary directory replaced by
 a fixed token; each written .s2p and CSV file gets a line with its
@@ -69,7 +69,8 @@ LONG_NOISE_FLOORS_DB = (-90.0, -60.0)
 # (label, config patch, roster): the first two fail on the geometry and on one
 # other check; the sweep of the next two reaches 0 Hz or lacks the 3-bandwidth
 # margins; the next names the published prefactor, which is no extraction model;
-# the last two give a via diameter above its pitch and a bar thicker than the cavity
+# the last three give a via diameter above its pitch, a bar thicker than the cavity
+# and a via fence that leaves less than one via diameter of width
 EXTRA_CASES = [
     ("duplicate-labels+oversize-sample", {"sample": {"extent_x_l1_mm": 40.0}},
      [{"name": "A", "mu_re": 1.2}, {"name": "A", "mu_re": 1.3}]),
@@ -80,6 +81,8 @@ EXTRA_CASES = [
     ("printed-model", {"extraction": {"model": "printed"}}, TABLE_MATERIALS),
     ("via-order", {"cavity": {"via_diameter_d_mm": 0.5, "via_pitch_p_mm": 0.4}}, TABLE_MATERIALS),
     ("thick-sample", {"sample": {"thickness_mm": 1.6}}, TABLE_MATERIALS),
+    ("via-collapse", {"cavity": {"width_a_mm": 1.8, "height_h_mm": 1.0, "via_diameter_d_mm": 1.0,
+                                 "via_pitch_p_mm": 1.1}}, TABLE_MATERIALS),
 ]
 
 

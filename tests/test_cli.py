@@ -769,6 +769,11 @@ class TestQuadcheck:
         ({"cavity": {"via_diameter_d_mm": 1.0, "via_pitch_p_mm": 2.0}, "sample": {"extent_x_l1_mm": 29.9}},
          None, "error: sample.extent_x_l1_mm exceeds cavity.width_a_mm less "
          "cavity.via_diameter_d_mm^2 / (0.95 cavity.via_pitch_p_mm)"),
+        # and so is the fence that leaves less than one via diameter of width
+        ({"cavity": {"width_a_mm": 1.8, "height_h_mm": 1.0, "via_diameter_d_mm": 1.0,
+                     "via_pitch_p_mm": 1.1}}, None,
+         "error: cavity.width_a_mm less cavity.via_diameter_d_mm^2 / (0.95 cavity.via_pitch_p_mm) "
+         "must exceed cavity.via_diameter_d_mm\n"),
     ],
 )
 def test_malformed_value_exit_2_names_key(
@@ -900,8 +905,7 @@ def test_every_error_exits_with_its_table_status(capsys, monkeypatch, config_fil
     table = next((status for error, status in EXIT_STATUS if isinstance(exc, error)), EXIT_CONFIG)
     assert (code, out) == (table, "")
     assert code == STATUS.get(cls.__name__, 2)
-    prefix = "resonance fit failed: " if cls is FitFailureError else ""
-    assert err == f"error: {prefix}{exc}\n"
+    assert err == f"error: {exc}\n"
 
 
 @pytest.mark.parametrize("doc", ["README", "cli docstring"])

@@ -8,7 +8,9 @@ parser's does, where `str.splitlines` also broke at FF, NEL and the
 other Unicode line boundaries.  The deliberate differences between the
 two are listed next to the test.  The writer is the per-value one
 `write_touchstone` had before it converted whole columns, kept unchanged
-apart from its name.
+apart from its name and its own DB_FLOOR.  `write_touchstone` now
+writes RI only; this writer still writes RI, MA and DB, so the tests
+write their MA and DB files with it.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import math
 import numpy as np
 
 from permeameter.errors import InvalidGeometryError, TouchstoneParseError
-from permeameter.traceio import DB_FLOOR, FrequencyTrace
+from permeameter.traceio import FrequencyTrace
 
 FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 FORMATS = ("RI", "MA", "DB")
+DB_FLOOR = -400.0  # the dB level the writer gives a zero magnitude
 
 
 def _pair_to_complex(a: float, b: float, fmt: str) -> complex:
