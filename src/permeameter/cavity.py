@@ -29,7 +29,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError, InvalidGeometryError
+from .errors import InvalidGeometryError
 
 C_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -41,9 +41,10 @@ class CavitySpec:
     """Effective rectangular cavity geometry plus substrate constants.
 
     Lengths in meters.  ``mu_rs`` is the substrate relative permeability
-    (complex, 1+0j for nonmagnetic substrates).  Optional via fields
-    describe an SIW side-wall fence; when present, ``a_eff`` applies the
-    standard effective-width correction.
+    mu' - j mu'' (1+0j for nonmagnetic substrates); a passive substrate
+    has mu'' >= 0, so its imaginary part is never positive.  Optional
+    via fields describe an SIW side-wall fence; when present, ``a_eff``
+    applies the standard effective-width correction.
     """
 
     width_a: float
@@ -65,6 +66,8 @@ class CavitySpec:
         mu = complex(self.mu_rs)
         if not mu.real >= 1:
             raise InvalidGeometryError("mu_rs real part must be >= 1")
+        if not mu.imag <= 0:
+            raise InvalidGeometryError("mu_rs imaginary part must be <= 0")
         has_d = self.via_diameter_d is not None
         has_p = self.via_pitch_p is not None
         if has_d != has_p:
@@ -155,13 +158,13 @@ def mode_field(
     """Relative TE10n fields at (x, z); uniform along y.
 
     Accepts scalars or broadcastable arrays.  Points outside the cavity
-    cross-section raise DomainError.
+    cross-section raise InvalidGeometryError.
     """
     a, l = cavity.a_eff, cavity.length_l
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if np.any(x < 0) or np.any(x > a) or np.any(z < 0) or np.any(z > l):
-        raise DomainError(f"point outside cavity: need 0 <= x <= {a}, 0 <= z <= {l}")
+        raise InvalidGeometryError(f"point outside cavity: need 0 <= x <= {a}, 0 <= z <= {l}")
     k_x, k_z = wavenumbers(cavity, mode)
     sx, cx = np.sin(k_x * x), np.cos(k_x * x)
     sz, cz = np.sin(k_z * z), np.cos(k_z * z)

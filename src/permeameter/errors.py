@@ -8,35 +8,15 @@ class PermeameterError(Exception):
 
 
 class InvalidGeometryError(PermeameterError, ValueError):
-    """A geometry or domain value violates its constraints (names the field)."""
+    """A value the model or a library type cannot work with; names the field if any.
 
-
-class DomainError(PermeameterError, ValueError):
-    """A field evaluation point lies outside the cavity."""
-
-
-class UnsupportedModeError(PermeameterError, ValueError):
-    """Printed closed form requested for an odd mode index, which it does not cover."""
-
-
-class AccuracyError(PermeameterError, ArithmeticError):
-    """Numerical quadrature failed to converge; carries the last delta."""
-
-    def __init__(self, message: str, last_delta: float):
-        super().__init__(message)
-        self.last_delta = last_delta
-
-
-class DegenerateGeometryError(PermeameterError, ValueError):
-    """Geometry factor too small to invert (sample volume effectively zero)."""
+    Covers out-of-range geometry, a point outside the cavity, a degenerate g,
+    a shift beyond the perturbation regime and a non-converging integral.
+    """
 
 
 class UnphysicalResultError(PermeameterError, ValueError):
     """Extraction produced a permeability the model cannot represent."""
-
-
-class ModelBreakdownError(PermeameterError, ValueError):
-    """Forward model pushed outside the small-perturbation regime."""
 
 
 class TouchstoneParseError(PermeameterError, ValueError):

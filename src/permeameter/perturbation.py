@@ -40,14 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .cavity import CavitySpec, ModeSpec, guided_wavelength, stored_field_norm, wavenumbers
-from .errors import (
-    AccuracyError,
-    ConfigurationError,
-    DegenerateGeometryError,
-    InvalidGeometryError,
-    UnphysicalResultError,
-    UnsupportedModeError,
-)
+from .errors import ConfigurationError, InvalidGeometryError, UnphysicalResultError
 from .traceio import Resonance
 
 #: g below this is treated as "no sample" and refuses to invert.
@@ -166,7 +159,7 @@ def geometry_factor_printed(
     geometry_factor, so extraction and synthesis never use it.
     """
     if not mode.is_even:
-        raise UnsupportedModeError(
+        raise InvalidGeometryError(
             f"printed geometry factor is defined for even mode indices only (got n={mode.n})"
         )
     check_sample(cavity, sample)
@@ -307,7 +300,7 @@ def sample_energy_quadrature(
     extrapolates the ladder (the midpoint error is a clean h^2 series
     for trigonometric integrands, so each doubling gains two orders).
     Converged when successive extrapolants agree to QUADRATURE_RTOL;
-    raises AccuracyError after MAX_DOUBLINGS doublings without that.
+    raises InvalidGeometryError after MAX_DOUBLINGS doublings without that.
     """
     check_cells_per_axis(cells_per_axis)
     check_sample(cavity, sample)
@@ -324,10 +317,9 @@ def sample_energy_quadrature(
             if delta < QUADRATURE_RTOL:
                 return row[-1]
         prev = row
-    raise AccuracyError(
+    raise InvalidGeometryError(
         f"box integral did not converge within {MAX_DOUBLINGS} grid doublings "
-        f"(last relative delta {delta:.3e})",
-        last_delta=delta,
+        f"(last relative delta {delta:.3e})"
     )
 
 
@@ -389,7 +381,7 @@ def invert_permeability(
     if not abs(shift.real) < 1:
         raise InvalidGeometryError("|re| of a fractional shift must be < 1")
     if g.value <= DEGENERATE_G:
-        raise DegenerateGeometryError(
+        raise InvalidGeometryError(
             f"geometry factor {g.value:.3e} is degenerate (<= {DEGENERATE_G:.0e}); "
             "sample volume is effectively zero"
         )

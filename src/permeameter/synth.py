@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .cavity import CavitySpec, ModeSpec
-from .errors import ConfigurationError, ModelBreakdownError
+from .errors import ConfigurationError, InvalidGeometryError
 from .perturbation import (
     ComplexPermeability,
     GeometryFactor,
@@ -81,13 +81,13 @@ def _loaded(
     """forward_load's resonance for a geometry factor already computed."""
     delta = fractional_shift_closed(mu_r, mu_rs, g)
     if delta.real >= 1:
-        raise ModelBreakdownError(
+        raise InvalidGeometryError(
             f"fractional shift re = {delta.real:.4g} >= 1; perturbation assumption violated"
         )
     f_loaded = empty.f0 / (1.0 - delta.real)
     inv_q = 1.0 / empty.q_unloaded + 2.0 * delta.imag
     if inv_q <= 0:
-        raise ModelBreakdownError("predicted unloaded Q is not positive")
+        raise InvalidGeometryError("predicted unloaded Q is not positive")
     q_unloaded = 1.0 / inv_q
     q_loaded = q_unloaded * (1.0 - empty.il_linear)
     return Resonance(f_loaded, q_loaded, q_unloaded, empty.il_linear, method="model")

@@ -244,25 +244,25 @@ def parse_touchstone(data: bytes | str) -> FrequencyTrace:
     else:
         raise TouchstoneParseError(max(len(lines), 1), "missing option line")
     try:
-        freqs, s11, s21 = _data_rows(lines[start:], unit, fmt)
+        return _data_rows(lines[start:], unit, fmt, z0)
     except (ValueError, OverflowError):
         noise = _noise_block_start(lines, start, unit, fmt)
-        freqs, s11, s21 = _data_rows(lines[start:noise - 1], unit, fmt)
-    return FrequencyTrace(freqs, s21, s11, z0=z0, fmt=fmt)
+        return _data_rows(lines[start:noise - 1], unit, fmt, z0)
 
 
-def _data_rows(lines: list[str], unit: str, fmt: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(freqs, s11, s21) of S data lines in one np.loadtxt pass;
-    ValueError or OverflowError if any line is rejected."""
+def _data_rows(lines: list[str], unit: str, fmt: str, z0: float) -> FrequencyTrace:
+    """The trace of S data lines in one np.loadtxt pass; ValueError (the
+    trace's InvalidGeometryError for frequencies that are not finite and
+    strictly increasing) or OverflowError if any line is rejected."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty data block warns: "no data rows" later
         rows = np.loadtxt(lines, comments="!", ndmin=2)
-    with np.errstate(over="ignore"):  # an overflow fails the isfinite check
-        freqs = rows[:, 0] * FREQ_UNITS[unit]
-    valid = rows.shape[1] == 9 and len(rows) and np.isfinite(rows).all()
-    if not (valid and np.isfinite(freqs).all() and (freqs[1:] > freqs[:-1]).all()):
+    if not (rows.shape[1] == 9 and len(rows) and np.isfinite(rows).all()):
         raise ValueError("a data row is rejected")
-    return freqs, _to_complex(rows[:, 1], rows[:, 2], fmt), _to_complex(rows[:, 3], rows[:, 4], fmt)
+    with np.errstate(over="ignore"):  # an overflow fails the trace's isfinite check
+        freqs = rows[:, 0] * FREQ_UNITS[unit]
+    s11, s21 = _to_complex(rows[:, 1], rows[:, 2], fmt), _to_complex(rows[:, 3], rows[:, 4], fmt)
+    return FrequencyTrace(freqs, s21, s11, z0=z0, fmt=fmt)
 
 
 def _noise_block_start(lines: list[str], start: int, unit: str, fmt: str) -> int:

@@ -20,13 +20,14 @@ x 2 Q methods x n = 4 x {-90, -60 dB}, where ~10^4 noise maxima take
 several pruning passes, the 3-dB window grows and the fit window holds
 ~5000 samples.  So that it adds only ~30 s, it runs `extract` (with and
 without --json) on the first material pair only; compare still
-extracts every material.  The grid prints 2461 lines.
+extracts every material.  The grid prints 2514 lines.
 One line per output gives the config, the verb, the exit code and the
 sha256 of stdout and of stderr, with the temporary directory replaced by
 a fixed token; each written .s2p and CSV file gets a line with its
 sha256 as well.  Extra cases at the end cover configs that fail, two of
 them in more than one way, where only the exit code is promised to stay
-the same.
+the same, and the grid's one complex (lossy) substrate, which every verb
+runs on.
 
 To check that a change keeps outputs byte-identical, pass `--against`
 a git revision such as HEAD: its `src/` is extracted with `git archive`
@@ -69,8 +70,11 @@ LONG_NOISE_FLOORS_DB = (-90.0, -60.0)
 # (label, config patch, roster): the first two fail on the geometry and on one
 # other check; the sweep of the next two reaches 0 Hz or lacks the 3-bandwidth
 # margins; the next names the published prefactor, which is no extraction model;
-# the last three give a via diameter above its pitch, a bar thicker than the cavity
-# and a via fence that leaves less than one via diameter of width
+# the next three give a via diameter above its pitch, a bar thicker than the cavity
+# and a via fence that leaves less than one via diameter of width; the next two
+# give a lossy substrate, on which every verb exits 0, and one with gain; the last
+# two reach the model's limits: a box integral that does not converge and a 1 um
+# bar whose geometry factor is degenerate
 EXTRA_CASES = [
     ("duplicate-labels+oversize-sample", {"sample": {"extent_x_l1_mm": 40.0}},
      [{"name": "A", "mu_re": 1.2}, {"name": "A", "mu_re": 1.3}]),
@@ -83,6 +87,13 @@ EXTRA_CASES = [
     ("thick-sample", {"sample": {"thickness_mm": 1.6}}, TABLE_MATERIALS),
     ("via-collapse", {"cavity": {"width_a_mm": 1.8, "height_h_mm": 1.0, "via_diameter_d_mm": 1.0,
                                  "via_pitch_p_mm": 1.1}}, TABLE_MATERIALS),
+    ("lossy-substrate", {"cavity": {"mu_rs": [1.0, -0.002]}}, TABLE_MATERIALS),
+    ("active-substrate", {"cavity": {"mu_rs": [1.0, 0.002]}}, TABLE_MATERIALS),
+    ("quadrature-nonconvergence", {"mode": {"n": 200}, "extraction": {"cells_per_axis": 8},
+                                   "sample": {"extent_x_l1_mm": 29.0, "extent_z_a1_mm": 59.0,
+                                              "thickness_mm": 1.0}}, TABLE_MATERIALS),
+    ("degenerate-sample", {"sample": {"extent_x_l1_mm": 0.001, "extent_z_a1_mm": 0.001,
+                                      "thickness_mm": 0.001}}, TABLE_MATERIALS),
 ]
 
 

@@ -13,7 +13,7 @@ from permeameter import (
     stored_field_norm,
     wavenumbers,
 )
-from permeameter.errors import DomainError, InvalidGeometryError
+from permeameter.errors import InvalidGeometryError
 
 
 def norm_by_midpoint(cavity, mode, cells=200):
@@ -114,9 +114,10 @@ class TestModeField:
         assert fp.h_z == pytest.approx(+52.35987755982988, rel=1e-12)
 
     def test_out_of_cavity(self, worked_cavity):
-        with pytest.raises(DomainError):
+        outside = r"point outside cavity: need 0 <= x <= 0\.03, 0 <= z <= 0\.06$"
+        with pytest.raises(InvalidGeometryError, match=outside):
             mode_field(worked_cavity, ModeSpec(1), -1e-6, 0.01)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidGeometryError, match=outside):
             mode_field(worked_cavity, ModeSpec(1), 0.01, 0.0601)
 
     def test_array_evaluation(self, worked_cavity):
@@ -215,6 +216,16 @@ class TestSpecValidation:
             (
                 dict(width_a=0.03, length_l=0.06, height_h=0.001, eps_r=2.2, mu_rs=0.5),
                 "mu_rs",
+            ),
+            # mu' - j mu'': a positive imaginary part is a substrate with gain
+            (
+                dict(width_a=0.03, length_l=0.06, height_h=0.001, eps_r=2.2, mu_rs=1 + 0.002j),
+                "^mu_rs imaginary part must be <= 0$",
+            ),
+            (
+                dict(width_a=0.03, length_l=0.06, height_h=0.001, eps_r=2.2,
+                     mu_rs=complex(1, float("nan"))),
+                "^mu_rs imaginary part must be <= 0$",
             ),
         ],
     )

@@ -774,6 +774,8 @@ class TestQuadcheck:
                      "via_pitch_p_mm": 1.1}}, None,
          "error: cavity.width_a_mm less cavity.via_diameter_d_mm^2 / (0.95 cavity.via_pitch_p_mm) "
          "must exceed cavity.via_diameter_d_mm\n"),
+        # mu_rs = mu' - j mu'': a positive imaginary part is a substrate with gain
+        ({"cavity": {"mu_rs": [1.0, 0.002]}}, None, "error: cavity.mu_rs imaginary part must be <= 0\n"),
     ],
 )
 def test_malformed_value_exit_2_names_key(
@@ -894,7 +896,7 @@ ERRORS = [
 
 @pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
 def test_every_error_exits_with_its_table_status(capsys, monkeypatch, config_file, cls):
-    args = {errors.TouchstoneParseError: (7, "bad row"), errors.AccuracyError: ("bad row", 1e-3)}
+    args = {errors.TouchstoneParseError: (7, "bad row")}
     exc = cls(*args.get(cls, ("bad row",)))
 
     def failing_load(path):
@@ -908,12 +910,51 @@ def test_every_error_exits_with_its_table_status(capsys, monkeypatch, config_fil
     assert err == f"error: {exc}\n"
 
 
+@pytest.mark.parametrize(
+    "overrides,verb,stderr",
+    [
+        # hundreds of field oscillations across the bar starve the 8..64 cell ladder
+        ({"mode": {"n": 200}, "extraction": {"cells_per_axis": 8},
+          "sample": {"extent_x_l1_mm": 29.0, "extent_z_a1_mm": 59.0, "thickness_mm": 1.0}},
+         "quadcheck",
+         "error: box integral did not converge within 3 grid doublings "
+         "(last relative delta 1.943e-01)\n"),
+        # a 1 um bar holds no field energy to speak of
+        ({"sample": {"extent_x_l1_mm": 0.001, "extent_z_a1_mm": 0.001, "thickness_mm": 0.001}},
+         "compare",
+         "error: geometry factor 9.456e-31 is degenerate (<= 1e-12); "
+         "sample volume is effectively zero\n"),
+    ],
+    ids=["quadrature-nonconvergence", "degenerate-sample"],
+)
+def test_model_limit_exits_2(capsys, tmp_path, config_file, materials_file, overrides, verb, stderr):
+    # where the perturbation model stops, the run exits 2 with the library's message
+    files = ["--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv")]
+    code, out, err = run(
+        capsys, "--config", str(config_file(**overrides)), verb, *(files if verb == "compare" else [])
+    )
+    assert (code, out, err) == (2, "", stderr)
+
+
 @pytest.mark.parametrize("doc", ["README", "cli docstring"])
 def test_documented_exit_codes_are_the_table(doc):
     text = README.read_text() if doc == "README" else permeameter.cli.__doc__
     sentence = " ".join(text.split("Exit codes:", 1)[1].split(".", 1)[0].split())
     documented = {int(code) for code in re.findall(r"(?:^|, )(\d+) ", sentence)}
     assert documented == {EXIT_OK, EXIT_CONFIG} | {status for _, status in EXIT_STATUS}
+
+
+def test_readme_names_each_error_class_with_its_status():
+    # "A, B and C exit 3; D exits 4; ...": each class in the clause of its code
+    text = README.read_text().split("subclasses of `PermeameterError`:", 1)[1]
+    clauses = text.split("operating-system error", 1)[0].split(";")
+    documented = {name: int(re.search(r"exits? (\d)", clause)[1])
+                  for clause in clauses for name in re.findall(r"`(\w+)`", clause)}
+    table = {
+        cls.__name__: next((status for error, status in EXIT_STATUS if issubclass(cls, error)), EXIT_CONFIG)
+        for cls in ERRORS if cls not in (OSError, errors.PermeameterError)
+    }
+    assert documented == table
 
 
 def test_warnings_other_than_near_critical_pass_through(capsys, monkeypatch, config_file):

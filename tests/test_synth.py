@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from permeameter import (
-    CavitySpec,
     ComplexPermeability,
     GeometryFactor,
     InteractionChoice,
     FrequencyTrace,
     Resonance,
-    SampleSpec,
     SynthConfig,
     campaign_traces,
     complex_shift_from_resonances,
@@ -27,7 +25,7 @@ from permeameter import (
     synth_campaign,
 )
 from permeameter import synth
-from permeameter.errors import ConfigurationError, ModelBreakdownError
+from permeameter.errors import ConfigurationError, InvalidGeometryError
 
 
 @pytest.fixture
@@ -77,15 +75,16 @@ class TestForwardLoad:
         assert loadeds[0].f0 == loadeds[1].f0 == loadeds[2].f0
         assert loadeds[0].q_loaded > loadeds[1].q_loaded > loadeds[2].q_loaded
 
-    def test_model_breakdown(self, worked_cavity, mode4, empty_resonance):
-        # active-looking substrate with a hugely lossy sample drives re >= 1
-        cavity = CavitySpec(0.030, 0.060, 0.00157, 2.2, mu_rs=1 + 2j)
-        full = SampleSpec(cavity.a_eff, cavity.length_l, cavity.height_h)
-        mu = ComplexPermeability(1.0, 40.0)
-        with pytest.raises(ModelBreakdownError):
-            forward_load(
-                cavity, full, mode4, mu, empty_resonance,
-                model="derived", choice=InteractionChoice.BOTH,
+    def test_model_breakdown(self, empty_resonance):
+        # with g <= 1 a passive substrate keeps re <= g/2, so an outsize g
+        # stands in: re = -(0.5/2 - 1/2) * 10 = 2.5
+        with pytest.raises(
+            InvalidGeometryError,
+            match=r"^fractional shift re = 2\.5 >= 1; perturbation assumption violated$",
+        ):
+            synth._loaded(
+                ComplexPermeability(0.5, 0.0), 1.0, GeometryFactor(10.0, "derived-both"),
+                empty_resonance,
             )
 
     @pytest.mark.parametrize("model", ["bogus", "printed"])
