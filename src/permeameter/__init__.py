@@ -2,7 +2,7 @@
 
 Subpackages:
   cavity       : analytic TE10n cavity model (frequencies, fields, norms)
-  perturbation : geometry factors and shift <-> permeability conversions
+  perturbation : geometry factors, the shift model both ways, its domain, pairing
   traceio      : Touchstone I/O, resonance detection, Q extraction
   synth        : forward trace synthesis standing in for a field solver
   cli          : command-line front end
@@ -32,6 +32,7 @@ from .perturbation import (
     geometry_factor_derived,
     geometry_factor_printed,
     invert_permeability,
+    pair_resonances,
     sample_energy_midpoint,
     sample_energy_quadrature,
 )
@@ -47,7 +48,6 @@ from .traceio import (
     Resonance,
     find_resonances,
     fit_lorentzian,
-    pair_resonances,
     parse_touchstone,
     q_3db,
     write_touchstone,

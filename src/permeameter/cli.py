@@ -69,6 +69,7 @@ from .perturbation import (
     geometry_factor_conventional,
     geometry_factor_printed,
     invert_permeability,
+    pair_resonances,
 )
 # imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
 from .perturbation import geometry_factor_derived, sample_energy_quadrature  # noqa: F401
@@ -78,7 +79,6 @@ from .traceio import (
     Resonance,
     find_resonances,
     fit_lorentzian,
-    pair_resonances,
     parse_touchstone,
     q_3db,
 )

@@ -20,9 +20,9 @@ factor e^{+j w t}, mu_r = mu_re - j mu_im):
     im(shift) = (1/2) (1/Q_loaded - 1/Q_empty)   (> 0 when lossy)
 
 so that invert_permeability is the exact algebraic inverse of
-fractional_shift_closed.  The shift is a plain complex number;
-invert_permeability holds its checks (finite, |re| < 1) and
-GeometryFactor holds those of g (finite, >= 0).
+fractional_shift_closed, and loaded_resonance the forward map that
+complex_shift_from_resonances reads back.  check_shift holds the domain
+of both directions (a finite shift, |re| < 1, g above DEGENERATE_G).
 
 Naming note: the bar extent along x is called l1 and the extent along z
 is called a1.  The cross-axis naming is kept deliberately because the
@@ -40,11 +40,16 @@ from typing import Callable
 import numpy as np
 
 from .cavity import CavitySpec, ModeSpec, guided_wavelength, stored_field_norm, wavenumbers
-from .errors import ConfigurationError, InvalidGeometryError, UnphysicalResultError
+from .errors import (
+    ConfigurationError, InvalidGeometryError, NoPairableResonanceError, UnphysicalResultError
+)
 from .traceio import Resonance
 
-#: g below this is treated as "no sample" and refuses to invert.
+#: g below this is treated as "no sample": check_shift rejects it.
 DEGENERATE_G = 1e-12
+
+#: Pairing guard band: a loaded resonance pairs within this fraction of the empty f0.
+PAIRING_GUARD = 0.10
 
 #: Relative tolerance of the convergence-by-doubling quadrature loop.
 QUADRATURE_RTOL = 1e-6
@@ -353,12 +358,73 @@ def fractional_shift_closed(
     return -(mu_r.as_complex / (2.0 * complex(mu_rs)) - 0.5) * g.value
 
 
+def check_shift(shift: complex, g: GeometryFactor) -> None:
+    """Reject a shift outside the first-order model, or a degenerate g."""
+    if not np.isfinite(shift):
+        raise InvalidGeometryError("shift components must be finite")
+    if not abs(shift.real) < 1:
+        raise InvalidGeometryError("|re| of a fractional shift must be < 1")
+    if g.value <= DEGENERATE_G:
+        raise InvalidGeometryError(
+            f"geometry factor {g.value:.3e} is degenerate (<= {DEGENERATE_G:.0e}); "
+            "sample volume is effectively zero"
+        )
+
+
+def loaded_resonance(
+    mu_r: ComplexPermeability, mu_rs: complex, g: GeometryFactor, empty: Resonance
+) -> Resonance:
+    """Loaded resonance for a sample of known permeability, coupling copied from empty.
+
+    f_loaded = f_empty / (1 - re), 1/Q_loaded = 1/Q_empty + 2 im on unloaded Q.
+    """
+    delta = fractional_shift_closed(mu_r, mu_rs, g)
+    check_shift(delta, g)
+    f_loaded = empty.f0 / (1.0 - delta.real)
+    inv_q = 1.0 / empty.q_unloaded + 2.0 * delta.imag
+    if inv_q <= 0:
+        raise InvalidGeometryError("predicted unloaded Q is not positive")
+    q_unloaded = 1.0 / inv_q
+    q_loaded = q_unloaded * (1.0 - empty.il_linear)
+    return Resonance(f_loaded, q_loaded, q_unloaded, empty.il_linear, method="model")
+
+
+def pair_resonances(
+    empty: list[Resonance], loaded: list[Resonance]
+) -> list[tuple[Resonance, Resonance]]:
+    """Nearest-frequency pairing of empty/loaded resonances.
+
+    Each empty resonance, in frequency order, takes the closest unused
+    loaded one if it lies within +-PAIRING_GUARD (10 %) of the empty
+    frequency; every resonance is used at most once.
+    Raises NoPairableResonanceError when nothing pairs, saying how far
+    the nearest loaded resonance lies.
+    """
+    pairs: list[tuple[Resonance, Resonance]] = []
+    remaining = list(loaded)
+    for e in sorted(empty, key=lambda r: r.f0):
+        if not remaining:
+            break
+        best = min(remaining, key=lambda r: abs(r.f0 - e.f0))
+        if abs(best.f0 - e.f0) <= PAIRING_GUARD * e.f0:
+            pairs.append((e, best))
+            remaining.remove(best)
+    if not pairs:
+        gaps = [abs(r.f0 - e.f0) / e.f0 for e in empty for r in loaded]
+        nearest = f"; the nearest lies {min(gaps):.3g} of its f0 away" if gaps else ""
+        raise NoPairableResonanceError(
+            f"no loaded resonance within {PAIRING_GUARD:.0%} of an empty one, "
+            f"the perturbation model's guard{nearest}"
+        )
+    return pairs
+
+
 def complex_shift_from_resonances(empty: Resonance, loaded: Resonance) -> complex:
     """Measured fractional shift between an empty and a loaded resonance.
 
     re = (f_loaded - f_empty) / f_loaded
     im = (1/2) (1/Q_loaded - 1/Q_empty), unloaded Q on both sides.
-    Pairing the two is the caller's: see traceio.pair_resonances.
+    Pairing the two is the caller's: see pair_resonances.
     """
     re = (loaded.f0 - empty.f0) / loaded.f0
     im = 0.5 * (1.0 / loaded.q_unloaded - 1.0 / empty.q_unloaded)
@@ -372,19 +438,9 @@ def invert_permeability(
 ) -> ComplexPermeability:
     """Exact algebraic inverse of fractional_shift_closed.
 
-    mu_r = mu_rs (1 - 2 shift / g); raises when the shift is not finite or
-    its |re| is not < 1, when the factor is degenerate, or when the result
-    leaves the model's parameter space.
+    mu_r = mu_rs (1 - 2 shift / g); raises where check_shift does or mu_r is unphysical.
     """
-    if not np.isfinite(shift):
-        raise InvalidGeometryError("shift components must be finite")
-    if not abs(shift.real) < 1:
-        raise InvalidGeometryError("|re| of a fractional shift must be < 1")
-    if g.value <= DEGENERATE_G:
-        raise InvalidGeometryError(
-            f"geometry factor {g.value:.3e} is degenerate (<= {DEGENERATE_G:.0e}); "
-            "sample volume is effectively zero"
-        )
+    check_shift(shift, g)
     mu_c = complex(mu_rs) * (1.0 - 2.0 * shift / g.value)
     mu_re, mu_im = mu_c.real, -mu_c.imag
     if mu_re <= 0:

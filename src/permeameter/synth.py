@@ -1,7 +1,7 @@
 """Forward trace synthesis: known permeability -> loaded resonance -> S21 trace.
 
-Stands in for a full-wave solver at desk scale: the perturbation model
-maps a material to a resonance shift, and a single-resonance Lorentzian
+Stands in for a full-wave solver at desk scale: perturbation.loaded_resonance
+maps a material to a loaded resonance, and a single-resonance Lorentzian
 with optional seeded noise renders the scattering trace.  Coupling
 (insertion loss) is held constant between empty and loaded states.
 Each loaded trace spans the empty trace's window in its own bandwidths,
@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .cavity import CavitySpec, ModeSpec
-from .errors import ConfigurationError, InvalidGeometryError
+from .errors import ConfigurationError
 from .perturbation import (
     ComplexPermeability,
     GeometryFactor,
     InteractionChoice,
     SampleSpec,
-    fractional_shift_closed,
     geometry_factor,
+    loaded_resonance,
 )
 # imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
 from .perturbation import geometry_factor_derived, sample_energy_quadrature  # noqa: F401
@@ -66,31 +66,9 @@ def forward_load(
     choice: InteractionChoice = InteractionChoice.TRANSVERSE_HZ,
     cells_per_axis: int = 64,
 ) -> Resonance:
-    """Loaded resonance predicted for a sample of known permeability.
-
-    f_loaded = f_empty / (1 - re); 1/Q_loaded = 1/Q_empty + 2 im, on
-    unloaded Q.  Coupling is copied from the empty state.
-    """
+    """perturbation.loaded_resonance for the geometry factor of the named model."""
     g = geometry_factor(cavity, sample, mode, model, choice, cells_per_axis)
-    return _loaded(mu_r, cavity.mu_rs, g, empty)
-
-
-def _loaded(
-    mu_r: ComplexPermeability, mu_rs: complex, g: GeometryFactor, empty: Resonance
-) -> Resonance:
-    """forward_load's resonance for a geometry factor already computed."""
-    delta = fractional_shift_closed(mu_r, mu_rs, g)
-    if delta.real >= 1:
-        raise InvalidGeometryError(
-            f"fractional shift re = {delta.real:.4g} >= 1; perturbation assumption violated"
-        )
-    f_loaded = empty.f0 / (1.0 - delta.real)
-    inv_q = 1.0 / empty.q_unloaded + 2.0 * delta.imag
-    if inv_q <= 0:
-        raise InvalidGeometryError("predicted unloaded Q is not positive")
-    q_unloaded = 1.0 / inv_q
-    q_loaded = q_unloaded * (1.0 - empty.il_linear)
-    return Resonance(f_loaded, q_loaded, q_unloaded, empty.il_linear, method="model")
+    return loaded_resonance(mu_r, cavity.mu_rs, g, empty)
 
 
 #: Bandwidths of sweep that a synthesized resonance needs on either side.
@@ -139,8 +117,8 @@ def campaign_traces(
 ) -> dict[str, FrequencyTrace]:
     """One trace per material plus the empty-cavity trace, in memory.
 
-    Each loaded resonance is the one forward_load predicts for geometry
-    factor g and the cavity's mu_rs.  Returns {label: trace}; the empty
+    Each loaded resonance is the one loaded_resonance predicts for
+    geometry factor g and the cavity's mu_rs.  Returns {label: trace}; the empty
     trace is keyed "empty".  Labels may not collide with it or each other.
     The empty trace is rendered on cfg, and each loaded one on cfg's
     window re-centred on its own resonance in its own bandwidths bw =
@@ -153,7 +131,7 @@ def campaign_traces(
 
     traces = {"empty": lorentzian_trace(empty, replace(cfg, seed=_item_seed(cfg.seed, "empty")))}
     for name, mu_r in sample_table:
-        res = _loaded(mu_r, mu_rs, g, empty)
+        res = loaded_resonance(mu_r, mu_rs, g, empty)
         scale = (res.f0 / res.q_loaded) / (empty.f0 / empty.q_loaded)
         f_start = res.f0 + (cfg.f_start - empty.f0) * scale
         f_stop = res.f0 + (cfg.f_stop - empty.f0) * scale

@@ -33,7 +33,6 @@ from .errors import (
     InsufficientSpanError,
     InvalidGeometryError,
     NearCriticalCouplingWarning,
-    NoPairableResonanceError,
     OverCoupledError,
     TouchstoneParseError,
 )
@@ -48,10 +47,6 @@ HALF_POWER_DB = 10.0 * math.log10(2.0)  # 3.0103 dB
 
 #: Least prominence of a |S21| maximum that find_resonances reports, in dB.
 MIN_PROMINENCE_DB = 3.0
-
-#: Pairing guard band: loaded resonance must sit within this fraction
-#: of the empty resonance frequency.
-PAIRING_GUARD = 0.10
 
 #: Width of the Lorentzian fit window, in 3-dB bandwidths (perfbench's fit budget assumes 5).
 FIT_WINDOW_BANDWIDTHS = 5.0
@@ -604,33 +599,3 @@ def _quadratic_pass(
     if not (model > 0).all():
         raise FitFailureError("fitted 1/|S21|^2 is not positive over the window", fallback)
     return coef, model
-
-
-def pair_resonances(
-    empty: list[Resonance], loaded: list[Resonance]
-) -> list[tuple[Resonance, Resonance]]:
-    """Nearest-frequency pairing of empty/loaded resonances.
-
-    Each empty resonance, in frequency order, takes the closest unused
-    loaded one if it lies within +-PAIRING_GUARD (10 %) of the empty
-    frequency; every resonance is used at most once.
-    Raises NoPairableResonanceError when nothing pairs, saying how far
-    the nearest loaded resonance lies.
-    """
-    pairs: list[tuple[Resonance, Resonance]] = []
-    remaining = list(loaded)
-    for e in sorted(empty, key=lambda r: r.f0):
-        if not remaining:
-            break
-        best = min(remaining, key=lambda r: abs(r.f0 - e.f0))
-        if abs(best.f0 - e.f0) <= PAIRING_GUARD * e.f0:
-            pairs.append((e, best))
-            remaining.remove(best)
-    if not pairs:
-        gaps = [abs(r.f0 - e.f0) / e.f0 for e in empty for r in loaded]
-        nearest = f"; the nearest lies {min(gaps):.3g} of its f0 away" if gaps else ""
-        raise NoPairableResonanceError(
-            f"no loaded resonance within {PAIRING_GUARD:.0%} of an empty one, "
-            f"the perturbation model's guard{nearest}"
-        )
-    return pairs

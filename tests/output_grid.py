@@ -20,7 +20,7 @@ x 2 Q methods x n = 4 x {-90, -60 dB}, where ~10^4 noise maxima take
 several pruning passes, the 3-dB window grows and the fit window holds
 ~5000 samples.  So that it adds only ~30 s, it runs `extract` (with and
 without --json) on the first material pair only; compare still
-extracts every material.  The grid prints 2514 lines.
+extracts every material.  The grid prints 2506 lines.
 One line per output gives the config, the verb, the exit code and the
 sha256 of stdout and of stderr, with the temporary directory replaced by
 a fixed token; each written .s2p and CSV file gets a line with its
@@ -28,6 +28,15 @@ sha256 as well.  Extra cases at the end cover configs that fail, two of
 them in more than one way, where only the exit code is promised to stay
 the same, and the grid's one complex (lossy) substrate, which every verb
 runs on.
+
+`--slice` prints a tier-1 slice of the main grid instead: the derived
+model x 3 interactions x 2 Q methods x n = 4 x {noiseless, -90 dB,
+-60 dB}, `extract` on the first material pair only, headed by the numpy
+version.  tests/output_slice.txt holds it, and tests/test_output_slice.py
+compares a fresh run with that file; a deliberate output change
+regenerates it with
+
+    python tests/output_grid.py --slice > tests/output_slice.txt
 
 To check that a change keeps outputs byte-identical, pass `--against`
 a git revision such as HEAD: its `src/` is extracted with `git archive`
@@ -52,6 +61,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 # after PYTHONPATH, so a tree given there is the one imported
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -73,8 +84,9 @@ LONG_NOISE_FLOORS_DB = (-90.0, -60.0)
 # the next three give a via diameter above its pitch, a bar thicker than the cavity
 # and a via fence that leaves less than one via diameter of width; the next two
 # give a lossy substrate, on which every verb exits 0, and one with gain; the last
-# two reach the model's limits: a box integral that does not converge and a 1 um
-# bar whose geometry factor is degenerate
+# three reach the model's limits: a box integral that does not converge, a 1 um
+# bar whose geometry factor is degenerate and a mu' of 70 on axial-hx, whose
+# shift has |re| = 1.104
 EXTRA_CASES = [
     ("duplicate-labels+oversize-sample", {"sample": {"extent_x_l1_mm": 40.0}},
      [{"name": "A", "mu_re": 1.2}, {"name": "A", "mu_re": 1.3}]),
@@ -94,6 +106,7 @@ EXTRA_CASES = [
                                               "thickness_mm": 1.0}}, TABLE_MATERIALS),
     ("degenerate-sample", {"sample": {"extent_x_l1_mm": 0.001, "extent_z_a1_mm": 0.001,
                                       "thickness_mm": 0.001}}, TABLE_MATERIALS),
+    ("outsize-shift", {"extraction": {"interaction": "axial-hx"}}, [{"name": "F", "mu_re": 70.0}]),
 ]
 
 
@@ -148,19 +161,34 @@ def run_config(tmp: Path, label: str, doc: dict, roster: list[dict], pairs: int 
     run(tmp, label, "modes-text", cfg + ["modes", "--max-n", "6"])
 
 
+def grid_config(model: str, interaction: str, q_method: str, n: int, noise: float | None) -> tuple[str, dict]:
+    """Label and config of one main-grid point."""
+    label = f"{model}/{interaction}/{q_method}/n{n}/{'noiseless' if noise is None else f'{noise:g}dB'}"
+    return label, config({
+        "extraction": {"model": model, "interaction": interaction, "q_method": q_method},
+        "mode": {"n": n},
+        "synth": {"noise_floor_db": noise},
+    })
+
+
+def slice_header() -> str:
+    return f"# numpy {np.__version__}"
+
+
+def output_slice() -> None:
+    """The tier-1 slice: derived model, n = 4, `extract` on one material pair."""
+    print(slice_header())
+    with tempfile.TemporaryDirectory() as name:
+        for interaction, q_method, noise in itertools.product(INTERACTIONS, Q_METHODS, NOISE_FLOORS_DB):
+            run_config(Path(name), *grid_config("derived", interaction, q_method, 4, noise),
+                       TABLE_MATERIALS, pairs=1)
+
+
 def grid() -> None:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        for model, interaction, q_method, n, noise in itertools.product(
-            MODELS, INTERACTIONS, Q_METHODS, MODES, NOISE_FLOORS_DB
-        ):
-            label = f"{model}/{interaction}/{q_method}/n{n}/{'noiseless' if noise is None else f'{noise:g}dB'}"
-            doc = config({
-                "extraction": {"model": model, "interaction": interaction, "q_method": q_method},
-                "mode": {"n": n},
-                "synth": {"noise_floor_db": noise},
-            })
-            run_config(tmp, label, doc, TABLE_MATERIALS)
+        for point in itertools.product(MODELS, INTERACTIONS, Q_METHODS, MODES, NOISE_FLOORS_DB):
+            run_config(tmp, *grid_config(*point), TABLE_MATERIALS)
         for interaction, q_method, noise in itertools.product(
             INTERACTIONS, Q_METHODS, LONG_NOISE_FLOORS_DB
         ):
@@ -201,8 +229,13 @@ def against(ref: str) -> int:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--against", metavar="REF", help="git revision whose outputs to compare")
+    choice = parser.add_mutually_exclusive_group()
+    choice.add_argument("--against", metavar="REF", help="git revision whose outputs to compare")
+    choice.add_argument("--slice", action="store_true", help="print the tier-1 slice only")
     args = parser.parse_args()
     if args.against:
         sys.exit(against(args.against))
-    grid()
+    if args.slice:
+        output_slice()
+    else:
+        grid()

@@ -919,21 +919,51 @@ def test_every_error_exits_with_its_table_status(capsys, monkeypatch, config_fil
          "quadcheck",
          "error: box integral did not converge within 3 grid doublings "
          "(last relative delta 1.943e-01)\n"),
-        # a 1 um bar holds no field energy to speak of
-        ({"sample": {"extent_x_l1_mm": 0.001, "extent_z_a1_mm": 0.001, "thickness_mm": 0.001}},
-         "compare",
-         "error: geometry factor 9.456e-31 is degenerate (<= 1e-12); "
-         "sample volume is effectively zero\n"),
+        # a 1 um bar holds no field energy to speak of, in either direction
+        *(({"sample": {"extent_x_l1_mm": 0.001, "extent_z_a1_mm": 0.001, "thickness_mm": 0.001}},
+           verb,
+           "error: geometry factor 9.456e-31 is degenerate (<= 1e-12); "
+           "sample volume is effectively zero\n") for verb in ("compare", "synth")),
     ],
-    ids=["quadrature-nonconvergence", "degenerate-sample"],
+    ids=["quadrature-nonconvergence", "degenerate-sample", "degenerate-sample-synth"],
 )
 def test_model_limit_exits_2(capsys, tmp_path, config_file, materials_file, overrides, verb, stderr):
     # where the perturbation model stops, the run exits 2 with the library's message
-    files = ["--materials", str(materials_file()), "--out-csv", str(tmp_path / "t.csv")]
+    # and writes no file
     code, out, err = run(
-        capsys, "--config", str(config_file(**overrides)), verb, *(files if verb == "compare" else [])
+        capsys, "--config", str(config_file(**overrides)), verb, *written_by(verb, tmp_path, materials_file())
     )
     assert (code, out, err) == (2, "", stderr)
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", tmp_path / "materials.json"]
+
+
+def written_by(verb, tmp_path, materials):
+    """The arguments of `verb` that name its roster and where it writes, under tmp_path."""
+    outputs = {"compare": ["--out-csv", str(tmp_path / "t.csv")], "synth": ["--out-dir", str(tmp_path / "camp")]}
+    return ["--materials", str(materials), *outputs[verb]] if verb in outputs else []
+
+
+@pytest.mark.parametrize(
+    "mu_re,verb,code,stderr",
+    [
+        (70.0, "synth", 2, "error: |re| of a fractional shift must be < 1\n"),
+        (70.0, "compare", 2, "error: |re| of a fractional shift must be < 1\n"),
+        (40.0, "synth", 0, ""),
+        (40.0, "compare", 3, "error: no loaded resonance within 10% of an empty one, the perturbation "
+                             "model's guard; the nearest lies 0.384 of its f0 away\n"),
+    ],
+    ids=["outside-synth", "outside-compare", "inside-synth", "inside-compare"],
+)
+def test_synth_and_compare_share_the_shift_limit(
+    capsys, tmp_path, config_file, materials_file, mu_re, verb, code, stderr
+):
+    # on axial-hx g = 0.03201: mu' = 70 puts re at -1.104, which neither direction
+    # admits; mu' = 40 puts it at -0.624, which synthesizes but lies beyond pairing
+    cfg = str(config_file(extraction={"interaction": "axial-hx"}))
+    args = written_by(verb, tmp_path, materials_file([{"name": "F", "mu_re": mu_re}]))
+    got, _, err = run(capsys, "--config", cfg, verb, *args)
+    assert (got, err) == (code, stderr)
+    assert (tmp_path / "camp").exists() == (verb == "synth" and code == 0)
 
 
 @pytest.mark.parametrize("doc", ["README", "cli docstring"])

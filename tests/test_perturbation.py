@@ -1,8 +1,10 @@
+import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -27,7 +29,7 @@ from permeameter import (
     wavenumbers,
 )
 from permeameter.errors import ConfigurationError, InvalidGeometryError, UnphysicalResultError
-from permeameter.perturbation import MODELS
+from permeameter.perturbation import DEGENERATE_G, MODELS, loaded_resonance
 
 CHOICES = list(InteractionChoice)
 
@@ -486,6 +488,44 @@ class TestInversion:
             invert_permeability(
                 -1e-4 - 1e-5j, GeometryFactor(1e-3, "printed"), 1.0
             )
+
+
+#: How far a drawn closed-form |re| stays from 1, fixed before the first run, so
+#: that rounding through f0 and Q cannot carry the read-back shift across 1.
+RE_MARGIN = 1e-6
+
+
+class TestOneDomain:
+    @given(
+        mu_re=st.floats(1e-3, 200.0),
+        tan_dm=st.floats(0.0, 1.0),
+        mu_rs_re=st.floats(0.5, 10.0),
+        tan_ds=st.floats(0.0, 0.1),
+        # around DEGENERATE_G, the usual range, and outsize factors that put |re| past 1
+        g_value=st.one_of(st.floats(0.0, 2 * DEGENERATE_G), st.floats(0.0, 0.1), st.floats(0.0, 4.0)),
+    )
+    @settings(max_examples=300)
+    def test_what_synthesis_predicts_inversion_accepts(self, mu_re, tan_dm, mu_rs_re, tan_ds, g_value):
+        mu = ComplexPermeability.from_loss_tangent(mu_re, tan_dm)
+        mu_rs = complex(mu_rs_re, -mu_rs_re * tan_ds)  # passive substrate
+        g = GeometryFactor(g_value, "drawn")
+        empty = Resonance.from_loaded(7.5e9, 560.0, 0.3, "model")
+        closed = fractional_shift_closed(mu, mu_rs, g)
+        assume(abs(abs(closed.real) - 1.0) > RE_MARGIN)
+        try:
+            shift = complex_shift_from_resonances(empty, loaded_resonance(mu, mu_rs, g, empty))
+        except InvalidGeometryError as exc:
+            if str(exc) != "predicted unloaded Q is not positive":
+                # synthesis refused the shift: inversion refuses it with the same words
+                with pytest.raises(InvalidGeometryError, match=f"^{re.escape(str(exc))}$"):
+                    invert_permeability(closed, g, mu_rs)
+                return
+            # a loaded Q that is not positive is no resonance, so no measured pair
+            # carries this shift; the shift itself lies inside the domain
+            shift = closed
+        # inside the domain a shift may still read as an unphysical permeability (exit 4)
+        with contextlib.suppress(UnphysicalResultError):
+            invert_permeability(shift, g, mu_rs)
 
 
 class TestConventionalBaseline:

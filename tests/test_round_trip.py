@@ -49,7 +49,7 @@ from permeameter.errors import (
     NoPairableResonanceError,
     UnphysicalResultError,
 )
-from permeameter.traceio import PAIRING_GUARD
+from permeameter.perturbation import PAIRING_GUARD
 
 SPAN_BANDWIDTHS = 40.0
 RTOL = 1e-9

@@ -24,7 +24,7 @@ from permeameter import (
     stored_field_norm,
     synth_campaign,
 )
-from permeameter import synth
+from permeameter import perturbation, synth
 from permeameter.errors import ConfigurationError, InvalidGeometryError
 
 
@@ -54,7 +54,7 @@ class TestForwardLoad:
         # the published worked example, on the forward model with the printed g
         mu = ComplexPermeability.from_loss_tangent(1.5, 0.05)
         printed = geometry_factor_printed(worked_cavity, worked_sample, mode4)
-        loaded = synth._loaded(mu, worked_cavity.mu_rs, printed, empty_resonance)
+        loaded = perturbation.loaded_resonance(mu, worked_cavity.mu_rs, printed, empty_resonance)
         g = printed.value
         delta_re = -0.25 * g  # -(mu_re - 1)/2 * g for mu_rs = 1
         delta_im = 0.5 * 1.5 * 0.05 * g
@@ -80,9 +80,9 @@ class TestForwardLoad:
         # stands in: re = -(0.5/2 - 1/2) * 10 = 2.5
         with pytest.raises(
             InvalidGeometryError,
-            match=r"^fractional shift re = 2\.5 >= 1; perturbation assumption violated$",
+            match=r"^\|re\| of a fractional shift must be < 1$",
         ):
-            synth._loaded(
+            perturbation.loaded_resonance(
                 ComplexPermeability(0.5, 0.0), 1.0, GeometryFactor(10.0, "derived-both"),
                 empty_resonance,
             )
