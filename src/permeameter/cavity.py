@@ -50,7 +50,7 @@ class CavitySpec:
     width_a: float
     length_l: float
     height_h: float
-    eps_r: float
+    eps_r: float = 1.0
     mu_rs: complex = 1.0 + 0.0j
     via_diameter_d: float | None = None
     via_pitch_p: float | None = None

@@ -8,7 +8,8 @@ flags (--config, --seed, --json) work before or after the verb; a value
 given after the verb overrides one given before it.  A --seed outside
 [0, 2**64) is a config error that names the flag.
 
-Config and materials files are read as UTF-8 JSON, and their values are
+Config and materials files are read as UTF-8 JSON.  One reader reads
+each config section into its type, a key per field, and the values are
 type-checked: a number is a finite JSON number (not a string, boolean or
 null, nor the NaN and Infinity that Python's json reads), and the integer
 keys (mode.n, cells_per_axis, n_points, seed) take JSON integers only,
@@ -20,10 +21,8 @@ must be one of [...]".  A cavity and mode whose TE10n frequency or field
 norm leaves the float range are a config error too, and so is a modes
 --max-n whose frequency does.  A value that a library type rejects, and
 a sample that does not fit the cavity, name each key the message
-involves ("sample.thickness_mm exceeds cavity.height_h_mm").  synth and
-compare check the synth values that shape the traces (q0_empty > 0,
-span_bandwidths >= 6, il_linear in (0, 1), a finite sweep above 0 Hz
-whose edges differ) and name the keys too.
+involves ("sample.thickness_mm exceeds cavity.height_h_mm"), and so do
+the errors of synth.empty_sweep, which synth and compare run.
 
 Exit codes: 0 success, 2 config/parse error, 3 no usable resonance (none
 found, none pairable, or its Q could not be read), 4 unphysical
@@ -42,7 +41,7 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .cavity import CavitySpec, ModeSpec, guided_wavelength, resonant_frequency, stored_field_norm
@@ -73,7 +72,7 @@ from .perturbation import (
 )
 # imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
 from .perturbation import geometry_factor_derived, sample_energy_quadrature  # noqa: F401
-from .synth import MARGIN_BANDWIDTHS, SynthConfig, campaign_traces, synth_campaign
+from .synth import SynthOptions, campaign_traces, empty_sweep, synth_campaign
 from .traceio import (
     FrequencyTrace,
     Resonance,
@@ -101,6 +100,10 @@ CONFIG_ENV = "PERMEAMETER_CONFIG"
 
 MM = 1e-3
 
+# the fields of CavitySpec and SampleSpec that the config gives as <field>_mm
+LENGTHS = {"width_a", "length_l", "height_h", "via_diameter_d", "via_pitch_p",
+           "extent_x_l1", "extent_z_a1", "thickness"}
+
 # the allowed values of each option that names a choice
 CHOICES = {
     "q_method": ("lorentzian-fit", "three-db"),
@@ -118,16 +121,6 @@ class ExtractionOptions:
 
     def __post_init__(self):  # for every model, not only where the quadrature runs
         check_cells_per_axis(self.cells_per_axis)
-
-
-@dataclass(frozen=True)
-class SynthOptions:
-    q0_empty: float = 800.0  # unloaded empty-cavity Q; has to be supplied, no physics behind the default
-    il_linear: float = 0.3
-    n_points: int = 4001
-    span_bandwidths: float = 40.0
-    noise_floor_db: float | None = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -207,42 +200,45 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: boo
     return value if integer else (number * MM if mm else number)
 
 
+def _key(name: str) -> str:
+    """The config key of a field: <field>_mm for a length."""
+    return f"{name}_mm" if name in LENGTHS else name
+
+
 def _options(cls, section: dict, where: str):
-    """`cls` read from `section`, each field defaulting to its value in
-    `cls()`: a field named in CHOICES takes one of its choices, any other
-    a number (an integer key if its default is an int)."""
-    defaults, values = cls(), {}
+    """`cls` read from `section`, a key per field (see _key), required if the
+    field has no default: a field named in CHOICES takes one of its choices,
+    a complex one a number or a [re, im] pair, any other a number (an
+    integer if typed int).  An error of cls names the keys."""
+    values = {}
     for f in fields(cls):
-        default = getattr(defaults, f.name)
-        if f.name not in CHOICES:
-            values[f.name] = _number(section, f.name, where, default, isinstance(default, int))
-            continue
-        value = section.pop(f.name, default)
-        if value not in CHOICES[f.name]:  # a tuple: a JSON list or object is unhashable
-            raise ConfigurationError(f"{where}.{f.name} must be one of {list(CHOICES[f.name])}")
-        values[f.name] = type(default)(value)  # so interaction stays an InteractionChoice
+        key, default = _key(f.name), _REQUIRED if f.default is MISSING else f.default
+        if f.name in CHOICES:
+            value = section.pop(key, default)
+            if value not in CHOICES[f.name]:  # a tuple: a JSON list or object is unhashable
+                raise ConfigurationError(f"{where}.{key} must be one of {list(CHOICES[f.name])}")
+            values[f.name] = type(default)(value)  # so interaction stays an InteractionChoice
+        elif f.type == "complex":
+            values[f.name] = _as_complex(section.pop(key), f"{where}.{key}") if key in section else default
+        else:
+            values[f.name] = _number(section, key, where, default, f.type == "int")
     _reject_unknown(section, where)
-    return _built(cls, where, **values)
+    try:
+        return cls(**values)
+    except PermeameterError as exc:
+        raise _renamed(exc, (where, cls)) from None
 
 
-def _renamed(exc: PermeameterError, *sections: tuple[str, dict]) -> ConfigurationError:
-    """`exc` as a ConfigurationError that calls each field a (where, keys)
-    section set by its config key, <where>.<field>[_mm]."""
-    names = {key.removesuffix("_mm"): f"{where}.{key}" for where, keys in sections for key in keys}
+def _renamed(exc: PermeameterError, *sections: tuple[str, type]) -> ConfigurationError:
+    """`exc` as a ConfigurationError that calls each field of a (where,
+    cls) section by its config key, <where>.<key>."""
+    names = {f.name: f"{where}.{_key(f.name)}" for where, cls in sections for f in fields(cls)}
     return ConfigurationError(re.sub(r"\w+", lambda word: names.get(word[0], word[0]), str(exc)))
 
 
-def _built(cls, where: str, *args, **keys):
-    """cls(*args, **keys), each key without its _mm; an error names the keys."""
-    try:
-        return cls(*args, **{key.removesuffix("_mm"): value for key, value in keys.items()})
-    except PermeameterError as exc:
-        raise _renamed(exc, (where, keys)) from None
-
-
-def _as_complex(value) -> complex:
+def _as_complex(value, name: str) -> complex:
     parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
-    return complex(*(_finite(part, "cavity.mu_rs", " or a [re, im] pair") for part in parts))
+    return complex(*(_finite(part, name, " or a [re, im] pair") for part in parts))
 
 
 def _in_float_range(what: str, cavity: CavitySpec, mode: ModeSpec, *formulas) -> None:
@@ -261,31 +257,18 @@ def load_config(path: str | Path) -> RunConfig:
     doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
-    cav, smp, mod = (_section(doc, name) for name in ("cavity", "sample", "mode"))
-    cavity_keys = {
-        "width_a_mm": _number(cav, "width_a_mm", "cavity"),
-        "length_l_mm": _number(cav, "length_l_mm", "cavity"),
-        "height_h_mm": _number(cav, "height_h_mm", "cavity"),
-        "eps_r": _number(cav, "eps_r", "cavity", 1.0),
-        "mu_rs": _as_complex(cav.pop("mu_rs", 1.0)),
-        "via_diameter_d_mm": _number(cav, "via_diameter_d_mm", "cavity", None),
-        "via_pitch_p_mm": _number(cav, "via_pitch_p_mm", "cavity", None),
-    }
-    cavity = _built(CavitySpec, "cavity", **cavity_keys)
-    sample_keys = {key: _number(smp, key, "sample")
-                   for key in ("extent_x_l1_mm", "extent_z_a1_mm", "thickness_mm")}
-    sample = _built(SampleSpec, "sample", **sample_keys)
-    mode = _built(ModeSpec, "mode", n=_number(mod, "n", "mode", integer=True))
+    specs = (("cavity", CavitySpec), ("sample", SampleSpec), ("mode", ModeSpec))
+    sections = [(where, cls, _section(doc, where)) for where, cls in specs]  # a missing one first
+    cavity, sample, mode = (_options(cls, section, where) for where, cls, section in sections)
     _in_float_range("cavity and mode give a TE10n frequency or field norm",
                     cavity, mode, resonant_frequency, stored_field_norm)
     try:
         check_sample(cavity, sample)
     except PermeameterError as exc:
-        raise _renamed(exc, ("cavity", cavity_keys), ("sample", sample_keys)) from None
+        raise _renamed(exc, *specs[:2]) from None
     extraction = _options(ExtractionOptions, _section(doc, "extraction", required=False), "extraction")
     synth = _options(SynthOptions, _section(doc, "synth", required=False), "synth")
-    for section, where in ((cav, "cavity"), (smp, "sample"), (mod, "mode"), (doc, "config")):
-        _reject_unknown(section, where)
+    _reject_unknown(doc, "config")
     return RunConfig(cavity, sample, mode, extraction, synth)
 
 
@@ -404,37 +387,11 @@ def _pair_report(
 
 
 def _roster_traces(cfg: RunConfig, roster: list[dict], g: GeometryFactor) -> dict[str, FrequencyTrace]:
-    """Empty-cavity and per-material traces of the roster, in memory.
-
-    The empty sweep is centered on the modeled empty resonance and spans
-    span_bandwidths of its loaded bandwidth, at least the 3-bandwidth
-    margin on each side; campaign_traces re-centres it on each loaded
-    resonance, in that resonance's bandwidths.
-    """
-    syn = cfg.synth
-    for key, valid, bound in (
-        ("q0_empty", syn.q0_empty > 0, "> 0"),
-        ("il_linear", 0 < syn.il_linear < 1, "in (0, 1)"),
-        ("span_bandwidths", syn.span_bandwidths >= 2 * MARGIN_BANDWIDTHS,
-         f">= {2 * MARGIN_BANDWIDTHS:g} ({MARGIN_BANDWIDTHS:g} bandwidths of margin on each side)"),
-    ):
-        if not valid:
-            raise ConfigurationError(f"synth.{key} must be {bound}")
-    f0 = resonant_frequency(cfg.cavity, cfg.mode)
-    q0 = syn.q0_empty
-    empty = Resonance(f0, q0 * (1.0 - syn.il_linear), q0, syn.il_linear, method="model")
-    span = syn.span_bandwidths * f0 / empty.q_loaded
-    f_start, f_stop = f0 - span / 2.0, f0 + span / 2.0
-    if not (math.isfinite(f_stop) and 0 < f_start < f_stop):
-        raise ConfigurationError(
-            f"synth.span_bandwidths = {syn.span_bandwidths:g} bandwidths at "
-            f"synth.q0_empty = {q0:g} give a sweep of {span:g} Hz; it must be finite, "
-            f"start above 0 Hz and be wide enough that its edges around {f0:g} Hz differ"
-        )
-    sweep = _built(
-        SynthConfig, "synth", f_start, f_stop,
-        n_points=syn.n_points, noise_floor_db=syn.noise_floor_db, seed=syn.seed,
-    )
+    """Empty-cavity and per-material traces of the roster, in memory (see synth.empty_sweep)."""
+    try:  # campaign_traces is not renamed: a material may be named like a field
+        empty, sweep = empty_sweep(resonant_frequency(cfg.cavity, cfg.mode), cfg.synth)
+    except PermeameterError as exc:
+        raise _renamed(exc, ("synth", SynthOptions)) from None
     table = [(m["name"], m["mu"]) for m in roster]
     return campaign_traces(table, empty, sweep, g, cfg.cavity.mu_rs)
 

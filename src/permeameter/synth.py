@@ -4,12 +4,14 @@ Stands in for a full-wave solver at desk scale: perturbation.loaded_resonance
 maps a material to a loaded resonance, and a single-resonance Lorentzian
 with optional seeded noise renders the scattering trace.  Coupling
 (insertion loss) is held constant between empty and loaded states.
-Each loaded trace spans the empty trace's window in its own bandwidths,
-centred on its own resonance, as an operator re-centres the analyzer.
+empty_sweep reads the config's synth section (SynthOptions) into the empty
+resonance and its window; each loaded trace spans that window in its own
+bandwidths, centred on its own resonance, as an operator re-centres the analyzer.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import zlib
 from dataclasses import dataclass, replace
@@ -20,9 +22,9 @@ import numpy as np
 from .cavity import CavitySpec, ModeSpec
 from .errors import ConfigurationError
 from .perturbation import (
+    PAIRING_GUARD,
     ComplexPermeability,
     GeometryFactor,
-    InteractionChoice,
     SampleSpec,
     geometry_factor,
     loaded_resonance,
@@ -56,23 +58,50 @@ class SynthConfig:
             raise ConfigurationError("seed must fit in 64 bits")
 
 
+@dataclass(frozen=True)
+class SynthOptions:
+    """The config's synth section: the empty resonance and the sweep around it."""
+
+    q0_empty: float = 800.0  # unloaded empty-cavity Q; has to be supplied, no physics behind the default
+    il_linear: float = 0.3
+    n_points: int = 4001
+    span_bandwidths: float = 40.0
+    noise_floor_db: float | None = None
+    seed: int = 0
+
+
 def forward_load(
-    cavity: CavitySpec,
-    sample: SampleSpec,
-    mode: ModeSpec,
-    mu_r: ComplexPermeability,
-    empty: Resonance,
-    model: str = "quadrature",
-    choice: InteractionChoice = InteractionChoice.TRANSVERSE_HZ,
-    cells_per_axis: int = 64,
+    cavity: CavitySpec, sample: SampleSpec, mode: ModeSpec, mu_r: ComplexPermeability, empty: Resonance
 ) -> Resonance:
-    """perturbation.loaded_resonance for the geometry factor of the named model."""
-    g = geometry_factor(cavity, sample, mode, model, choice, cells_per_axis)
-    return loaded_resonance(mu_r, cavity.mu_rs, g, empty)
+    """perturbation.loaded_resonance for geometry_factor's default (quadrature, transverse-hz) g."""
+    return loaded_resonance(mu_r, cavity.mu_rs, geometry_factor(cavity, sample, mode), empty)
 
 
 #: Bandwidths of sweep that a synthesized resonance needs on either side.
 MARGIN_BANDWIDTHS = 3.0
+
+
+def empty_sweep(f0: float, opts: SynthOptions) -> tuple[Resonance, SynthConfig]:
+    """The modelled empty resonance at f0 and the window centred on it; errors name opts' fields."""
+    for key, valid, bound in (
+        ("q0_empty", opts.q0_empty > 0, "> 0"),
+        ("il_linear", 0 < opts.il_linear < 1, "in (0, 1)"),
+        ("span_bandwidths", opts.span_bandwidths >= 2 * MARGIN_BANDWIDTHS,
+         f">= {2 * MARGIN_BANDWIDTHS:g} ({MARGIN_BANDWIDTHS:g} bandwidths of margin on each side)"),
+    ):
+        if not valid:
+            raise ConfigurationError(f"{key} must be {bound}")
+    q0 = opts.q0_empty
+    empty = Resonance(f0, q0 * (1.0 - opts.il_linear), q0, opts.il_linear, method="model")
+    span = opts.span_bandwidths * f0 / empty.q_loaded
+    f_start, f_stop = f0 - span / 2.0, f0 + span / 2.0
+    if not (math.isfinite(f_stop) and 0 < f_start < f_stop):
+        raise ConfigurationError(
+            f"span_bandwidths = {opts.span_bandwidths:g} bandwidths at "
+            f"q0_empty = {q0:g} give a sweep of {span:g} Hz; it must be finite, "
+            f"start above 0 Hz and be wide enough that its edges around {f0:g} Hz differ"
+        )
+    return empty, SynthConfig(f_start, f_stop, opts.n_points, opts.noise_floor_db, opts.seed)
 
 
 def lorentzian_trace(res: Resonance, cfg: SynthConfig) -> FrequencyTrace:
@@ -123,7 +152,8 @@ def campaign_traces(
     The empty trace is rendered on cfg, and each loaded one on cfg's
     window re-centred on its own resonance in its own bandwidths bw =
     f0/Q_L, f -> f0 + (f - f0_empty) bw/bw_empty, as an operator
-    re-centres the analyzer.  A window reaching 0 Hz names its material.
+    re-centres the analyzer.  A resonance beyond PAIRING_GUARD of the empty
+    f0, which extraction could not pair, or a window reaching 0 Hz names its material.
     """
     labels = [name for name, _ in sample_table]
     if len(set(labels)) != len(labels) or "empty" in labels:
@@ -132,6 +162,11 @@ def campaign_traces(
     traces = {"empty": lorentzian_trace(empty, replace(cfg, seed=_item_seed(cfg.seed, "empty")))}
     for name, mu_r in sample_table:
         res = loaded_resonance(mu_r, mu_rs, g, empty)
+        if abs(res.f0 - empty.f0) > PAIRING_GUARD * empty.f0:
+            raise ConfigurationError(
+                f"material {name!r}: its resonance lies {abs(res.f0 - empty.f0) / empty.f0:.3g} "
+                f"of the empty f0 away, beyond {PAIRING_GUARD:.0%}, the perturbation model's guard"
+            )
         scale = (res.f0 / res.q_loaded) / (empty.f0 / empty.q_loaded)
         f_start = res.f0 + (cfg.f_start - empty.f0) * scale
         f_stop = res.f0 + (cfg.f_stop - empty.f0) * scale

@@ -20,7 +20,7 @@ x 2 Q methods x n = 4 x {-90, -60 dB}, where ~10^4 noise maxima take
 several pruning passes, the 3-dB window grows and the fit window holds
 ~5000 samples.  So that it adds only ~30 s, it runs `extract` (with and
 without --json) on the first material pair only; compare still
-extracts every material.  The grid prints 2506 lines.
+extracts every material.  The grid prints 2512 lines.
 One line per output gives the config, the verb, the exit code and the
 sha256 of stdout and of stderr, with the temporary directory replaced by
 a fixed token; each written .s2p and CSV file gets a line with its
@@ -84,9 +84,9 @@ LONG_NOISE_FLOORS_DB = (-90.0, -60.0)
 # the next three give a via diameter above its pitch, a bar thicker than the cavity
 # and a via fence that leaves less than one via diameter of width; the next two
 # give a lossy substrate, on which every verb exits 0, and one with gain; the last
-# three reach the model's limits: a box integral that does not converge, a 1 um
-# bar whose geometry factor is degenerate and a mu' of 70 on axial-hx, whose
-# shift has |re| = 1.104
+# four reach the model's limits: a box integral that does not converge, a 1 um
+# bar whose geometry factor is degenerate, a mu' of 70 on axial-hx, whose shift
+# has |re| = 1.104, and a mu' of 40 there, whose resonance lies beyond pairing
 EXTRA_CASES = [
     ("duplicate-labels+oversize-sample", {"sample": {"extent_x_l1_mm": 40.0}},
      [{"name": "A", "mu_re": 1.2}, {"name": "A", "mu_re": 1.3}]),
@@ -107,6 +107,7 @@ EXTRA_CASES = [
     ("degenerate-sample", {"sample": {"extent_x_l1_mm": 0.001, "extent_z_a1_mm": 0.001,
                                       "thickness_mm": 0.001}}, TABLE_MATERIALS),
     ("outsize-shift", {"extraction": {"interaction": "axial-hx"}}, [{"name": "F", "mu_re": 70.0}]),
+    ("beyond-guard", {"extraction": {"interaction": "axial-hx"}}, [{"name": "F", "mu_re": 40.0}]),
 ]
 
 

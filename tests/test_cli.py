@@ -12,6 +12,7 @@ import pytest
 import numpy as np
 import permeameter
 from permeameter import (
+    CavitySpec,
     FrequencyTrace,
     GeometryFactor,
     Resonance,
@@ -95,6 +96,16 @@ class TestModes:
         code, out, err = run(capsys, "--config", str(path), "modes")
         assert (code, out) == (2, "")
         assert f"missing {section}.{key}" in err
+
+    def test_absent_optional_cavity_keys_take_the_spec_defaults(self, config_file):
+        # eps_r 1.0, mu_rs 1 and no vias: the config states no default of its own
+        path = config_file()
+        doc = json.loads(path.read_text())
+        del doc["cavity"]["eps_r"], doc["cavity"]["mu_rs"]
+        path.write_text(json.dumps(doc))
+        cavity = load_config(path).cavity
+        assert cavity.eps_r == 1.0
+        assert cavity == CavitySpec(cavity.width_a, cavity.length_l, cavity.height_h)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -948,9 +959,8 @@ def written_by(verb, tmp_path, materials):
     [
         (70.0, "synth", 2, "error: |re| of a fractional shift must be < 1\n"),
         (70.0, "compare", 2, "error: |re| of a fractional shift must be < 1\n"),
-        (40.0, "synth", 0, ""),
-        (40.0, "compare", 3, "error: no loaded resonance within 10% of an empty one, the perturbation "
-                             "model's guard; the nearest lies 0.384 of its f0 away\n"),
+        *((40.0, verb, 2, "error: material 'F': its resonance lies 0.384 of the empty f0 away, "
+                          "beyond 10%, the perturbation model's guard\n") for verb in ("synth", "compare")),
     ],
     ids=["outside-synth", "outside-compare", "inside-synth", "inside-compare"],
 )
@@ -958,7 +968,8 @@ def test_synth_and_compare_share_the_shift_limit(
     capsys, tmp_path, config_file, materials_file, mu_re, verb, code, stderr
 ):
     # on axial-hx g = 0.03201: mu' = 70 puts re at -1.104, which neither direction
-    # admits; mu' = 40 puts it at -0.624, which synthesizes but lies beyond pairing
+    # admits; mu' = 40 puts it at -0.624, inside the model but beyond pairing, so
+    # synthesis refuses what extraction could not pair
     cfg = str(config_file(extraction={"interaction": "axial-hx"}))
     args = written_by(verb, tmp_path, materials_file([{"name": "F", "mu_re": mu_re}]))
     got, _, err = run(capsys, "--config", cfg, verb, *args)

@@ -10,7 +10,8 @@ and each outcome is pinned:
 
 * a sweep reaching 0 Hz (the empty one at Q_L <= 20, a re-centred
   loaded one at its own Q_L <= 20) is a config error at synthesis;
-* nothing pairs only where |re shift| >= PAIRING_GUARD;
+* so is a loaded resonance beyond PAIRING_GUARD of the empty f0, which
+  extraction could not pair;
 * a run that finishes with the fit recovers mu' and mu'' within 1e-9
   relative, or within what the shift's conditioning allows: re is read
   from two fitted f0 doubles, and allowing it 1e-14 of error, mu' = 1 -
@@ -36,20 +37,14 @@ from permeameter import (
     ComplexPermeability,
     InteractionChoice,
     ModeSpec,
-    Resonance,
     SampleSpec,
-    forward_load,
-    fractional_shift_closed,
     geometry_factor,
     resonant_frequency,
 )
-from permeameter.cli import ExtractionOptions, RunConfig, SynthOptions, compare_rows
-from permeameter.errors import (
-    ConfigurationError,
-    NoPairableResonanceError,
-    UnphysicalResultError,
-)
-from permeameter.perturbation import PAIRING_GUARD
+from permeameter.cli import ExtractionOptions, RunConfig, compare_rows
+from permeameter.errors import ConfigurationError, UnphysicalResultError
+from permeameter.perturbation import PAIRING_GUARD, loaded_resonance
+from permeameter.synth import SynthOptions, empty_sweep
 
 SPAN_BANDWIDTHS = 40.0
 RTOL = 1e-9
@@ -96,13 +91,15 @@ def test_compare_round_trip_over_random_geometries(case):
     cfg, mu = case
     syn, ext = cfg.synth, cfg.extraction
     g = geometry_factor(cfg.cavity, cfg.sample, cfg.mode, "derived", ext.interaction)
-    shift_re = fractional_shift_closed(mu, cfg.cavity.mu_rs, g).real
     q0 = syn.q0_empty
-    f0 = resonant_frequency(cfg.cavity, cfg.mode)
-    empty = Resonance(f0, q0 * (1.0 - syn.il_linear), q0, syn.il_linear, method="model")
-    loaded = forward_load(
-        cfg.cavity, cfg.sample, cfg.mode, mu, empty, "derived", ext.interaction
-    )
+    try:
+        empty, _ = empty_sweep(resonant_frequency(cfg.cavity, cfg.mode), syn)
+    except ConfigurationError as exc:
+        assert "above 0 Hz" in str(exc) and q0 * (1.0 - syn.il_linear) <= ZERO_HZ_Q
+        with pytest.raises(ConfigurationError, match="synth.q0_empty"):
+            compare_rows(cfg, [{"name": "M", "mu": mu, "note": ""}])
+        return
+    loaded = loaded_resonance(mu, cfg.cavity.mu_rs, g, empty)
     fit = ext.q_method == "lorentzian-fit"
 
     # mu_rs = 1 in every draw
@@ -112,14 +109,11 @@ def test_compare_round_trip_over_random_geometries(case):
     try:
         (row,) = compare_rows(cfg, [{"name": "M", "mu": mu, "note": ""}])
     except ConfigurationError as exc:
-        assert "above 0 Hz" in str(exc)
-        if "synth.q0_empty" in str(exc):
-            assert empty.q_loaded <= ZERO_HZ_Q
+        assert "material 'M'" in str(exc)
+        if "guard" in str(exc):
+            assert abs(loaded.f0 - empty.f0) > PAIRING_GUARD * empty.f0
         else:
-            assert "material 'M'" in str(exc) and loaded.q_loaded <= ZERO_HZ_Q
-        return
-    except NoPairableResonanceError:
-        assert abs(shift_re) >= PAIRING_GUARD
+            assert "above 0 Hz" in str(exc) and loaded.q_loaded <= ZERO_HZ_Q
         return
     except UnphysicalResultError as exc:
         found = re.search(r"extracted mu_im = (\S+) < 0", str(exc))

@@ -25,6 +25,7 @@ from permeameter import (
     synth_campaign,
 )
 from permeameter import perturbation, synth
+from permeameter.synth import SynthOptions, empty_sweep
 from permeameter.errors import ConfigurationError, InvalidGeometryError
 
 
@@ -88,13 +89,10 @@ class TestForwardLoad:
             )
 
     @pytest.mark.parametrize("model", ["bogus", "printed"])
-    def test_unknown_model_tag(self, worked_cavity, worked_sample, mode4, empty_resonance, model):
+    def test_unknown_model_tag(self, worked_cavity, worked_sample, mode4, model):
         # the published prefactor is a quadcheck diagnostic, not a model
         with pytest.raises(ConfigurationError, match=f"model.*'{model}'"):
-            forward_load(
-                worked_cavity, worked_sample, mode4,
-                ComplexPermeability(1.5, 0.0), empty_resonance, model=model,
-            )
+            geometry_factor(worked_cavity, worked_sample, mode4, model)
 
     def test_shift_round_trip(self, worked_cavity, worked_sample, mode4, empty_resonance):
         mu = ComplexPermeability.from_loss_tangent(1.4, 0.06)
@@ -167,6 +165,34 @@ class TestLorentzianTrace:
                 SynthConfig(1e9, 2e9, 1001, None, seed, 0.5)
 
 
+class TestEmptySweep:
+    def test_window_is_centred_on_the_empty_resonance(self):
+        f0, opts = 7.5e9, SynthOptions(q0_empty=640.0, il_linear=0.25, span_bandwidths=30.0)
+        empty, cfg = empty_sweep(f0, opts)
+        assert (empty.f0, empty.q_unloaded, empty.il_linear) == (f0, 640.0, 0.25)
+        assert empty.q_loaded == 640.0 * (1.0 - 0.25)
+        span = 30.0 * f0 / empty.q_loaded
+        assert (cfg.f_start, cfg.f_stop) == (f0 - span / 2, f0 + span / 2)
+        assert (cfg.n_points, cfg.noise_floor_db, cfg.seed) == (4001, None, 0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(q0_empty=-1.0), r"^q0_empty must be > 0$"),
+            (dict(il_linear=1.2), r"^il_linear must be in \(0, 1\)$"),
+            (dict(span_bandwidths=5.99),
+             r"^span_bandwidths must be >= 6 \(3 bandwidths of margin on each side\)$"),
+            (dict(q0_empty=30.0, il_linear=0.5),
+             r"^span_bandwidths = 40 bandwidths at q0_empty = 30 give a sweep of .* start above 0 Hz"),
+            (dict(n_points=50), r"^n_points must be >= 101$"),
+        ],
+    )
+    def test_errors_name_the_bare_fields(self, fields, message):
+        # the CLI prefixes each with synth.
+        with pytest.raises(ConfigurationError, match=message):
+            empty_sweep(7.5e9, SynthOptions(**fields))
+
+
 class TestCampaign:
     def table(self):
         return [
@@ -227,9 +253,7 @@ class TestCampaign:
 
         expected = in_bandwidths(empty, empty_resonance)
         for name, mu in table:
-            res = forward_load(
-                worked_cavity, worked_sample, mode4, mu, empty_resonance, choice=choice
-            )
+            res = perturbation.loaded_resonance(mu, worked_cavity.mu_rs, g, empty_resonance)
             freqs = traces[name].freqs
             assert freqs.size == empty.size
             np.testing.assert_allclose(in_bandwidths(freqs, res), expected, rtol=0, atol=1e-9)
@@ -277,9 +301,7 @@ class TestCampaign:
         )
         assert len(rendered) == 1 + len(self.table())
         for (_, mu), got in zip(self.table(), rendered[1:]):
-            expected = forward_load(
-                worked_cavity, worked_sample, mode4, mu, empty_resonance, choice=choice
-            )
+            expected = perturbation.loaded_resonance(mu, worked_cavity.mu_rs, g, empty_resonance)
             assert got.f0 == expected.f0
             assert got.q_loaded == expected.q_loaded
             assert got.q_unloaded == expected.q_unloaded
