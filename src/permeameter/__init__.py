@@ -5,6 +5,7 @@ Subpackages:
   perturbation : geometry factors, the shift model both ways, its domain, pairing
   traceio      : Touchstone I/O, resonance detection, Q extraction
   synth        : forward trace synthesis standing in for a field solver
+  errors       : the error taxonomy, one exit-3 class for a trace with no usable resonance
   cli          : command-line front end
 """
 

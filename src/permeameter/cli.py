@@ -16,17 +16,18 @@ keys (mode.n, cells_per_axis, n_points, seed) take JSON integers only,
 within the float range too.  A malformed value, a key the schema does not
 list, or a key repeated in one JSON object is a config error that names
 its key.  The choice keys (extraction.q_method, interaction, model) take
-one of the strings CHOICES lists, and the error reads "extraction.<key>
-must be one of [...]".  A cavity and mode whose TE10n frequency or field
-norm leaves the float range are a config error too, and so is a modes
---max-n whose frequency does.  A value that a library type rejects, and
-a sample that does not fit the cavity, name each key the message
-involves ("sample.thickness_mm exceeds cavity.height_h_mm"), and so do
-the errors of synth.empty_sweep, which synth and compare run.
+one of the strings CHOICES lists, which ExtractionOptions checks; the
+error reads "extraction.<key> must be one of [...]".  A cavity and mode
+whose TE10n frequency or field norm leaves the float range are a config
+error too, and so is a modes --max-n whose frequency does.  A value
+that a library type rejects, and a sample that does not fit the cavity,
+name each key the message involves ("sample.thickness_mm exceeds
+cavity.height_h_mm"), and so do the errors of synth.empty_sweep, which
+synth and compare run.
 
 Exit codes: 0 success, 2 config/parse error, 3 no usable resonance (none
 found, none pairable, or its Q could not be read), 4 unphysical
-extraction result; EXIT_STATUS maps each error to its code.
+extraction result; EXIT_STATUS maps each error class to its code.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ from .cavity import CavitySpec, ModeSpec, guided_wavelength, resonant_frequency,
 from .errors import (
     ConfigurationError,
     FitFailureError,
-    InsufficientSpanError,
     NearCriticalCouplingWarning,
-    NoPairableResonanceError,
-    OverCoupledError,
+    NoUsableResonanceError,
     PermeameterError,
     UnphysicalResultError,
 )
@@ -88,13 +87,7 @@ EXIT_NO_RESONANCE = 3
 EXIT_UNPHYSICAL = 4
 
 # the status main returns for an error: the first class it is an instance of, else EXIT_CONFIG
-EXIT_STATUS = (
-    (NoPairableResonanceError, EXIT_NO_RESONANCE),
-    (FitFailureError, EXIT_NO_RESONANCE),
-    (InsufficientSpanError, EXIT_NO_RESONANCE),
-    (OverCoupledError, EXIT_NO_RESONANCE),
-    (UnphysicalResultError, EXIT_UNPHYSICAL),
-)
+EXIT_STATUS = ((NoUsableResonanceError, EXIT_NO_RESONANCE), (UnphysicalResultError, EXIT_UNPHYSICAL))
 
 CONFIG_ENV = "PERMEAMETER_CONFIG"
 
@@ -104,7 +97,7 @@ MM = 1e-3
 LENGTHS = {"width_a", "length_l", "height_h", "via_diameter_d", "via_pitch_p",
            "extent_x_l1", "extent_z_a1", "thickness"}
 
-# the allowed values of each option that names a choice
+# the allowed values of each ExtractionOptions field that names a choice
 CHOICES = {
     "q_method": ("lorentzian-fit", "three-db"),
     "interaction": tuple(choice.value for choice in InteractionChoice),
@@ -119,8 +112,12 @@ class ExtractionOptions:
     model: str = "quadrature"
     cells_per_axis: int = 64
 
-    def __post_init__(self):  # for every model, not only where the quadrature runs
-        check_cells_per_axis(self.cells_per_axis)
+    def __post_init__(self):
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:  # a tuple: a JSON list or object is unhashable
+                raise ConfigurationError(f"{name} must be one of {list(allowed)}")
+        object.__setattr__(self, "interaction", InteractionChoice(self.interaction))
+        check_cells_per_axis(self.cells_per_axis)  # for every model, not only where the quadrature runs
 
 
 @dataclass(frozen=True)
@@ -207,17 +204,14 @@ def _key(name: str) -> str:
 
 def _options(cls, section: dict, where: str):
     """`cls` read from `section`, a key per field (see _key), required if the
-    field has no default: a field named in CHOICES takes one of its choices,
-    a complex one a number or a [re, im] pair, any other a number (an
-    integer if typed int).  An error of cls names the keys."""
+    field has no default: a field with a string default takes any value for
+    cls to check, a complex one a number or a [re, im] pair, any other a
+    number (an integer if typed int).  An error of cls names the keys."""
     values = {}
     for f in fields(cls):
         key, default = _key(f.name), _REQUIRED if f.default is MISSING else f.default
-        if f.name in CHOICES:
-            value = section.pop(key, default)
-            if value not in CHOICES[f.name]:  # a tuple: a JSON list or object is unhashable
-                raise ConfigurationError(f"{where}.{key} must be one of {list(CHOICES[f.name])}")
-            values[f.name] = type(default)(value)  # so interaction stays an InteractionChoice
+        if isinstance(default, str):
+            values[f.name] = section.pop(key, default)
         elif f.type == "complex":
             values[f.name] = _as_complex(section.pop(key), f"{where}.{key}") if key in section else default
         else:
@@ -356,7 +350,7 @@ def _pair_report(
 ) -> dict:
     """Pair the resonances and invert each pair with g and the conventional factor."""
     if not empties or not loadeds:
-        raise NoPairableResonanceError(
+        raise NoUsableResonanceError(
             f"found {len(empties)} empty / {len(loadeds)} loaded resonances"
         )
     g, g_conv = factors

@@ -1,4 +1,9 @@
-"""Exception and warning taxonomy shared across the package."""
+"""Exception and warning taxonomy shared across the package.
+
+Every error is a PermeameterError.  The CLI exits 3 for a
+NoUsableResonanceError (a trace with no resonance whose Q can be read,
+or none that pairs), 4 for an UnphysicalResultError and 2 for any other.
+"""
 
 from __future__ import annotations
 
@@ -27,28 +32,21 @@ class TouchstoneParseError(PermeameterError, ValueError):
         self.line = line
 
 
-class InsufficientSpanError(PermeameterError, ValueError):
-    """Trace does not bracket a half-power crossing; names the missing side."""
-
-    def __init__(self, side: str, message: str | None = None):
-        super().__init__(message or f"no half-power crossing on the {side} side")
-        self.side = side
+class NoUsableResonanceError(PermeameterError, ValueError):
+    """No resonance to extract from: none found, none pairable, or one
+    whose Q cannot be read (net gain, or no half-power crossing)."""
 
 
-class FitFailureError(PermeameterError, ArithmeticError):
+class InsufficientSpanError(NoUsableResonanceError):
+    """Trace does not bracket a half-power crossing."""
+
+
+class FitFailureError(NoUsableResonanceError, ArithmeticError):
     """Resonance fit failed; carries the bandwidth-method fallback if any."""
 
     def __init__(self, message: str, fallback=None):
         super().__init__(f"resonance fit failed: {message}")
         self.fallback = fallback
-
-
-class OverCoupledError(PermeameterError, ValueError):
-    """Insertion loss at or above unity; unloading formula undefined."""
-
-
-class NoPairableResonanceError(PermeameterError, ValueError):
-    """No empty/loaded resonance pair within the frequency guard band."""
 
 
 class ConfigurationError(PermeameterError, ValueError):

@@ -40,9 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .cavity import CavitySpec, ModeSpec, guided_wavelength, stored_field_norm, wavenumbers
-from .errors import (
-    ConfigurationError, InvalidGeometryError, NoPairableResonanceError, UnphysicalResultError
-)
+from .errors import ConfigurationError, InvalidGeometryError, NoUsableResonanceError, UnphysicalResultError
 from .traceio import Resonance
 
 #: g below this is treated as "no sample": check_shift rejects it.
@@ -67,12 +65,18 @@ class InteractionChoice(str, Enum):
     The component along z (``transverse-hz``) carries the
     (1 - sinc)(1 - sinc) structure of the published closed form and is
     the extraction default; the component maximal at the cavity center
-    (``axial-hx``) gives the uniform-field small-sample limit.
+    (``axial-hx``) gives the uniform-field small-sample limit.  Every
+    function that takes a choice takes a member's value as the member;
+    InteractionChoice(value) raises ConfigurationError for any other.
     """
 
     AXIAL_HX = "axial-hx"
     TRANSVERSE_HZ = "transverse-hz"
     BOTH = "both-components"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigurationError(f"interaction must be one of {[choice.value for choice in cls]}")
 
 
 @dataclass(frozen=True)
@@ -188,6 +192,7 @@ def _selected_energy(
     """The |H|^2 terms that choice selects.  along_x(trig) and along_z(trig)
     give the 1-D integral or sum of trig^2 (np.sin or np.cos) across the
     bar; only the ones a selected term reads are asked for."""
+    choice = InteractionChoice(choice)
     total = 0.0
     if choice != InteractionChoice.TRANSVERSE_HZ:  # axial-hx or both-components
         total += k_z**2 * along_x(np.sin) * along_z(np.cos)
@@ -227,7 +232,7 @@ def geometry_factor_derived(
         choice, k_x, k_z, {np.sin: ix_sin, np.cos: ix_cos}.get, {np.sin: iz_sin, np.cos: iz_cos}.get
     )
     value = numerator * t / stored_field_norm(cavity, mode)
-    return GeometryFactor(value, f"derived-{choice.value.split('-')[0]}")
+    return GeometryFactor(value, f"derived-{InteractionChoice(choice).value.split('-')[0]}")
 
 
 def geometry_factor_conventional(
@@ -345,7 +350,7 @@ def geometry_factor(
     if model == "quadrature":
         integral = sample_energy_quadrature(cavity, sample, mode, choice, cells_per_axis)
         value = integral / stored_field_norm(cavity, mode)
-        return GeometryFactor(value, f"quadrature-{choice.value}")
+        return GeometryFactor(value, f"quadrature-{InteractionChoice(choice).value}")
     if model == "derived":
         return geometry_factor_derived(cavity, sample, mode, choice)
     raise ConfigurationError(f"unknown geometry-factor model {model!r}; expected one of {MODELS}")
@@ -397,7 +402,7 @@ def pair_resonances(
     Each empty resonance, in frequency order, takes the closest unused
     loaded one if it lies within +-PAIRING_GUARD (10 %) of the empty
     frequency; every resonance is used at most once.
-    Raises NoPairableResonanceError when nothing pairs, saying how far
+    Raises NoUsableResonanceError when nothing pairs, saying how far
     the nearest loaded resonance lies.
     """
     pairs: list[tuple[Resonance, Resonance]] = []
@@ -412,7 +417,7 @@ def pair_resonances(
     if not pairs:
         gaps = [abs(r.f0 - e.f0) / e.f0 for e in empty for r in loaded]
         nearest = f"; the nearest lies {min(gaps):.3g} of its f0 away" if gaps else ""
-        raise NoPairableResonanceError(
+        raise NoUsableResonanceError(
             f"no loaded resonance within {PAIRING_GUARD:.0%} of an empty one, "
             f"the perturbation model's guard{nearest}"
         )

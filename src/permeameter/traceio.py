@@ -33,7 +33,7 @@ from .errors import (
     InsufficientSpanError,
     InvalidGeometryError,
     NearCriticalCouplingWarning,
-    OverCoupledError,
+    NoUsableResonanceError,
     TouchstoneParseError,
 )
 
@@ -129,7 +129,7 @@ class Resonance:
     ) -> "Resonance":
         """Resonance with the unloaded Q of symmetric two-port coupling, Q_L / (1 - IL)."""
         if il_linear >= 1:
-            raise OverCoupledError(
+            raise NoUsableResonanceError(
                 f"il_linear = {il_linear:.6g} >= 1; trace shows net gain, unloading undefined"
             )
         if il_linear > 0.9:
@@ -489,7 +489,7 @@ def q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     f = trace.freqs
     i = peak_index
     if i <= 0 or i >= len(f) - 1:
-        raise InsufficientSpanError("left" if i <= 0 else "right", "peak at trace edge")
+        raise InsufficientSpanError("peak at trace edge")
     half = max(64, len(f) // 64)
     while True:
         lo, hi = max(i - half, 0), min(i + half + 1, len(f))
@@ -502,10 +502,9 @@ def q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
         if (left.size or lo == 0) and (right.size or hi == len(f)):
             break
         half *= 4
-    if not left.size:
-        raise InsufficientSpanError("left")
-    if not right.size:
-        raise InsufficientSpanError("right")
+    if not (left.size and right.size):
+        side = "right" if left.size else "left"
+        raise InsufficientSpanError(f"no half-power crossing on the {side} side")
     f = f[lo:hi]
     f_lo = _crossing(f, db, left[-1], target, -1)
     f_hi = _crossing(f, db, k + 1 + right[0], target, +1)

@@ -4,7 +4,8 @@ These are `permeameter.traceio.q_3db` and `fit_lorentzian` as they were
 before they became peak-local: `q_3db` converted the whole trace to dB
 and walked to each half-power crossing one sample at a time, and the
 fit selected its window with a boolean mask over the whole trace.  They
-are kept unchanged apart from their names.  So that they pin the bits of
+are kept unchanged apart from their names and their InsufficientSpanError
+calls, which spell the message out as the error no longer does.  So that they pin the bits of
 the current code on their own, they also keep their own copies of the
 dB conversion and of the least-squares pass, as they were before those
 were made leaner.
@@ -53,7 +54,7 @@ def _crossing(
     while True:
         j += step
         if j < 0 or j >= len(db):
-            raise InsufficientSpanError(side)
+            raise InsufficientSpanError(f"no half-power crossing on the {side} side")
         if db[j] <= target:
             # linear interpolation in (f, dB) between j and the sample before it
             f_a, f_b = f[j - step], f[j]
@@ -67,7 +68,7 @@ def reference_q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     f = trace.freqs
     i = peak_index
     if i <= 0 or i >= len(f) - 1:
-        raise InsufficientSpanError("left" if i <= 0 else "right", "peak at trace edge")
+        raise InsufficientSpanError("peak at trace edge")
     target = db[i] - HALF_POWER_DB
     f_lo = _crossing(f, db, i, target, -1)
     f_hi = _crossing(f, db, i, target, +1)

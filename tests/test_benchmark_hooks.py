@@ -2,7 +2,8 @@
 
 perfbench/spans.py lists the lookup sites it wraps in WRAP_POINTS; a
 traced run fails at start-up if any of them is missing, so each must
-resolve.  The other perfbench scripts import names from the program and
+resolve, and a span reads 0 unless its module calls the name, so each
+is checked for a call as well.  The other perfbench scripts import names from the program and
 call them, and perfbench/stages.py is not run by the test suite, so those
 imports, and the arguments of those calls, are checked here too.
 """
@@ -17,10 +18,15 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 
-def test_wrap_points_resolve():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_wrap_points_resolve():
+    spans = _spans()
     assert spans.WRAP_POINTS
     missing = [
         (module, attr)
@@ -28,6 +34,32 @@ def test_wrap_points_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+#: Wrap points whose module binds the name but never calls it, so their
+#: span reads 0 on every workload.  The set shrinks as each goes.
+UNCALLED_WRAP_POINTS = {
+    ("permeameter.cli", "sample_energy_quadrature"),
+    ("permeameter.cli", "geometry_factor_derived"),
+    ("permeameter.synth", "sample_energy_quadrature"),
+    ("permeameter.synth", "geometry_factor_derived"),
+    ("permeameter.synth", "forward_load"),
+}
+
+
+def test_wrap_points_are_called_where_they_are_wrapped():
+    # a span wraps the name in its module, so only a call by that name,
+    # inside that module, passes through it; a refactor that stops making
+    # that call must not leave the span silently reading 0
+    uncalled = set()
+    for module, attr, _ in _spans().WRAP_POINTS:
+        tree = ast.parse(Path(importlib.util.find_spec(module).origin).read_text())
+        if not any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == attr
+            for node in ast.walk(tree)
+        ):
+            uncalled.add((module, attr))
+    assert uncalled == UNCALLED_WRAP_POINTS
 
 
 def _program_names(path: Path) -> set[tuple[str, str]]:

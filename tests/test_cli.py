@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,12 @@ from permeameter import (
     write_touchstone,
 )
 from permeameter import errors
-from permeameter.cli import EXIT_CONFIG, EXIT_OK, EXIT_STATUS, ExtractionOptions, load_config, main
-from permeameter.errors import FitFailureError
+from permeameter.cli import (
+    EXIT_CONFIG, EXIT_OK, EXIT_STATUS, ExtractionOptions, extract_report, load_config, main
+)
+from permeameter.errors import FitFailureError, NoUsableResonanceError
+from permeameter.perturbation import InteractionChoice
+from permeameter.traceio import fit_lorentzian, q_3db
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -893,10 +898,9 @@ def test_common_flag_before_or_after_verb(capsys, tmp_path, config_file, materia
 # the status each error exits with: 3 for a trace with no usable
 # resonance, 4 for an unphysical result; any other error exits 2
 STATUS = {
-    "NoPairableResonanceError": 3,
+    "NoUsableResonanceError": 3,
     "FitFailureError": 3,
     "InsufficientSpanError": 3,
-    "OverCoupledError": 3,
     "UnphysicalResultError": 4,
 }
 ERRORS = [
@@ -919,6 +923,78 @@ def test_every_error_exits_with_its_table_status(capsys, monkeypatch, config_fil
     assert (code, out) == (table, "")
     assert code == STATUS.get(cls.__name__, 2)
     assert err == f"error: {exc}\n"
+
+
+def _no_usable_resonance(tmp_path, config_file, case):
+    """Run the library call behind one of the exit-3 conditions that
+    TestExtract, TestCompare and test_traceio.py provoke."""
+    q_method = "three-db" if case in ("missing-crossing", "net-gain-three-db") else "lorentzian-fit"
+    cfg = load_config(config_file(extraction={"q_method": q_method}))
+
+    def trace(il=0.3, right_db=None):
+        return parse_touchstone(Path(lorentzian_file(tmp_path / "t.s2p", il, right_db)).read_bytes())
+
+    f = np.linspace(1e9, 2e9, 201)
+    if case == "flat-trace":
+        extract_report(cfg, FrequencyTrace(f, np.full(f.shape, 0.3 + 0j)), trace())
+    elif case == "unpairable":
+        far = lorentzian_trace(Resonance.from_loaded(5.0e9, 560.0, 0.3), SynthConfig(4.5e9, 5.5e9, 1001))
+        extract_report(cfg, trace(), far)
+    elif case == "edge-peak":
+        q_3db(trace(), 0)
+    elif case == "missing-crossing":
+        extract_report(cfg, trace(right_db=3.005), trace(right_db=3.005))
+    elif case.startswith("net-gain"):
+        extract_report(cfg, trace(1.2), trace(1.2))
+    else:  # a lone nonzero sample at the edge: no 3-dB fallback, singular normal equations
+        fit_lorentzian(FrequencyTrace(f, np.where(f == f[0], 0.5, 0.0) + 0j), 0)
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("flat-trace", "found 0 empty / 1 loaded resonances"),
+        ("unpairable", "no loaded resonance within 10% of an empty one"),
+        ("edge-peak", "peak at trace edge"),
+        ("missing-crossing", "no half-power crossing on the right side"),
+        ("net-gain-lorentzian-fit", "il_linear = 1.2 >= 1; trace shows net gain"),
+        ("net-gain-three-db", "il_linear = 1.2 >= 1; trace shows net gain"),
+        ("fit-failure", "resonance fit failed: singular normal equations"),
+    ],
+)
+def test_each_no_resonance_condition_is_one_error_class(tmp_path, config_file, case, message):
+    # a caller that goes on to the next pair catches this one class
+    with pytest.raises(NoUsableResonanceError, match=re.escape(message)) as err:
+        _no_usable_resonance(tmp_path, config_file, case)
+    assert getattr(err.value, "fallback", None) is None
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        ({"q_method": "3db"}, "q_method must be one of ['lorentzian-fit', 'three-db']"),
+        ({"interaction": "bogus"}, "interaction must be one of ['axial-hx', 'transverse-hz', 'both-components']"),
+        ({"model": "printed"}, "model must be one of ['quadrature', 'derived']"),
+    ],
+)
+def test_extraction_options_check_their_choices(options, message):
+    with pytest.raises(errors.ConfigurationError) as err:
+        ExtractionOptions(**options)
+    assert str(err.value) == message
+
+
+def test_interaction_given_by_value_is_the_member(tmp_path, config_file):
+    # the config reader passes the string through; ExtractionOptions makes it the member
+    cfg = load_config(config_file(extraction={"interaction": "axial-hx"}))
+    by_member = replace(cfg, extraction=ExtractionOptions(interaction=InteractionChoice.AXIAL_HX))
+    by_value = replace(cfg, extraction=ExtractionOptions(interaction="axial-hx"))
+    assert cfg.extraction == by_value.extraction == by_member.extraction
+    assert by_value.extraction.interaction is InteractionChoice.AXIAL_HX
+    empty = parse_touchstone(Path(lorentzian_file(tmp_path / "e.s2p", 0.3)).read_bytes())
+    loaded = lorentzian_trace(Resonance.from_loaded(7.45e9, 540.0, 0.3), SynthConfig(7.3e9, 7.6e9, 4001))
+    report = extract_report(by_value, empty, loaded)
+    assert report == extract_report(by_member, empty, loaded)
+    assert report["pairs"][0]["g_provenance"] == "quadrature-axial-hx"
 
 
 @pytest.mark.parametrize(

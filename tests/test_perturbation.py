@@ -240,6 +240,32 @@ class TestGeometryFactorEntryPoint:
         with pytest.raises(ConfigurationError, match="'printed'"):
             geometry_factor(worked_cavity, worked_sample, mode4, "printed")
 
+    @pytest.mark.parametrize("choice", CHOICES)
+    def test_a_choice_given_by_value_is_its_member(self, worked_cavity, worked_sample, mode4, choice):
+        args = (worked_cavity, worked_sample, mode4)
+        for model in MODELS:
+            assert geometry_factor(*args, model, choice.value, 16) == geometry_factor(*args, model, choice, 16)
+        assert geometry_factor_derived(*args, choice.value) == geometry_factor_derived(*args, choice)
+        assert sample_energy_midpoint(*args, choice.value, 16) == sample_energy_midpoint(*args, choice, 16)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda *args: geometry_factor(*args, "quadrature", "bogus"),
+            lambda *args: geometry_factor(*args, "derived", "bogus"),
+            lambda *args: geometry_factor_derived(*args, "bogus"),
+            lambda *args: sample_energy_quadrature(*args, "bogus"),
+            lambda *args: sample_energy_midpoint(*args, "bogus", 16),
+        ],
+        ids=["quadrature", "derived", "geometry_factor_derived", "sample_energy_quadrature", "midpoint"],
+    )
+    def test_any_other_choice_is_a_configuration_error(self, worked_cavity, worked_sample, mode4, call):
+        # before, the quadrature read an unknown string as both components
+        with pytest.raises(ConfigurationError, match=re.escape(
+            "interaction must be one of ['axial-hx', 'transverse-hz', 'both-components']"
+        )):
+            call(worked_cavity, worked_sample, mode4)
+
 
 class TestQuadratureShift:
     def test_identity_material_gives_zero(self, worked_cavity, worked_sample, mode4):
