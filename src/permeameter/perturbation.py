@@ -447,7 +447,8 @@ def invert_permeability(
     """
     check_shift(shift, g)
     mu_c = complex(mu_rs) * (1.0 - 2.0 * shift / g.value)
-    mu_re, mu_im = mu_c.real, -mu_c.imag
+    # 0.0 - imag, not -imag: a zero loss reads +0.0, and every other value is the same
+    mu_re, mu_im = mu_c.real, 0.0 - mu_c.imag
     if mu_re <= 0:
         raise UnphysicalResultError(
             f"extracted mu_re = {mu_re:.6g} <= 0; shift inconsistent with the model"

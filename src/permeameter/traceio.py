@@ -45,8 +45,16 @@ OPTION_TOKENS = {**dict.fromkeys(FREQ_UNITS, "unit"), **dict.fromkeys(FORMATS, "
 
 HALF_POWER_DB = 10.0 * math.log10(2.0)  # 3.0103 dB
 
-#: Least prominence of a |S21| maximum that find_resonances reports, in dB.
-MIN_PROMINENCE_DB = 3.0
+#: Least prominence of a |S21| maximum that find_resonances reports, in
+#: noise standard deviations of the trace (see _noise_sigma).
+MIN_PROMINENCE_SIGMAS = 10.0
+
+#: Most adjacent-sample pairs that _noise_sigma reads.
+NOISE_PAIRS = 4096
+
+#: Standard deviation of a normal variable per median absolute
+#: difference of two independent draws: 1.4826 / sqrt(2).
+MAD_DIFF_SCALE = 1.4826 / math.sqrt(2.0)
 
 #: Width of the Lorentzian fit window, in 3-dB bandwidths (perfbench's fit budget assumes 5).
 FIT_WINDOW_BANDWIDTHS = 5.0
@@ -332,14 +340,48 @@ def write_touchstone(trace: FrequencyTrace) -> bytes:
 
 
 def find_resonances(trace: FrequencyTrace) -> list[int]:
-    """Indices of |S21| (dB) peaks of prominence >= MIN_PROMINENCE_DB; see _prominent_peaks."""
-    return _prominent_peaks(trace.s21_db, MIN_PROMINENCE_DB)
+    """Indices of the maxima of the linear |S21| whose prominence is at
+    least MIN_PROMINENCE_SIGMAS times the trace's own noise level
+    (_noise_sigma); see _prominent_peaks for the rule.  A threshold that
+    scales with the noise keeps the resonance at any floor, while the
+    maxima that noise makes on its skirt stay below it."""
+    mag = np.abs(trace.s21)
+    return _prominent_peaks(mag, MIN_PROMINENCE_SIGMAS * _noise_sigma(mag))
 
 
-def _prominent_peaks(db: np.ndarray, p: float) -> list[int]:
-    """Indices of the local maxima of db with a prominence of at least p > 0.
+def _noise_sigma(mag: np.ndarray) -> float:
+    """Robust noise standard deviation of mag, from its finest-scale
+    differences (Donoho & Johnstone, Biometrika 81, 425 (1994)).
 
-    The rule is that of ``scipy.signal.find_peaks(db, prominence=p)``,
+    sigma = 1.4826 / sqrt(2) * median |mag[2k + 1] - mag[2k]| over
+    non-overlapping adjacent pairs, at most NOISE_PAIRS of them at a fixed
+    stride; the median is the upper one of an even count, found with one
+    np.partition.  A resonance moves only the few pairs on its flanks, so
+    the median reads the noise, or on a noiseless trace the smooth slope.
+
+    The median is 0 only when more than half the pairs are equal, as on
+    a trace quantized more coarsely than its noise.  A zero threshold
+    would report every maximum, so the least nonzero step of the whole
+    trace, one quantization step, stands in for sigma; a constant trace,
+    or one of fewer than 3 samples, has no maximum and gets inf.
+    """
+    if mag.size < 3:
+        return math.inf
+    stride = 2 * -(-(mag.size // 2) // NOISE_PAIRS)
+    diffs = np.abs(mag[1::stride] - mag[0:mag.size - 1:stride])
+    middle = diffs.size // 2
+    median = np.partition(diffs, middle)[middle]
+    if median > 0:
+        return MAD_DIFF_SCALE * float(median)
+    steps = np.abs(mag[1:] - mag[:-1])
+    steps = steps[steps > 0]
+    return float(steps.min()) if steps.size else math.inf
+
+
+def _prominent_peaks(y: np.ndarray, p: float) -> list[int]:
+    """Indices of the local maxima of y with a prominence of at least p > 0.
+
+    The rule is that of ``scipy.signal.find_peaks(y, prominence=p)``,
     and the indices are the same on every trace:
 
     * a peak is a sample, or a plateau of equal samples, with a strictly
@@ -369,21 +411,22 @@ def _prominent_peaks(db: np.ndarray, p: float) -> list[int]:
     when its base was no lower.  Vector passes drop the blocked peaks,
     repeating while a pass removes at least half of them, so together
     they cost about twice the first pass; the O(peaks) base walk then
-    runs only on the survivors (from ~10^4 maxima of a noisy 40001-point
-    trace, one to a few hundred survive at floors of -110 to -60 dB).
+    runs only on the survivors (of the ~10^4 maxima of a noisy
+    40001-point |S21| at floors of -110 to -40 dB, the resonance alone
+    survives find_resonances' threshold).
 
     Sorted by frequency.
     """
-    size = db.size
-    step = db[1:] - db[:-1]  # np.diff without its wrapper
+    size = y.size
+    step = y[1:] - y[:-1]  # np.diff without its wrapper
     runs = None
     if not step.all():
         # one sample per run of equal samples, so a plateau is one maximum;
         # done only when needed, as it costs more than the whole search on
         # a typical noiseless trace
         runs = np.concatenate(([True], step != 0)).nonzero()[0]
-        db = db[runs]
-        step = db[1:] - db[:-1]
+        y = y[runs]
+        step = y[1:] - y[:-1]
     rising = step > 0
     # no step is zero now, so "not rising" is falling, and the turning
     # points alternate, a maximum first when the trace starts by rising
@@ -392,15 +435,15 @@ def _prominent_peaks(db: np.ndarray, p: float) -> list[int]:
     peaks = turns[first::2]
     if not peaks.size:
         return []
-    heights = db[peaks]
+    heights = y[peaks]
     # gaps[k]: lowest sample between peak k-1 (or the left edge) and peak k;
     # gaps[-1]: lowest sample right of the last peak.  A minimum between
     # an edge and its nearest peak is the first (last) turn, and a peak
     # there is above the edge sample
     gaps = np.empty(peaks.size + 1)
-    gaps[0] = min(db[0], db[turns[0]])
-    gaps[1:-1] = db[turns[first + 1::2][:peaks.size - 1]]
-    gaps[-1] = min(db[-1], db[turns[-1]])
+    gaps[0] = min(y[0], y[turns[0]])
+    gaps[1:-1] = y[turns[first + 1::2][:peaks.size - 1]]
+    gaps[-1] = min(y[-1], y[turns[-1]])
     while heights.size > 1:
         # a peak with a strictly higher neighbour across a valley less than
         # p deep is blocked; the test is the same float expression as the

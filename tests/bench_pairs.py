@@ -12,8 +12,13 @@ the run was correct, its failed share and its count of KNOWN lines.
 Then, per metric: each side's median and quartiles, the number of
 pairs the working tree wins (BENCHMARK.json says which way is better),
 and whether the gap between the medians is wider than REF's quartile
-spread.  It exits 1 if a run fails or reads `correct: false`.  The
-script is not named test_*, so pytest does not collect it.
+spread.  It also applies the benchmark's reject rules: per metric,
+whether the tree's median is worse than REF's by more than that
+metric's `bound` in BENCHMARK.json (a fraction of REF's median), and
+whether any pair shows a higher failed share on the tree than on REF.
+It exits 1 if a run fails, a run reads `correct: false`, a median is
+worse than its bound allows or a pair's failed share rises.  The script
+is not named test_*, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -51,9 +56,14 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def failed_share(result: dict) -> float:
+    return result["failed"] / result["attempted"] if result["attempted"] else 0.0
+
+
 def report(pairs: list[tuple[int, dict, dict]], ref: str) -> int:
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    names = [name for name in better if name in pairs[0][1]["metrics"]]
+    metrics = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    names = [name for name in metrics if name in pairs[0][1]["metrics"]]
+    rejected = False
     for seed, old, new in pairs:
         cells = [f"{name} {old['metrics'][name]['value']:.6g} -> {new['metrics'][name]['value']:.6g}"
                  for name in names]
@@ -65,14 +75,24 @@ def report(pairs: list[tuple[int, dict, dict]], ref: str) -> int:
     for name in names:
         olds = [old["metrics"][name]["value"] for _, old, _ in pairs]
         news = [new["metrics"][name]["value"] for _, _, new in pairs]
-        sign = 1.0 if better[name] == "higher" else -1.0
+        sign = 1.0 if metrics[name]["better"] == "higher" else -1.0
         wins = sum(sign * (b - a) > 0 for a, b in zip(olds, news))
         (o1, o2, o3), (n1, n2, n3) = (statistics.quantiles(v, n=4, method="inclusive") for v in (olds, news))
         print(f"{name}: {ref} {o2:.6g} [{o1:.6g}, {o3:.6g}] -> tree {n2:.6g} [{n1:.6g}, {n3:.6g}]"
               f" ({(n2 - o2) / o2:+.1%}), tree better in {wins} of {len(pairs)},"
               f" median gap {abs(n2 - o2):.4g} {'>' if abs(n2 - o2) > o3 - o1 else '<='}"
               f" {ref} quartile spread {o3 - o1:.4g}")
-    return 0 if all(r["correct"] for _, *sides in pairs for r in sides) else 1
+        bound = metrics[name]["bound"]
+        worse = sign * (o2 - n2) > bound * abs(o2)
+        rejected |= worse
+        print(f"{name}: tree median {'WORSE' if worse else 'not worse'} than {ref}'s"
+              f" by more than the bound {bound:.0%}")
+    risen = [seed for seed, old, new in pairs if failed_share(new) > failed_share(old)]
+    rejected |= bool(risen)
+    print(f"failed share higher on the tree than on {ref} in {len(risen)} of {len(pairs)} pairs"
+          + (f" (seeds {', '.join(map(str, risen))})" if risen else ""))
+    correct = all(r["correct"] for _, *sides in pairs for r in sides)
+    return 0 if correct and not rejected else 1
 
 
 def main() -> int:

@@ -8,9 +8,10 @@ Without PYTHONPATH the grid runs on this tree's src/.
 Runs permeameter.cli.main in-process for each config of the grid: 2
 models x 3 interactions x 2 Q methods x n in {2, 3, 4} x {noiseless,
 -90 dB, -60 dB noise floor}, 108 configs on the test suite's base
-geometry and 6-material roster, all at its 4001 points.  At -60 dB the detector
-admits noise peaks and compare exits 4, so the peak finder's choices
-show in the outputs.  Each config runs `compare --json`, `synth --json`,
+geometry and 6-material roster, all at its 4001 points.  At -60 dB the noise
+moves each fitted resonance, and some transverse-hz configs exit 4 on a
+noise-driven mu_im < 0, so the detector's and the fit's choices show in
+the outputs.  Each config runs `compare --json`, `synth --json`,
 `extract --json` on every written empty/material pair and `quadcheck
 --json`; so that the text reports have a gate too, it also runs `modes
 --max-n 6` with and without --json, `quadcheck` without it, and
@@ -20,7 +21,7 @@ x 2 Q methods x n = 4 x {-90, -60 dB}, where ~10^4 noise maxima take
 several pruning passes, the 3-dB window grows and the fit window holds
 ~5000 samples.  So that it adds only ~30 s, it runs `extract` (with and
 without --json) on the first material pair only; compare still
-extracts every material.  The grid prints 2512 lines.
+extracts every material.  The grid prints 2546 lines.
 One line per output gives the config, the verb, the exit code and the
 sha256 of stdout and of stderr, with the temporary directory replaced by
 a fixed token; each written .s2p and CSV file gets a line with its

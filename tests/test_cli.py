@@ -265,6 +265,19 @@ class TestExtract:
         assert pair["mu_re"] == pytest.approx(1.0, abs=1e-9)
         assert pair["tan_dm"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_identical_files_report_a_positive_zero_loss(self, capsys, config_file, campaign):
+        # a zero loss is +0.0: JSON prints 0.0, not -0.0, and the text 0.000000
+        empty = str(campaign / "campaign_empty.s2p")
+        code, out, _ = run(capsys, "--config", str(config_file()), "--json",
+                           "extract", empty, empty)
+        assert code == 0
+        pair = json.loads(out)["pairs"][0]
+        for key in ("mu_im", "tan_dm", "mu_im_conventional", "tan_dm_conventional"):
+            assert math.copysign(1.0, pair[key]) == 1.0, key
+        code, out, _ = run(capsys, "--config", str(config_file()), "extract", empty, empty)
+        assert code == 0
+        assert out.count("tan_dm = 0.000000") == 2 and "-0.0" not in out
+
     def test_human_report(self, capsys, config_file, campaign):
         code, out, _ = run(
             capsys, "--config", str(config_file()), "extract",
@@ -368,8 +381,9 @@ class TestExtract:
         assert code == 4 and "mu_re" in err
 
     def test_missing_half_power_crossing_exit_3(self, capsys, tmp_path, config_file):
-        # the right skirt ends 3.005 dB down: the detector's 3.0 dB
-        # prominence admits the peak, but the 3-dB reading needs 3.0103 dB
+        # the right skirt ends 3.005 dB down: the detector admits the peak,
+        # whose prominence is far above 10 sigma of the noiseless skirt, but
+        # the 3-dB reading needs 3.0103 dB
         trace = lorentzian_file(tmp_path / "short.s2p", 0.3, right_db=3.005)
         cfg = str(config_file(extraction={"q_method": "three-db"}))
         code, out, err = run(capsys, "--config", cfg, "extract", trace, trace)
@@ -529,6 +543,24 @@ class TestCompare:
             "sample_energy_quadrature": 1,
             "geometry_factor_conventional": 1,
         }
+        # at a -60 dB floor each trace still shows one peak, so one fit each
+        # (a 3 dB prominence gate in dB fitted ~15 noise maxima per trace)
+        noisy = tmp_path / "noisy"
+        cfg = str(config_file(synth={"noise_floor_db": -60.0}))
+        code, _, err = run(capsys, "--config", cfg, "synth", "--materials", mats, "--out-dir", str(noisy))
+        assert code == 0, err
+        calls.clear()
+        code, _, err = run(
+            capsys, "--config", cfg, "extract",
+            str(noisy / "campaign_empty.s2p"), str(noisy / "campaign_X.s2p"),
+        )
+        assert calls == {
+            "find_resonances": 2,
+            "fit_lorentzian": 2,
+            "sample_energy_quadrature": 1,
+            "geometry_factor_conventional": 1,
+        }
+        assert code == 0, err
 
     def test_empty_roster_header_only(self, capsys, tmp_path, config_file, materials_file):
         out_csv = tmp_path / "empty.csv"

@@ -463,6 +463,15 @@ class TestInversion:
         )
         assert mu.mu_re == 1.0 and mu.mu_im == 0.0
 
+    @pytest.mark.parametrize("shift", [0j, -1e-4 + 0j, -1e-4 + 1e-5j])
+    def test_loss_is_never_negative_zero(self, shift):
+        # mu_im is 0.0 - imag: +0.0 where -imag gives -0.0, the same bits elsewhere
+        g = GeometryFactor(1e-3, "derived-transverse")
+        mu = invert_permeability(shift, g, 1.0)
+        imag = (1.0 - 2.0 * shift / g.value).imag
+        assert math.copysign(1.0, mu.mu_im) == math.copysign(1.0, mu.tan_dm) == 1.0
+        assert mu.mu_im == -imag
+
     def test_worked_example(self):
         mu = invert_permeability(
             -3.659e-4 + 5.49e-5j, GeometryFactor(1.464e-3, "printed"), 1.0

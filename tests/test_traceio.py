@@ -510,6 +510,46 @@ class TestFindResonances:
         assert len(peaks) == 2
         np.testing.assert_allclose(trace.freqs[peaks], [3.77e9, 7.53e9], rtol=1e-12)
 
+    @pytest.mark.parametrize("n_points", [4001, 40001])
+    @pytest.mark.parametrize("noise_db", [None, -110.0, -90.0, -60.0, -40.0])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_one_peak_per_resonance_at_any_floor(self, n_points, noise_db, seed):
+        # a 3 dB gate kept ~15 noise maxima per 4001-point trace at -60 dB;
+        # a threshold in noise deviations keeps only the resonance
+        trace = lorentz_trace(7.5e9, 560.0, 0.3, n_points, noise_db=noise_db, seed=seed)
+        assert find_resonances(trace) == [int(np.argmax(np.abs(trace.s21)))]
+
+    def test_two_mode_trace_under_noise(self):
+        trace = two_peak_trace()
+        rng = np.random.default_rng(7)
+        sigma = 10.0 ** (-60.0 / 20.0) / math.sqrt(2.0)
+        noisy = trace.s21 + sigma * (rng.standard_normal(len(trace)) + 1j * rng.standard_normal(len(trace)))
+        mag = np.abs(noisy)
+        half = len(mag) // 2
+        expected = [int(np.argmax(mag[:half])), half + int(np.argmax(mag[half:]))]
+        assert find_resonances(FrequencyTrace(trace.freqs, noisy)) == expected
+
+    def test_zero_median_difference_falls_back_to_the_quantization_step(self):
+        # |S21| rounded to 1e-3 with noise far below that: more than half the
+        # adjacent pairs are equal, so the median difference is 0.  A zero
+        # threshold would keep every maximum that a flickering last digit makes
+        trace = lorentz_trace(7.5e9, 560.0, 0.3, 4001, noise_db=-90.0, seed=7)
+        quantum = 1e-3
+        mag = np.round(np.abs(trace.s21) / quantum) * quantum
+        quantized = FrequencyTrace(trace.freqs, mag + 0j)
+        pairs = np.abs(mag[1::2] - mag[0:-1:2])
+        assert np.median(pairs) == 0
+        assert len(_prominent_peaks(mag, 1e-300)) > 1
+        assert traceio._noise_sigma(mag) == pytest.approx(quantum, rel=1e-9)
+        top = (mag == mag.max()).nonzero()[0]  # the resonance is a plateau
+        assert find_resonances(quantized) == [int(top[0] + top[-1]) // 2]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 101])
+    def test_constant_or_short_trace_has_no_peak(self, size):
+        trace = FrequencyTrace(1e9 + np.arange(size) * 1e6, np.full(size, 0.5 + 0j))
+        assert traceio._noise_sigma(np.abs(trace.s21)) == math.inf
+        assert find_resonances(trace) == []
+
     def test_threshold_above_tallest(self):
         assert _prominent_peaks(two_peak_trace().s21_db, 80.0) == []
 
