@@ -23,9 +23,11 @@ error too, and so is a modes --max-n whose frequency does.  A value
 that a library type rejects, and a sample that does not fit the cavity,
 name each key the message involves ("sample.thickness_mm exceeds
 cavity.height_h_mm"), and so do the errors of synth.empty_sweep, which
-synth and compare run.
+synth and compare run.  A JSON string that is not Unicode text (a
+lone surrogate escape such as "\\ud800") is a config error too.
 
-Exit codes: 0 success, 2 config/parse error, 3 no usable resonance (none
+Exit codes: 0 success, 2 config/parse error (so is a MemoryError: an
+allocation the inputs make impossible), 3 no usable resonance (none
 found, none pairable, or its Q could not be read), 4 unphysical
 extraction result; EXIT_STATUS maps each error class to its code.
 """
@@ -140,11 +142,19 @@ def _read_json(path: str | Path, what: str):
         return obj
 
     try:  # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
-        return json.loads(Path(path).read_bytes().decode("utf-8"), object_pairs_hook=unique)
+        text = Path(path).read_bytes().decode("utf-8")
+        doc = json.loads(text, object_pairs_hook=unique)
+        if "\\u" in text:  # only an escape gives a lone surrogate, which UTF-8 cannot encode
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
     except OSError as exc:
         raise ConfigurationError(f"cannot read {what}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{what} {str(path)!r} is not UTF-8 text: {exc}") from None
+    except UnicodeEncodeError:
+        raise ConfigurationError(
+            f"{what} {str(path)!r} is not Unicode text: a string escapes a lone surrogate"
+        ) from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{what} is not valid JSON: {exc}") from None
 
@@ -164,11 +174,8 @@ def _reject_unknown(section: dict, where: str) -> None:
         raise ConfigurationError("unknown key " + ", ".join(f"{where}.{key}" for key in section))
 
 
-_REQUIRED = object()
-
-
-def _finite(value, name: str, hint: str = "", integer: bool = False) -> float:
-    """A finite JSON number (an int if `integer`) as a float, else a ConfigurationError."""
+def _finite(value, name: str, hint: str = "", integer: bool = False) -> float | int:
+    """A finite JSON number as a float (as the int itself if `integer`), else a ConfigurationError."""
     # type(), not isinstance: JSON true and false are bools, an int subclass
     if integer and type(value) is not int:
         raise ConfigurationError(f"{name} must be an integer")
@@ -176,25 +183,7 @@ def _finite(value, name: str, hint: str = "", integer: bool = False) -> float:
         raise ConfigurationError(f"{name} must be a number{hint}")
     if not abs(value) <= sys.float_info.max:  # NaN, the infinities, integers beyond the float range
         raise ConfigurationError(f"{name} must be a finite number")
-    return float(value)
-
-
-def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: bool = False):
-    """section.pop(key) as a float, or as an int for an integer key.
-
-    An absent key takes `default`; a key whose default is None may also be
-    null.  An integer key takes JSON integers only, other keys any finite
-    JSON number; a key ending in _mm is a length in millimeters, returned
-    in meters.  Anything else raises a ConfigurationError naming the key.
-    """
-    value = section.pop(key, default)
-    if value is _REQUIRED:
-        raise ConfigurationError(f"missing {where}.{key}")
-    if value is None and default is None:
-        return None
-    mm = key.endswith("_mm")
-    number = _finite(value, f"{where}.{key}", " (millimeters)" if mm else "", integer)
-    return value if integer else (number * MM if mm else number)
+    return value if integer else float(value)
 
 
 def _key(name: str) -> str:
@@ -203,19 +192,31 @@ def _key(name: str) -> str:
 
 
 def _options(cls, section: dict, where: str):
-    """`cls` read from `section`, a key per field (see _key), required if the
-    field has no default: a field with a string default takes any value for
-    cls to check, a complex one a number or a [re, im] pair, any other a
-    number (an integer if typed int).  An error of cls names the keys."""
+    """`cls` read from `section`, a key per field (see _key): an absent key
+    takes the field's default (without one, an error), a string-default
+    field any value for cls to check, a None-default field also null, a
+    complex field a number or a [re, im] pair, an int field a JSON integer
+    and any other a number, in millimeters for a LENGTHS field.  An error
+    of cls names the keys."""
     values = {}
     for f in fields(cls):
-        key, default = _key(f.name), _REQUIRED if f.default is MISSING else f.default
-        if isinstance(default, str):
-            values[f.name] = section.pop(key, default)
+        key = _key(f.name)
+        name = f"{where}.{key}"
+        if key not in section:
+            if f.default is MISSING:
+                raise ConfigurationError(f"missing {name}")
+            values[f.name] = f.default
+            continue
+        value = section.pop(key)
+        if isinstance(f.default, str) or (value is None and f.default is None):
+            values[f.name] = value
         elif f.type == "complex":
-            values[f.name] = _as_complex(section.pop(key), f"{where}.{key}") if key in section else default
+            parts = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
+            values[f.name] = complex(*(_finite(part, name, " or a [re, im] pair") for part in parts))
+        elif f.name in LENGTHS:
+            values[f.name] = _finite(value, name, " (millimeters)") * MM
         else:
-            values[f.name] = _number(section, key, where, default, f.type == "int")
+            values[f.name] = _finite(value, name, integer=f.type == "int")
     _reject_unknown(section, where)
     try:
         return cls(**values)
@@ -228,11 +229,6 @@ def _renamed(exc: PermeameterError, *sections: tuple[str, type]) -> Configuratio
     cls) section by its config key, <where>.<key>."""
     names = {f.name: f"{where}.{_key(f.name)}" for where, cls in sections for f in fields(cls)}
     return ConfigurationError(re.sub(r"\w+", lambda word: names.get(word[0], word[0]), str(exc)))
-
-
-def _as_complex(value, name: str) -> complex:
-    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
-    return complex(*(_finite(part, name, " or a [re, im] pair") for part in parts))
 
 
 def _in_float_range(what: str, cavity: CavitySpec, mode: ModeSpec, *formulas) -> None:
@@ -283,7 +279,8 @@ def load_materials(path: str | Path) -> list[dict]:
             if not isinstance(value, str):
                 raise ConfigurationError(f"{where}.{key} must be a string")
         key = "mu_im" if "mu_im" in entry else "tan_dm"
-        mu_re, loss = _number(entry, "mu_re", where), _number(entry, key, where, 0.0)
+        mu_re = _finite(entry.pop("mu_re"), f"{where}.mu_re")
+        loss = _finite(entry.pop(key, 0.0), f"{where}.{key}")
         if not mu_re > 0:
             raise ConfigurationError(f"{where}.mu_re must be > 0")
         if loss < 0:
@@ -349,10 +346,6 @@ def _pair_report(
     empties: list[Resonance], loadeds: list[Resonance],
 ) -> dict:
     """Pair the resonances and invert each pair with g and the conventional factor."""
-    if not empties or not loadeds:
-        raise NoUsableResonanceError(
-            f"found {len(empties)} empty / {len(loadeds)} loaded resonances"
-        )
     g, g_conv = factors
     pairs = []
     for empty_res, loaded_res in pair_resonances(empties, loadeds):
@@ -646,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
                 text = json.dumps(document, indent=2) + "\n"
             print(text, end="")
             return EXIT_OK
-        except (PermeameterError, OSError) as exc:
+        except (PermeameterError, OSError, MemoryError) as exc:  # numpy names the size it could not allocate
             print(f"error: {exc}", file=sys.stderr)
             return next((status for cls, status in EXIT_STATUS if isinstance(exc, cls)), EXIT_CONFIG)
 

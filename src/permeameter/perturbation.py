@@ -402,9 +402,11 @@ def pair_resonances(
     Each empty resonance, in frequency order, takes the closest unused
     loaded one if it lies within +-PAIRING_GUARD (10 %) of the empty
     frequency; every resonance is used at most once.
-    Raises NoUsableResonanceError when nothing pairs, saying how far
-    the nearest loaded resonance lies.
+    Raises NoUsableResonanceError when nothing pairs, with each side's
+    count if one is empty, else with how far the nearest loaded one lies.
     """
+    if not empty or not loaded:
+        raise NoUsableResonanceError(f"found {len(empty)} empty / {len(loaded)} loaded resonances")
     pairs: list[tuple[Resonance, Resonance]] = []
     remaining = list(loaded)
     for e in sorted(empty, key=lambda r: r.f0):
@@ -415,11 +417,10 @@ def pair_resonances(
             pairs.append((e, best))
             remaining.remove(best)
     if not pairs:
-        gaps = [abs(r.f0 - e.f0) / e.f0 for e in empty for r in loaded]
-        nearest = f"; the nearest lies {min(gaps):.3g} of its f0 away" if gaps else ""
+        nearest = min(abs(r.f0 - e.f0) / e.f0 for e in empty for r in loaded)
         raise NoUsableResonanceError(
             f"no loaded resonance within {PAIRING_GUARD:.0%} of an empty one, "
-            f"the perturbation model's guard{nearest}"
+            f"the perturbation model's guard; the nearest lies {nearest:.3g} of its f0 away"
         )
     return pairs
 

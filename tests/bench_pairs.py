@@ -2,23 +2,26 @@
 
     python tests/bench_pairs.py --against HEAD --workload extract-sweep --seeds 12-21
 
-Each pair runs `perfbench/run.py --workload W --seed s --seconds S
---trace 0` once on REF and once on the working tree, one run at a time;
-which side goes first alternates from pair to pair.  REF is extracted
-with `git archive` into a temporary directory, as `output_grid.py
---against` does, and its own perfbench/ runs its own src/.  For every
-pair the script prints each end-to-end metric of both sides, whether
-the run was correct, its failed share and its count of KNOWN lines.
-Then, per metric: each side's median and quartiles, the number of
-pairs the working tree wins (BENCHMARK.json says which way is better),
-and whether the gap between the medians is wider than REF's quartile
-spread.  It also applies the benchmark's reject rules: per metric,
-whether the tree's median is worse than REF's by more than that
-metric's `bound` in BENCHMARK.json (a fraction of REF's median), and
-whether any pair shows a higher failed share on the tree than on REF.
-It exits 1 if a run fails, a run reads `correct: false`, a median is
-worse than its bound allows or a pair's failed share rises.  The script
-is not named test_*, so pytest does not collect it.
+--workload takes a comma-separated list of workloads, by default those
+that BENCHMARK.json names; `all` is refused, since run.py's `all` also
+runs the ungated extract-vna.  Each pair runs, for every listed workload
+W in turn, `perfbench/run.py --workload W --seed s --seconds S --trace
+0` once on REF and once on the working tree, one run at a time; which
+side goes first alternates from pair to pair.  REF is extracted with
+`git archive` into a temporary directory, as `output_grid.py --against`
+does, and its own perfbench/ runs its own src/.  Per workload, for every
+pair the script prints each end-to-end metric of both sides, whether the
+run was correct, its failed share and its count of KNOWN lines.  Then,
+per metric: each side's median and quartiles, the number of pairs the
+working tree wins (BENCHMARK.json says which way is better), and whether
+the gap between the medians is wider than REF's quartile spread.  It
+also applies the benchmark's reject rules: per metric, whether the
+tree's median is worse than REF's by more than that metric's `bound` in
+BENCHMARK.json (a fraction of REF's median), and whether any pair shows
+a higher failed share on the tree than on REF.  It exits 1 if, on any
+workload, a run fails, a run reads `correct: false`, a median is worse
+than its bound allows or a pair's failed share rises.  The script is not
+named test_*, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def seeds(text: str) -> list[int]:
@@ -40,6 +44,16 @@ def seeds(text: str) -> list[int]:
         first, last = (int(part) for part in text.split("-"))
         return list(range(first, last + 1))
     return [int(part) for part in text.split(",")]
+
+
+def workloads(text: str) -> list[str]:
+    """'compare-roster,cli-oneshot' as a list of workload names; not 'all'."""
+    names = [name for name in text.split(",") if name]
+    if "all" in names:
+        raise argparse.ArgumentTypeError("'all' also runs the ungated extract-vna; list the workloads")
+    if not names:
+        raise argparse.ArgumentTypeError("name at least one workload")
+    return names
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -61,7 +75,7 @@ def failed_share(result: dict) -> float:
 
 
 def report(pairs: list[tuple[int, dict, dict]], ref: str) -> int:
-    metrics = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in BENCHMARK["end_to_end"]}
     names = [name for name in metrics if name in pairs[0][1]["metrics"]]
     rejected = False
     for seed, old, new in pairs:
@@ -98,25 +112,31 @@ def report(pairs: list[tuple[int, dict, dict]], ref: str) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--against", default="HEAD", metavar="REF", help="git revision to compare with")
-    parser.add_argument("--workload", default="extract-sweep")
+    parser.add_argument("--workload", type=workloads, metavar="W[,W...]",
+                        default=",".join(w["name"] for w in BENCHMARK["workloads"]),
+                        help="workloads to run in each pair (default: those BENCHMARK.json names)")
     parser.add_argument("--seeds", type=seeds, default=seeds("12-21"), help="'12-21' or '3,5,8': one pair each")
     parser.add_argument("--seconds", type=float, default=16.0)
     args = parser.parse_args()
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two pairs")
-    pairs = []
+    pairs = {workload: [] for workload in args.workload}
     with tempfile.TemporaryDirectory() as name:
         archive = subprocess.run(["git", "archive", args.against], cwd=ROOT, check=True,
                                  stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", name], input=archive, check=True)
+        trees = [Path(name), ROOT]
         for k, seed in enumerate(args.seeds):
-            trees = [Path(name), ROOT]
-            sides = {}
-            for side in (0, 1) if k % 2 == 0 else (1, 0):
-                sides[side] = run(trees[side], args.workload, seed, args.seconds)
-            pairs.append((seed, sides[0], sides[1]))
+            order = (0, 1) if k % 2 == 0 else (1, 0)
+            for workload in args.workload:
+                sides = {side: run(trees[side], workload, seed, args.seconds) for side in order}
+                pairs[workload].append((seed, sides[0], sides[1]))
             print(f"pair {k + 1} of {len(args.seeds)} done", file=sys.stderr, flush=True)
-    return report(pairs, args.against)
+    status = 0
+    for workload, runs in pairs.items():
+        print(f"== {workload}")
+        status |= report(runs, args.against)
+    return status
 
 
 if __name__ == "__main__":

@@ -1249,3 +1249,76 @@ def test_sample_that_does_not_fit_exits_2_before_any_work(capsys, tmp_path, conf
     code, out, err = run(capsys, "--config", str(cfg), verb, *map(str, argv))
     assert (code, out, err) == (2, "", "error: sample.thickness_mm exceeds cavity.height_h_mm\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "materials.json"]
+
+
+@pytest.mark.parametrize(
+    "verb, which, string",
+    [("synth", "materials", "name"), ("compare", "materials", "name"), ("compare", "materials", "note"),
+     ("compare", "config", "q_method"), ("quadcheck", "config", "key")],
+)
+def test_string_that_is_not_unicode_exit_2_names_the_file(
+    capsys, tmp_path, config_file, materials_file, verb, which, string
+):
+    # json.dumps writes the lone surrogate as the JSON escape "\ud800", which json.loads
+    # reads back into a str that no UTF-8 text (a CSV, a seed hash, a file name) can hold
+    roster = {
+        "name": [{"name": "A\ud800", "mu_re": 1.5}], "note": [{"name": "A", "mu_re": 1.5, "note": "x\udc80"}],
+    }
+    mats = materials_file(roster.get(string))
+    cfg = config_file(**{
+        "q_method": {"extraction": {"q_method": "three-db\ud800"}}, "key": {"mode": {"n\ud800": 4}},
+    }.get(string, {}))
+    out_csv, out_dir = tmp_path / "t.csv", tmp_path / "campaign"
+    out_csv.write_bytes(b"kept\n")
+    argv = {
+        "synth": ["--materials", mats, "--out-dir", out_dir],
+        "compare": ["--materials", mats, "--out-csv", out_csv],
+    }.get(verb, [])
+    code, out, err = run(capsys, "--config", str(cfg), verb, *map(str, argv))
+    what, path = ("config", cfg) if which == "config" else ("materials file", mats)
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} {str(path)!r} is not Unicode text: a string escapes a lone surrogate\n"
+    assert out_csv.read_bytes() == b"kept\n" and not out_dir.exists()
+
+
+def test_paired_surrogate_escape_is_one_character(capsys, tmp_path, config_file):
+    # a JSON escape pair is one astral character, which UTF-8 holds
+    mats = tmp_path / "materials.json"
+    mats.write_text('[{"name": "A\\ud83d\\ude00", "mu_re": 1.5, "note": "\\ud83d\\ude00"}]')
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run(
+        capsys, "--config", str(config_file()), "--json", "compare",
+        "--materials", str(mats), "--out-csv", str(out_csv),
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"][0]["material"] == "A\U0001f600"
+    row = out_csv.read_bytes().split(b"\n")[1]
+    assert row.startswith("A\U0001f600,".encode("utf-8")) and row.endswith("\U0001f600".encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "verb, overrides",
+    [
+        ("quadcheck", {"extraction": {"cells_per_axis": 10**15}}),
+        ("extract", {"extraction": {"cells_per_axis": 10**15}}),
+        ("compare", {"extraction": {"cells_per_axis": 10**15}}),
+        ("compare", {"synth": {"n_points": 10**15}}),
+        ("synth", {"synth": {"n_points": 10**15}}),
+    ],
+    ids=["quadcheck-cells", "extract-cells", "compare-cells", "compare-points", "synth-points"],
+)
+def test_impossible_allocation_exit_2(capsys, tmp_path, config_file, materials_file, verb, overrides):
+    # 10**15 float64s are 8 PB, more than any 64-bit address space holds, so numpy's
+    # MemoryError comes at once whatever the host's overcommit setting
+    mats = materials_file()
+    traces = [lorentzian_file(tmp_path / f"{name}.s2p", 0.5) for name in ("empty", "loaded")]
+    argv = {
+        "extract": traces,
+        "synth": ["--materials", mats, "--out-dir", tmp_path / "campaign"],
+        "compare": ["--materials", mats, "--out-csv", tmp_path / "t.csv"],
+    }.get(verb, [])
+    before = sorted(path.name for path in tmp_path.iterdir())
+    code, out, err = run(capsys, "--config", str(config_file(**overrides)), verb, *map(str, argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) > len("error: \n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(before + ["config.json"])

@@ -1004,6 +1004,14 @@ class TestPairing:
         ):
             pair_resonances([self.r(3.7e9), self.r(6.0e9)], [self.r(7.53e9), self.r(4.1e9)])
 
+    @pytest.mark.parametrize("n_empty, n_loaded", [(0, 1), (1, 0), (0, 0)])
+    def test_an_empty_side_is_counted(self, n_empty, n_loaded):
+        # pairing, not its callers, reports that one side found nothing
+        with pytest.raises(
+            NoUsableResonanceError, match=f"^found {n_empty} empty / {n_loaded} loaded resonances$"
+        ):
+            pair_resonances([self.r(7.53e9)] * n_empty, [self.r(7.51e9)] * n_loaded)
+
     def test_each_loaded_used_once(self):
         pairs = pair_resonances(
             [self.r(5.0e9), self.r(5.2e9)], [self.r(5.1e9)]
