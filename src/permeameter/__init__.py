@@ -3,7 +3,8 @@
 Subpackages:
   cavity       : analytic TE10n cavity model (frequencies, fields, norms)
   perturbation : geometry factors, the shift model both ways, its domain, pairing
-  traceio      : Touchstone I/O, resonance detection, Q extraction
+  touchstone   : the trace type and its Touchstone v1.0 reader and writer
+  traceio      : resonance detection, Q extraction
   synth        : forward trace synthesis standing in for a field solver
   errors       : the error taxonomy, one exit-3 class for a trace with no usable resonance
   cli          : command-line front end
@@ -44,15 +45,8 @@ from .synth import (
     lorentzian_trace,
     synth_campaign,
 )
-from .traceio import (
-    FrequencyTrace,
-    Resonance,
-    find_resonances,
-    fit_lorentzian,
-    parse_touchstone,
-    q_3db,
-    write_touchstone,
-)
+from .touchstone import FrequencyTrace, parse_touchstone, write_touchstone
+from .traceio import Resonance, find_resonances, fit_lorentzian, q_3db
 
 __version__ = "0.1.0"
 

@@ -24,7 +24,9 @@ that a library type rejects, and a sample that does not fit the cavity,
 name each key the message involves ("sample.thickness_mm exceeds
 cavity.height_h_mm"), and so do the errors of synth.empty_sweep, which
 synth and compare run.  A JSON string that is not Unicode text (a
-lone surrogate escape such as "\\ud800") is a config error too.
+lone surrogate escape such as "\\ud800"), an integer of more digits than
+Python converts, and arrays or objects nested past the recursion limit
+are config errors too.
 
 Exit codes: 0 success, 2 config/parse error (so is a MemoryError: an
 allocation the inputs make impossible), 3 no usable resonance (none
@@ -74,14 +76,8 @@ from .perturbation import (
 # imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
 from .perturbation import geometry_factor_derived, sample_energy_quadrature  # noqa: F401
 from .synth import SynthOptions, campaign_traces, empty_sweep, synth_campaign
-from .traceio import (
-    FrequencyTrace,
-    Resonance,
-    find_resonances,
-    fit_lorentzian,
-    parse_touchstone,
-    q_3db,
-)
+from .touchstone import FrequencyTrace, parse_touchstone
+from .traceio import Resonance, find_resonances, fit_lorentzian, q_3db
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,9 +137,15 @@ def _read_json(path: str | Path, what: str):
             obj[key] = value
         return obj
 
+    def integer(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # int() converts at most sys.get_int_max_str_digits() digits
+            raise ConfigurationError(f"{what} {str(path)!r} holds an integer of too many digits") from None
+
     try:  # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
         text = Path(path).read_bytes().decode("utf-8")
-        doc = json.loads(text, object_pairs_hook=unique)
+        doc = json.loads(text, object_pairs_hook=unique, parse_int=integer)
         if "\\u" in text:  # only an escape gives a lone surrogate, which UTF-8 cannot encode
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
         return doc
@@ -157,6 +159,8 @@ def _read_json(path: str | Path, what: str):
         ) from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested deeper than the interpreter's recursion limit
+        raise ConfigurationError(f"{what} {str(path)!r} nests arrays or objects too deeply") from None
 
 
 def _section(doc: dict, name: str, required: bool = True) -> dict:

@@ -31,7 +31,8 @@ from .perturbation import (
 )
 # imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
 from .perturbation import geometry_factor_derived, sample_energy_quadrature  # noqa: F401
-from .traceio import FrequencyTrace, Resonance, write_touchstone
+from .touchstone import FrequencyTrace, write_touchstone
+from .traceio import Resonance
 
 
 @dataclass(frozen=True)

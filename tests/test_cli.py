@@ -1296,6 +1296,28 @@ def test_paired_surrogate_escape_is_one_character(capsys, tmp_path, config_file)
     assert row.startswith("A\U0001f600,".encode("utf-8")) and row.endswith("\U0001f600".encode("utf-8"))
 
 
+def test_integer_past_the_digit_limit_exit_2_names_the_file(capsys, config_file):
+    # int() refuses more than 4300 digits by default, and json.loads hands it every integer
+    cfg = config_file()
+    cfg.write_text(cfg.read_text().replace('"n": 4', '"n": 1' + "0" * 5000))
+    code, out, err = run(capsys, "--config", str(cfg), "modes")
+    assert (code, out) == (2, "")
+    assert err == f"error: config {str(cfg)!r} holds an integer of too many digits\n"
+
+
+def test_nesting_past_the_recursion_limit_exit_2_names_the_file(capsys, tmp_path, config_file):
+    mats = tmp_path / "materials.json"
+    mats.write_text("[" * 100000 + "]" * 100000)
+    out_csv = tmp_path / "t.csv"
+    out_csv.write_bytes(b"kept\n")
+    code, out, err = run(
+        capsys, "--config", str(config_file()), "compare", "--materials", str(mats), "--out-csv", str(out_csv),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: materials file {str(mats)!r} nests arrays or objects too deeply\n"
+    assert out_csv.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize(
     "verb, overrides",
     [

@@ -1,6 +1,6 @@
-"""Reference Touchstone parser and writer for the differential tests in test_traceio.py.
+"""Reference Touchstone parser and writer for the differential tests in test_touchstone.py.
 
-The parser is the row-by-row one `permeameter.traceio.parse_touchstone`
+The parser is the row-by-row one `permeameter.touchstone.parse_touchstone`
 had before it became a single numpy pass, kept unchanged apart from its
 name, the `source` label it no longer passes on (FrequencyTrace has
 none) and its line split, which breaks at CR, LF and CRLF only, as the
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from permeameter.errors import InvalidGeometryError, TouchstoneParseError
-from permeameter.traceio import FrequencyTrace
+from permeameter.touchstone import FrequencyTrace
 
 FREQ_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 FORMATS = ("RI", "MA", "DB")
