@@ -126,6 +126,15 @@ class RunConfig:
     extraction: ExtractionOptions = field(default_factory=ExtractionOptions)
     synth: SynthOptions = field(default_factory=SynthOptions)
 
+    @functools.cached_property
+    def factors(self) -> tuple[GeometryFactor, GeometryFactor]:
+        """The run's two geometry factors, the configured model's g and the
+        conventional one: computed on first use and kept on this object (a
+        replace() makes a new one, and an error is raised again, not kept)."""
+        cavity, sample, mode, ext = self.cavity, self.sample, self.mode, self.extraction
+        g = geometry_factor(cavity, sample, mode, ext.model, ext.interaction, ext.cells_per_axis)
+        return g, geometry_factor_conventional(cavity, sample, mode)
+
 
 def _read_json(path: str | Path, what: str):
     def unique(pairs: list[tuple]) -> dict:
@@ -335,22 +344,13 @@ def extract_report(
     """Permeability extraction report for one empty/loaded trace pair."""
     empties = extract_trace_resonances(cfg, empty_trace)
     loadeds = extract_trace_resonances(cfg, loaded_trace)
-    return _pair_report(_factors(cfg), cfg.cavity.mu_rs, empties, loadeds)
+    return _pair_report(cfg, empties, loadeds)
 
 
-def _factors(cfg: RunConfig) -> tuple[GeometryFactor, GeometryFactor]:
-    """The run's two geometry factors: the configured model's g and the conventional one."""
-    cavity, sample, mode, ext = cfg.cavity, cfg.sample, cfg.mode, cfg.extraction
-    g = geometry_factor(cavity, sample, mode, ext.model, ext.interaction, ext.cells_per_axis)
-    return g, geometry_factor_conventional(cavity, sample, mode)
-
-
-def _pair_report(
-    factors: tuple[GeometryFactor, GeometryFactor], mu_rs: complex,
-    empties: list[Resonance], loadeds: list[Resonance],
-) -> dict:
+def _pair_report(cfg: RunConfig, empties: list[Resonance], loadeds: list[Resonance]) -> dict:
     """Pair the resonances and invert each pair with g and the conventional factor."""
-    g, g_conv = factors
+    g, g_conv = cfg.factors
+    mu_rs = cfg.cavity.mu_rs
     pairs = []
     for empty_res, loaded_res in pair_resonances(empties, loadeds):
         shift = complex_shift_from_resonances(empty_res, loaded_res)
@@ -377,8 +377,9 @@ def _pair_report(
     return {"pairs": pairs}
 
 
-def _roster_traces(cfg: RunConfig, roster: list[dict], g: GeometryFactor) -> dict[str, FrequencyTrace]:
+def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTrace]:
     """Empty-cavity and per-material traces of the roster, in memory (see synth.empty_sweep)."""
+    g = cfg.factors[0]  # first: a geometry error takes precedence over a sweep error
     try:  # campaign_traces is not renamed: a material may be named like a field
         empty, sweep = empty_sweep(resonant_frequency(cfg.cavity, cfg.mode), cfg.synth)
     except PermeameterError as exc:
@@ -389,13 +390,12 @@ def _roster_traces(cfg: RunConfig, roster: list[dict], g: GeometryFactor) -> dic
 
 def compare_rows(cfg: RunConfig, roster: list[dict]) -> list[dict]:
     """Synthesize the roster, extract each material in memory, tabulate both methods."""
-    factors = _factors(cfg)
-    traces = _roster_traces(cfg, roster, factors[0])
+    traces = _roster_traces(cfg, roster)
     empties = extract_trace_resonances(cfg, traces["empty"])
     rows = []
     for m in roster:
         loadeds = extract_trace_resonances(cfg, traces[m["name"]])
-        pair = _pair_report(factors, cfg.cavity.mu_rs, empties, loadeds)["pairs"][0]
+        pair = _pair_report(cfg, empties, loadeds)["pairs"][0]
         values = (
             m["name"],
             m["mu"].mu_re,
@@ -500,7 +500,7 @@ def cmd_modes(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
     roster = load_materials(args.materials)
-    traces = _roster_traces(cfg, roster, _factors(cfg)[0])
+    traces = _roster_traces(cfg, roster)
     try:
         files = synth_campaign(traces, args.out_dir)
     except OSError as exc:

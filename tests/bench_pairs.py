@@ -14,7 +14,13 @@ pair the script prints each end-to-end metric of both sides, whether the
 run was correct, its failed share and its count of KNOWN lines.  Then,
 per metric: each side's median and quartiles, the number of pairs the
 working tree wins (BENCHMARK.json says which way is better), and whether
-the gap between the medians is wider than REF's quartile spread.  It
+the gap between the medians is wider than REF's quartile spread, and
+whether these meet the claim rule: a gain holds only if the tree wins
+at least nine tenths of the pairs (a tie counts for neither side), its
+median is better than REF's by more than REF's quartile spread, and no
+pair's failed share is higher on the tree.  The verdict covers only the
+pairs of this invocation; a claim is judged on every pair run for it,
+so pool the lines of several invocations before reading it as one.  It
 also applies the benchmark's reject rules: per metric, whether the
 tree's median is worse than REF's by more than that metric's `bound` in
 BENCHMARK.json (a fraction of REF's median), and whether any pair shows
@@ -78,6 +84,7 @@ def report(pairs: list[tuple[int, dict, dict]], ref: str) -> int:
     metrics = {m["name"]: m for m in BENCHMARK["end_to_end"]}
     names = [name for name in metrics if name in pairs[0][1]["metrics"]]
     rejected = False
+    risen = [seed for seed, old, new in pairs if failed_share(new) > failed_share(old)]
     for seed, old, new in pairs:
         cells = [f"{name} {old['metrics'][name]['value']:.6g} -> {new['metrics'][name]['value']:.6g}"
                  for name in names]
@@ -96,12 +103,14 @@ def report(pairs: list[tuple[int, dict, dict]], ref: str) -> int:
               f" ({(n2 - o2) / o2:+.1%}), tree better in {wins} of {len(pairs)},"
               f" median gap {abs(n2 - o2):.4g} {'>' if abs(n2 - o2) > o3 - o1 else '<='}"
               f" {ref} quartile spread {o3 - o1:.4g}")
+        gain = 10 * wins >= 9 * len(pairs) and sign * (n2 - o2) > o3 - o1 and not risen
+        print(f"{name}: a claimed gain {'holds' if gain else 'does not hold'} over these {len(pairs)} pairs"
+              f" (tree better in >= 9/10 of them, by more than {ref}'s quartile spread, no failed share higher)")
         bound = metrics[name]["bound"]
         worse = sign * (o2 - n2) > bound * abs(o2)
         rejected |= worse
         print(f"{name}: tree median {'WORSE' if worse else 'not worse'} than {ref}'s"
               f" by more than the bound {bound:.0%}")
-    risen = [seed for seed, old, new in pairs if failed_share(new) > failed_share(old)]
     rejected |= bool(risen)
     print(f"failed share higher on the tree than on {ref} in {len(risen)} of {len(pairs)} pairs"
           + (f" (seeds {', '.join(map(str, risen))})" if risen else ""))

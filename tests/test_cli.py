@@ -24,10 +24,10 @@ from permeameter import (
 )
 from permeameter import errors
 from permeameter.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_STATUS, ExtractionOptions, extract_report, load_config, main
+    EXIT_CONFIG, EXIT_OK, EXIT_STATUS, ExtractionOptions, RunConfig, extract_report, load_config, main
 )
-from permeameter.errors import FitFailureError, NoUsableResonanceError
-from permeameter.perturbation import InteractionChoice
+from permeameter.errors import FitFailureError, InvalidGeometryError, NoUsableResonanceError
+from permeameter.perturbation import InteractionChoice, geometry_factor
 from permeameter.traceio import fit_lorentzian, q_3db
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -650,6 +650,82 @@ class TestCompare:
             "--materials", str(bad), "--out-csv", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+
+class TestRunConfigFactors:
+    """A RunConfig computes its geometry factors on first use and keeps
+    them on itself: a series of pairs reuses them, and no other config
+    object, equal or not, sees them."""
+
+    @pytest.fixture
+    def pair(self, capsys, tmp_path, config_file, materials_file):
+        """The config path and the empty and sample X traces its synth writes, in memory."""
+        path = config_file()
+        out_dir = tmp_path / "camp"
+        code, _, err = run(
+            capsys, "--config", str(path), "synth",
+            "--materials", str(materials_file()), "--out-dir", str(out_dir),
+        )
+        assert code == 0, err
+        traces = [parse_touchstone((out_dir / f"campaign_{label}.s2p").read_bytes()) for label in ("empty", "X")]
+        return path, *traces
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the two g routes, at the lookup sites test_per_roster_work_runs_once patches."""
+        calls = {"sample_energy_quadrature": 0, "geometry_factor_conventional": 0}
+        for module, name in [
+            (permeameter.perturbation, "sample_energy_quadrature"),
+            (permeameter.cli, "geometry_factor_conventional"),
+        ]:
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_a_series_of_pairs_integrates_g_once(self, pair, calls):
+        path, empty, loaded = pair
+        cfg = load_config(path)
+        reports = [extract_report(cfg, empty, loaded) for _ in range(3)]
+        assert calls == {"sample_energy_quadrature": 1, "geometry_factor_conventional": 1}
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_replaced_config_computes_its_own_g(self, pair, calls):
+        path, empty, loaded = pair
+        cfg = load_config(path)
+        extract_report(cfg, empty, loaded)
+        axial = replace(cfg, extraction=replace(cfg.extraction, interaction="axial-hx"))
+        report = extract_report(axial, empty, loaded)
+        extract_report(cfg, empty, loaded)  # cfg kept its own
+        assert calls == {"sample_energy_quadrature": 2, "geometry_factor_conventional": 2}
+        fresh = geometry_factor(cfg.cavity, cfg.sample, cfg.mode, "quadrature", InteractionChoice.AXIAL_HX)
+        entry = report["pairs"][0]
+        assert entry["g_value"].hex() == fresh.value.hex()
+        assert entry["g_provenance"] == fresh.provenance == "quadrature-axial-hx"
+
+    def test_geometry_error_is_raised_again_not_kept(self, pair, calls):
+        path, empty, loaded = pair
+        cfg = load_config(path)
+        extract_report(cfg, empty, loaded)
+        # built directly: load_config rejects a bar thicker than the cavity
+        thick = RunConfig(cfg.cavity, replace(cfg.sample, thickness=2 * cfg.cavity.height_h), cfg.mode)
+        for _ in range(2):
+            with pytest.raises(InvalidGeometryError, match="thickness exceeds height_h"):
+                extract_report(thick, empty, loaded)
+        assert calls["sample_energy_quadrature"] == 3
+
+    def test_kept_factors_leave_equality_hash_and_repr_alone(self, config_file):
+        path = config_file()
+        cfg = load_config(path)
+        before = hash(cfg), repr(cfg)
+        factors = cfg.factors
+        fresh = load_config(path)
+        assert cfg == fresh
+        assert (hash(cfg), repr(cfg)) == before == (hash(fresh), repr(fresh))
+        assert cfg.factors is factors
+        assert fresh.factors == factors and fresh.factors is not factors
 
 
 class TestQuadcheck:
