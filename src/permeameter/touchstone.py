@@ -55,13 +55,14 @@ class FrequencyTrace:
         if self.s11 is not None:
             s11 = np.asarray(self.s11, dtype=complex)
             object.__setattr__(self, "s11", s11)
-            if s11.shape != freqs.shape or not np.all(np.isfinite(s11)):
+            if s11.shape != freqs.shape or not np.isfinite(np.abs(s11)).all():
                 raise InvalidGeometryError("s11 must be finite and match freqs")
         if freqs.ndim != 1 or len(freqs) < 1:
             raise InvalidGeometryError("trace needs at least one point")
         if s21.shape != freqs.shape:
             raise InvalidGeometryError("s21 length must match freqs")
-        if not (np.all(np.isfinite(freqs)) and np.all(np.isfinite(s21))):
+        # |S| is finite only where both parts are, and not always then (1.5e308 + 1.5e308j)
+        if not (np.isfinite(freqs).all() and np.isfinite(np.abs(s21)).all()):
             raise InvalidGeometryError("trace values must be finite")
         if np.any(freqs[1:] <= freqs[:-1]):  # no np.diff: a difference can overflow
             raise InvalidGeometryError("freqs must be strictly increasing")
@@ -173,7 +174,8 @@ def parse_touchstone(data: bytes | str) -> FrequencyTrace:
 def _data_rows(lines: list[str], unit: str, fmt: str, z0: float) -> FrequencyTrace:
     """The trace of S data lines in one np.loadtxt pass; ValueError (the
     trace's InvalidGeometryError for frequencies that are not finite and
-    strictly increasing) or OverflowError if any line is rejected."""
+    strictly increasing, or an |S| that overflows) or OverflowError if
+    any line is rejected."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty data block warns: "no data rows" later
         rows = np.loadtxt(lines, comments="!", ndmin=2)
@@ -220,11 +222,14 @@ def _noise_block_start(lines: list[str], start: int, unit: str, fmt: str) -> int
         if f_hz <= last:
             raise TouchstoneParseError(lineno, f"frequency {f_hz:.6g} Hz not strictly increasing")
         last = f_hz
-        if fmt == "DB" and not noise:
+        # |S| overflows from a dB level, or in RI and MA from a part above 1e308
+        if not noise and (fmt == "DB" or abs(nums[1]) + abs(nums[2]) + abs(nums[3]) + abs(nums[4]) > 1e308):
             try:
-                _to_complex(np.array(nums[1:5:2]), np.array(nums[2:5:2]), fmt)
+                s11_s21 = _to_complex(np.array(nums[1:5:2]), np.array(nums[2:5:2]), fmt)
             except OverflowError:
                 raise TouchstoneParseError(lineno, "dB level overflows |S|") from None
+            if not np.isfinite(np.abs(s11_s21)).all():
+                raise TouchstoneParseError(lineno, "|S| overflows")
     if noise:
         return noise
     raise TouchstoneParseError(max(len(lines), 1), "no data rows")

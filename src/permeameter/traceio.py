@@ -134,7 +134,8 @@ def _prominent_peaks(y: np.ndarray, p: float) -> list[int]:
     """Indices of the local maxima of y with a prominence of at least p > 0.
 
     The rule is that of ``scipy.signal.find_peaks(y, prominence=p)``,
-    and the indices are the same on every trace:
+    and the indices are the same on any float array without NaN,
+    infinities included:
 
     * a peak is a sample, or a plateau of equal samples, with a strictly
       lower sample on either side; a plateau is reported at its
@@ -146,11 +147,12 @@ def _prominent_peaks(y: np.ndarray, p: float) -> list[int]:
     * the prominence is the peak level minus the higher of the two
       bases, and a peak qualifies when its prominence is >= p.
 
-    One pass over the trace finds its turning points.  Once runs of equal
-    samples are merged, they are maxima and minima in alternation, so the
-    lowest sample between two neighbouring maxima is the minimum between
-    them, and the lowest before the first maximum (after the last) is
-    the edge sample or a minimum between it and that maximum.
+    Comparisons of neighbouring samples, not their differences (inf - inf
+    is NaN), find the turning points.  Once runs of equal samples are
+    merged, they are maxima and minima in alternation, so the lowest
+    sample between two neighbouring maxima is the minimum between them,
+    and the lowest before the first maximum (after the last) is the edge
+    sample or a minimum between it and that maximum.
 
     Most maxima of a noisy trace are blocked: a strictly higher
     neighbouring peak lies across a valley less than p deep.  The walk
@@ -170,18 +172,14 @@ def _prominent_peaks(y: np.ndarray, p: float) -> list[int]:
     Sorted by frequency.
     """
     size = y.size
-    step = y[1:] - y[:-1]  # np.diff without its wrapper
     runs = None
-    if not step.all():
-        # one sample per run of equal samples, so a plateau is one maximum;
-        # done only when needed, as it costs more than the whole search on
-        # a typical noiseless trace
-        runs = np.concatenate(([True], step != 0)).nonzero()[0]
+    if (y[1:] == y[:-1]).any():
+        # one sample per run of equal samples, so a plateau is one maximum
+        runs = np.concatenate(([True], y[1:] != y[:-1])).nonzero()[0]
         y = y[runs]
-        step = y[1:] - y[:-1]
-    rising = step > 0
-    # no step is zero now, so "not rising" is falling, and the turning
-    # points alternate, a maximum first when the trace starts by rising
+    rising = y[1:] > y[:-1]
+    # no two neighbours are equal now, so "not rising" is falling, and the
+    # turning points alternate, a maximum first when the trace starts by rising
     turns = (rising[:-1] != rising[1:]).nonzero()[0] + 1
     first = 0 if turns.size and rising[0] else 1
     peaks = turns[first::2]
@@ -229,13 +227,14 @@ def _base_levels(levels: list[float], gaps: list[float]) -> list[float]:
     edge) before it.  The stack holds the earlier peaks not yet passed
     by a walk, each with its own base; their levels strictly decrease
     from the bottom.  A walk from a new peak passes every stacked peak
-    no higher than it and takes their bases, so each peak is pushed and
-    popped once, O(peaks) per trace rather than O(samples x peaks).
+    no higher than it and takes their bases, and one that empties the
+    stack has reached the trace edge.  Each peak is pushed and popped
+    once, O(peaks) per trace rather than O(samples x peaks).
     """
-    stack = [(math.inf, 0.0)]
+    stack = []
     out = []
     for level, base in zip(levels, gaps):
-        while stack[-1][0] <= level:
+        while stack and stack[-1][0] <= level:
             passed = stack.pop()[1]
             if passed < base:
                 base = passed

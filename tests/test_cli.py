@@ -414,6 +414,23 @@ class TestExtract:
                 "unloaded Q is poorly conditioned\n"
             )
 
+    @pytest.mark.parametrize("line", [2, 3])
+    def test_overflowing_magnitude_exit_2_names_its_line(self, tmp_path, config_file, line):
+        # two finite RI parts whose |S21| overflows; read into a trace, the
+        # infinite sample on line 3 was a maximum that crashed the peak search
+        rows = ["# HZ S RI R 50"] + [f"{k}e9 0 0 0.1 0 0 0 0 0" for k in (1, 2, 3)]
+        rows[line - 1] = rows[line - 1].replace("0.1 0", "1.5e308 1.5e308", 1)
+        loaded = tmp_path / "overflow.s2p"
+        loaded.write_text("\n".join(rows) + "\n")
+        empty = lorentzian_file(tmp_path / "empty.s2p", 0.3)
+        env = {**os.environ, "PYTHONPATH": str(Path(permeameter.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "permeameter.cli", "--config", str(config_file()), "extract", empty, str(loaded)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr == f"error: line {line}: |S| overflows\n"
+
 
 class TestCompare:
     def test_csv_table(self, capsys, tmp_path, config_file, materials_file):

@@ -201,10 +201,12 @@ class TestParseDifferential:
     * option lines: tokens in any order, each optional (GHZ S MA R 50 by
       default), a repeated or unknown token rejected; generated option
       lines keep the 5-token form;
-    * overflow: a dB level whose |S| overflows, or a frequency that
-      overflows once scaled to Hz, is a TouchstoneParseError at its line
-      (the old parser raised OverflowError or InvalidGeometryError);
-      generated values never overflow;
+    * overflow: a row whose |S| overflows, from a dB level or from two
+      finite RI parts (1.5e308 1.5e308), or a frequency that overflows
+      once scaled to Hz, is a TouchstoneParseError at its line (the old
+      parser raised OverflowError or InvalidGeometryError, or read the
+      RI row into a trace with an infinite |S21|); generated values
+      never overflow;
     * a '_' digit separator ('1_0') is a bad number at its line, as the
       Touchstone grammar has none; the generator does make such tokens,
       and the reference reads them with '_' replaced by an invalid '@';
@@ -238,6 +240,7 @@ class TestParseDifferential:
             (b"# HZ S DB R 50\n1e9 0 0 20000 0 0 0 0 0\n", 2, "overflows"),
             (b"# HZ S DB R 50\n1e9 0 0 0 0 0 0 0 0\n2e9 7000 0 0 0 0 0 0 0\n", 3, "overflows"),
             (b"# GHZ S RI R 50\n1e300 0 0 0.5 0 0 0 0 0\n", 2, "overflows"),
+            (b"# HZ S RI R 50\n1e9 0 0 1.5e308 1.5e308 0 0 0 0\n", 2, "overflows"),
             (b"# HZ S RI R 50\n1e9 0 0 0.5 0 0 0 0 1_0\n", 2, "bad number: could not convert string to float: '1_0'"),
         ],
     )
@@ -438,14 +441,16 @@ class TestWrite:
 
 def _written_trace(draw):
     """A trace whose values are any finite doubles: +-0, subnormals and
-    huge values included, with or without s11, at a random z0."""
+    huge values included, with or without s11, at a random z0.  Two
+    finite parts whose |S| overflows make no trace, so they are not drawn."""
     n = draw(st.integers(1, 20))
     freqs = sorted(draw(st.lists(st.floats(-FLOAT_MAX, FLOAT_MAX), min_size=n, max_size=n,
                                  unique=True)))
     parts = st.floats(-FLOAT_MAX, FLOAT_MAX)
+    samples = st.builds(complex, parts, parts).filter(lambda z: np.isfinite(np.abs(z)))
 
     def column():
-        return np.array([complex(draw(parts), draw(parts)) for _ in range(n)])
+        return np.array([draw(samples) for _ in range(n)])
 
     s11 = column() if draw(st.booleans()) else None
     z0 = draw(st.floats(0.0, FLOAT_MAX, exclude_min=True))
@@ -470,6 +475,16 @@ class TestTraceType:
         # non-finite frequency is named as such and nothing warns on it
         with pytest.raises(InvalidGeometryError, match="finite"):
             FrequencyTrace(np.array(freqs), np.zeros(3))
+
+    @pytest.mark.parametrize("part", ["s21", "s11"])
+    def test_overflowing_magnitude_rejected_without_warning(self, part):
+        # both parts are finite, but |S| is not
+        samples = {"s21": np.zeros(2, dtype=complex), "s11": np.zeros(2, dtype=complex)}
+        samples[part][1] = complex(1.5e308, 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGeometryError, match="finite"):
+                FrequencyTrace(np.array([1.0, 2.0]), **samples)
 
     @pytest.mark.parametrize(
         "freqs, s21, extra, message",

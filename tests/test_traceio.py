@@ -175,6 +175,35 @@ class TestFindResonances:
             expected = find_peaks(traceio._db(trace.s21), prominence=p)[0].tolist()
             assert _prominent_peaks(traceio._db(trace.s21), p) == expected
 
+    def test_matches_scipy_find_peaks_on_long_plateaus(self):
+        # |S21| rounded to 1e-3 with noise far below that: most neighbours
+        # tie, so the merge of equal runs handles plateaus of many samples
+        trace = lorentz_trace(7.5e9, 560.0, 0.3, 40001, noise_db=-90.0, seed=7)
+        db = traceio._db(np.round(np.abs(trace.s21), 3))
+        assert 2 * np.count_nonzero(db[1:] == db[:-1]) > db.size
+        for p in (0.01, 0.5, 3.0):
+            assert _prominent_peaks(db, p) == find_peaks(db, prominence=p)[0].tolist()
+
+    # a trace cannot hold these levels (|S21| must be finite), so the rule is
+    # checked on the search itself: an infinite level is a peak, a plateau
+    # or a valley as any other, where differences would give inf - inf = NaN
+    @pytest.mark.parametrize(
+        "levels, peaks",
+        [
+            ([0, math.inf, math.inf, 0], [1]),
+            ([0, math.inf, math.inf, math.inf, 0], [2]),
+            ([0, 1, math.inf, 0, 2, 0], [2, 4]),
+            ([math.inf, 0, 1, 0, math.inf], [2]),
+            ([0, 2, -math.inf, 1, 0], [1, 3]),
+        ],
+    )
+    def test_matches_scipy_find_peaks_on_infinite_levels(self, levels, peaks):
+        y = np.array(levels, dtype=float)
+        assert find_peaks(y, prominence=1.0)[0].tolist() == peaks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _prominent_peaks(y, 1.0) == peaks
+
 
 class TestQ3db:
     def test_exact_lorentzian(self):
