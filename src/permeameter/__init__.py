@@ -7,7 +7,8 @@ Subpackages:
   traceio      : resonance detection, Q extraction
   synth        : forward trace synthesis standing in for a field solver
   errors       : the error taxonomy, one exit-3 class for a trace with no usable resonance
-  cli          : command-line front end
+  config       : the JSON config and materials files, read into a RunConfig and a roster
+  cli          : command-line front end: the verbs, the extraction pipeline, the exit codes
 """
 
 from .cavity import (

@@ -389,9 +389,7 @@ def loaded_resonance(
     inv_q = 1.0 / empty.q_unloaded + 2.0 * delta.imag
     if inv_q <= 0:
         raise InvalidGeometryError("predicted unloaded Q is not positive")
-    q_unloaded = 1.0 / inv_q
-    q_loaded = q_unloaded * (1.0 - empty.il_linear)
-    return Resonance(f_loaded, q_loaded, q_unloaded, empty.il_linear, method="model")
+    return Resonance.from_unloaded(f_loaded, 1.0 / inv_q, empty.il_linear, "model")
 
 
 def pair_resonances(

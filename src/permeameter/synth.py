@@ -47,8 +47,8 @@ class SynthConfig:
     il_linear: float = 0.3
 
     def __post_init__(self):
-        if not 0 < self.f_start < self.f_stop:
-            raise ConfigurationError("f_start must be > 0 and < f_stop")
+        if not 0 < self.f_start < self.f_stop < math.inf:
+            raise ConfigurationError("f_start must be > 0 and < f_stop, and f_stop finite")
         if self.n_points < 101:
             raise ConfigurationError("n_points must be >= 101")
         if self.noise_floor_db is not None and not self.noise_floor_db < -20:
@@ -93,7 +93,7 @@ def empty_sweep(f0: float, opts: SynthOptions) -> tuple[Resonance, SynthConfig]:
         if not valid:
             raise ConfigurationError(f"{key} must be {bound}")
     q0 = opts.q0_empty
-    empty = Resonance(f0, q0 * (1.0 - opts.il_linear), q0, opts.il_linear, method="model")
+    empty = Resonance.from_unloaded(f0, q0, opts.il_linear, "model")
     span = opts.span_bandwidths * f0 / empty.q_loaded
     f_start, f_stop = f0 - span / 2.0, f0 + span / 2.0
     if not (math.isfinite(f_stop) and 0 < f_start < f_stop):

@@ -54,10 +54,9 @@ class Resonance:
     method: str = ""
 
     def __post_init__(self):
-        if not self.f0 > 0:
-            raise InvalidGeometryError("f0 must be > 0")
-        if not self.q_loaded > 0:
-            raise InvalidGeometryError("q_loaded must be > 0")
+        for name in ("f0", "q_loaded", "q_unloaded"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidGeometryError(f"{name} must be > 0 and finite")
         if not 0 < self.il_linear < 1:
             raise InvalidGeometryError("il_linear must be in (0, 1)")
         expected = self.q_loaded / (1.0 - self.il_linear)
@@ -84,6 +83,12 @@ class Resonance:
             )
         return cls(f0, q_loaded, q_loaded / (1.0 - il_linear), il_linear, method)
 
+    @classmethod
+    def from_unloaded(
+        cls, f0: float, q_unloaded: float, il_linear: float, method: str = ""
+    ) -> "Resonance":
+        """Resonance with the loaded Q of symmetric two-port coupling, Q_u (1 - IL)."""
+        return cls(f0, q_unloaded * (1.0 - il_linear), q_unloaded, il_linear, method)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +372,7 @@ def fit_lorentzian(trace: FrequencyTrace, peak_index: int) -> Resonance:
         f0_fit = f_s + h * x_v
         q_fit = f0_fit / (2.0 * h) * np.sqrt(c2 / p_v)
         il_fit = p_v**-0.5
-    if not (q_fit > 0 and f0_fit > 0 and 0 < il_fit < 1):
+    if not (0 < q_fit < math.inf and 0 < f0_fit < math.inf and 0 < il_fit < 1):
         raise FitFailureError(
             f"fit left the valid region (f0={f0_fit:.6g}, Q={q_fit:.6g}, IL={il_fit:.6g})",
             fallback,

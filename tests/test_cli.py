@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from layering import module_tree, names_imported_from, package_imports, top_level_names
 
 import numpy as np
 import permeameter
@@ -23,9 +24,8 @@ from permeameter import (
     write_touchstone,
 )
 from permeameter import errors
-from permeameter.cli import (
-    EXIT_CONFIG, EXIT_OK, EXIT_STATUS, ExtractionOptions, RunConfig, extract_report, load_config, main
-)
+from permeameter.cli import EXIT_CONFIG, EXIT_OK, EXIT_STATUS, extract_report, main
+from permeameter.config import ExtractionOptions, RunConfig, load_config
 from permeameter.errors import FitFailureError, InvalidGeometryError, NoUsableResonanceError
 from permeameter.perturbation import InteractionChoice, geometry_factor
 from permeameter.traceio import fit_lorentzian, q_3db
@@ -343,7 +343,7 @@ class TestExtract:
         # a degenerate conventional factor fails its inversion; the
         # modified result still stands and the conventional one is blank
         monkeypatch.setattr(
-            permeameter.cli, "geometry_factor_conventional",
+            permeameter.config, "geometry_factor_conventional",
             lambda *args: GeometryFactor(0.0, "conventional"),
         )
         cfg = str(config_file())
@@ -530,7 +530,7 @@ class TestCompare:
             (permeameter.cli, "find_resonances"),
             (permeameter.cli, "fit_lorentzian"),
             (permeameter.perturbation, "sample_energy_quadrature"),
-            (permeameter.cli, "geometry_factor_conventional"),
+            (permeameter.config, "geometry_factor_conventional"),
         ]:
             def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -693,7 +693,7 @@ class TestRunConfigFactors:
         calls = {"sample_energy_quadrature": 0, "geometry_factor_conventional": 0}
         for module, name in [
             (permeameter.perturbation, "sample_energy_quadrature"),
-            (permeameter.cli, "geometry_factor_conventional"),
+            (permeameter.config, "geometry_factor_conventional"),
         ]:
             def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -1226,6 +1226,19 @@ def test_readme_config_example_loads(tmp_path):
     cfg = load_config(path)
     assert cfg.extraction == ExtractionOptions()
     assert (cfg.mode.n, cfg.synth.seed) == (4, 12345)
+
+
+def test_config_format_sits_below_the_front_end():
+    # permeameter.config reads the files and imports nothing of the CLI;
+    # cli restates none of its names and takes only its public ones
+    config, cli = module_tree("config"), module_tree("cli")
+    assert "cli" not in package_imports(config)
+    defined = top_level_names(config)
+    assert {"RunConfig", "ExtractionOptions", "load_config", "load_materials", "renamed"} <= defined
+    assert top_level_names(cli) & defined == set()
+    imported = names_imported_from(cli, "config")
+    assert "load_config" in imported
+    assert {name for name in imported if name.startswith("_")} == set()
 
 
 def test_import_loads_no_scipy():

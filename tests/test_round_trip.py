@@ -41,7 +41,8 @@ from permeameter import (
     geometry_factor,
     resonant_frequency,
 )
-from permeameter.cli import ExtractionOptions, RunConfig, compare_rows
+from permeameter.cli import compare_rows
+from permeameter.config import ExtractionOptions, RunConfig
 from permeameter.errors import ConfigurationError, UnphysicalResultError
 from permeameter.perturbation import PAIRING_GUARD, loaded_resonance
 from permeameter.synth import SynthOptions, empty_sweep

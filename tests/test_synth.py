@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,12 @@ class TestLorentzianTrace:
         for seed in (-1, 2**64):
             with pytest.raises(ConfigurationError, match="seed must fit in 64 bits"):
                 SynthConfig(1e9, 2e9, 1001, None, seed, 0.5)
+
+    @pytest.mark.parametrize("f_start, f_stop", [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)])
+    def test_non_finite_window_rejected(self, f_start, f_stop):
+        # the window's own check, not a numpy warning from the grid that lorentzian_trace builds
+        with pytest.raises(ConfigurationError, match=r"^f_start must be > 0 and < f_stop, and f_stop finite$"):
+            SynthConfig(f_start, f_stop)
 
 
 class TestEmptySweep:

@@ -1,17 +1,15 @@
 """Touchstone v1.0 files: the trace type, the reader and the writer."""
 
-import ast
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from layering import module_tree, package_imports, top_level_names
 from touchstone_reference import reference_parse_touchstone, reference_write_touchstone
 
-import permeameter
 from permeameter import FrequencyTrace, parse_touchstone, write_touchstone
 from permeameter.errors import InvalidGeometryError, TouchstoneParseError
 from permeameter.touchstone import FORMATS, FREQ_UNITS
@@ -512,39 +510,11 @@ class TestTraceType:
         assert back.freqs.tobytes() == trace.freqs.tobytes()
 
 
-def _module_tree(name: str) -> ast.Module:
-    return ast.parse((Path(permeameter.__file__).parent / f"{name}.py").read_text())
-
-
-def _package_imports(tree: ast.Module) -> set[str]:
-    """The package modules a module imports, by their name inside the package."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("permeameter")):
-            module = (node.module or "").removeprefix("permeameter").lstrip(".")
-            found |= {module} if module else {alias.name for alias in node.names}
-        elif isinstance(node, ast.Import):
-            found |= {alias.name for alias in node.names if alias.name.startswith("permeameter")}
-    return found
-
-
-def _top_level_names(tree: ast.Module) -> set[str]:
-    """The names a module defines itself: functions, classes and assigned names."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {target.id for target in targets if isinstance(target, ast.Name)}
-    return names
-
-
 def test_touchstone_is_a_leaf_that_traceio_does_not_restate():
     # the file format depends on nothing of the analysis it feeds, and the
     # analysis module imports the trace type rather than defining any of it
-    touchstone = _module_tree("touchstone")
-    assert _package_imports(touchstone) == {"errors"}
-    defined = _top_level_names(touchstone)
+    touchstone = module_tree("touchstone")
+    assert package_imports(touchstone) == {"errors"}
+    defined = top_level_names(touchstone)
     assert {"FrequencyTrace", "parse_touchstone", "write_touchstone", "FREQ_UNITS"} <= defined
-    assert _top_level_names(_module_tree("traceio")) & defined == set()
+    assert top_level_names(module_tree("traceio")) & defined == set()

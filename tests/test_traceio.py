@@ -529,6 +529,27 @@ class TestResonanceType:
         with pytest.raises(InvalidGeometryError, match="q_loaded must be > 0"):
             Resonance(7.5e9, 0.0, 0.0, 0.5, "model")
 
+    @pytest.mark.parametrize(
+        "values, name",
+        [
+            ((math.inf, 100.0, 100.0 / 0.7, 0.3), "f0"),
+            ((math.nan, 100.0, 100.0 / 0.7, 0.3), "f0"),
+            # inf - inf is NaN, and the consistency check reads a NaN difference as consistent
+            ((1e9, math.inf, math.inf, 0.3), "q_loaded"),
+            ((1e9, 100.0, math.nan, 0.3), "q_unloaded"),
+            ((1e9, 100.0, math.inf, 0.3), "q_unloaded"),
+        ],
+    )
+    def test_non_finite_rejected(self, values, name):
+        with pytest.raises(InvalidGeometryError, match=rf"^{name} must be > 0 and finite$"):
+            Resonance(*values, "model")
+
+    def test_from_unloaded_states_the_coupling_once(self):
+        res = Resonance.from_unloaded(7.5e9, 800.0, 0.3, "model")
+        assert res == Resonance(7.5e9, 800.0 * (1.0 - 0.3), 800.0, 0.3, "model")
+        back = Resonance.from_loaded(res.f0, res.q_loaded, res.il_linear, "model")
+        assert back.q_unloaded == pytest.approx(800.0, rel=1e-15)
+
 
 class TestPairing:
     def r(self, f0):
