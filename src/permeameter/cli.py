@@ -27,7 +27,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .cavity import ModeSpec, guided_wavelength, resonant_frequency
+from .cavity import ModeSpec, guided_wavelength, resonant_frequency, stored_field_norm
 from .config import RunConfig, in_float_range, load_config, load_materials, renamed
 from .errors import (
     ConfigurationError,
@@ -40,14 +40,13 @@ from .errors import (
 from .perturbation import (
     InteractionChoice,
     complex_shift_from_resonances,
-    geometry_factor,
     geometry_factor_conventional,
+    geometry_factor_derived,
     geometry_factor_printed,
     invert_permeability,
     pair_resonances,
+    sample_energy_quadrature,
 )
-# imported only as lookup sites that perfbench/spans.py WRAP_POINTS wraps
-from .perturbation import geometry_factor_derived, sample_energy_quadrature  # noqa: F401
 from .synth import SynthOptions, campaign_traces, empty_sweep, synth_campaign
 from .touchstone import FrequencyTrace, parse_touchstone
 from .traceio import Resonance, find_resonances, fit_lorentzian, q_3db
@@ -197,19 +196,14 @@ def quadcheck_report(cfg: RunConfig) -> dict:
     The printed form covers even n only; for odd n it and its deviation
     are reported as None.
     """
-    cavity, sample, mode = cfg.cavity, cfg.sample, cfg.mode
-
-    def g(model: str, choice: InteractionChoice) -> float:
-        return geometry_factor(
-            cavity, sample, mode, model, choice, cfg.extraction.cells_per_axis
-        ).value
-
+    cavity, sample, mode, cells = cfg.cavity, cfg.sample, cfg.mode, cfg.extraction.cells_per_axis
+    norm = stored_field_norm(cavity, mode)
     g_printed = geometry_factor_printed(cavity, sample, mode).value if mode.is_even else None
     report: dict = {"g_printed": g_printed}
     for choice in InteractionChoice:
         tag = choice.value
-        g_d = g("derived", choice)
-        g_q = g("quadrature", choice)
+        g_d = geometry_factor_derived(cavity, sample, mode, choice).value
+        g_q = sample_energy_quadrature(cavity, sample, mode, choice, cells) / norm
         report[f"g_derived_{tag}"] = g_d
         report[f"g_quadrature_{tag}"] = g_q
         report[f"deviation_derived_vs_quadrature_{tag}"] = abs(g_q - g_d) / g_d if g_d else None

@@ -53,3 +53,23 @@ def top_level_names(tree: ast.Module) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {target.id for target in targets if isinstance(target, ast.Name)}
     return names
+
+
+def unreferenced_package_imports(tree: ast.Module) -> set[str]:
+    """The names a module imports from the package but never reads; a name
+    listed in the module's `__all__` counts as read."""
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and _package_module(node) is not None
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and "__all__" in {getattr(t, "id", None) for t in node.targets}:
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return imported - read

@@ -39,8 +39,6 @@ def test_wrap_points_resolve():
 #: Wrap points whose module binds the name but never calls it, so their
 #: span reads 0 on every workload.  The set shrinks as each goes.
 UNCALLED_WRAP_POINTS = {
-    ("permeameter.cli", "sample_energy_quadrature"),
-    ("permeameter.cli", "geometry_factor_derived"),
     ("permeameter.synth", "sample_energy_quadrature"),
     ("permeameter.synth", "geometry_factor_derived"),
     ("permeameter.synth", "forward_load"),

@@ -775,6 +775,24 @@ class TestQuadcheck:
         assert code == 0
         assert out.count("n/a") == 2
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize(
+        "cavity", [{}, {"via_diameter_d_mm": 1.0, "via_pitch_p_mm": 2.0}], ids=["base", "via-fence"]
+    )
+    def test_routes_match_geometry_factor_bit_for_bit(self, capsys, config_file, cavity, n):
+        # the report calls each route by name, extraction and synthesis go
+        # through geometry_factor: the two must not drift apart
+        path = config_file(cavity=cavity, mode={"n": n})
+        code, out, _ = run(capsys, "--config", str(path), "--json", "quadcheck")
+        assert code == 0
+        doc, cfg = json.loads(out), load_config(path)
+        for choice in InteractionChoice:
+            for model in ("derived", "quadrature"):
+                g = geometry_factor(
+                    cfg.cavity, cfg.sample, cfg.mode, model, choice, cfg.extraction.cells_per_axis
+                )
+                assert doc[f"g_{model}_{choice.value}"] == g.value
+
     def test_sample_shrink_scaling(self, capsys, config_file):
         big = config_file()
         code, out_big, _ = run(capsys, "--config", str(big), "--json", "quadcheck")
