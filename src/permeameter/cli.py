@@ -291,9 +291,8 @@ def cmd_extract(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
-    out_csv = Path(args.out_csv).resolve()
     for what, path in (("--materials", args.materials), ("the config file", args.config)):
-        if out_csv == Path(path).resolve():
+        if os.path.exists(args.out_csv) and os.path.exists(path) and os.path.samefile(args.out_csv, path):
             raise ConfigurationError(f"--out-csv must differ from {what}")
     rows = compare_rows(cfg, load_materials(args.materials))
     text = compare_csv(rows)

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .cavity import CavitySpec, ModeSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidGeometryError
 from .perturbation import (
+    DEGENERATE_G,
     PAIRING_GUARD,
     ComplexPermeability,
     GeometryFactor,
@@ -154,7 +155,8 @@ def campaign_traces(
     window re-centred on its own resonance in its own bandwidths bw =
     f0/Q_L, f -> f0 + (f - f0_empty) bw/bw_empty, as an operator
     re-centres the analyzer.  A resonance beyond PAIRING_GUARD of the empty
-    f0, which extraction could not pair, or a window reaching 0 Hz names its material.
+    f0, which extraction could not pair, a window reaching 0 Hz, or a
+    loaded_resonance error other than a degenerate g names its material.
     """
     labels = [name for name, _ in sample_table]
     if len(set(labels)) != len(labels) or "empty" in labels:
@@ -162,7 +164,12 @@ def campaign_traces(
 
     traces = {"empty": lorentzian_trace(empty, replace(cfg, seed=_item_seed(cfg.seed, "empty")))}
     for name, mu_r in sample_table:
-        res = loaded_resonance(mu_r, mu_rs, g, empty)
+        try:
+            res = loaded_resonance(mu_r, mu_rs, g, empty)
+        except InvalidGeometryError as exc:
+            if g.value <= DEGENERATE_G:  # the sample's fault, the same for every material
+                raise
+            raise type(exc)(f"material {name!r}: {exc}") from None
         if abs(res.f0 - empty.f0) > PAIRING_GUARD * empty.f0:
             raise ConfigurationError(
                 f"material {name!r}: its resonance lies {abs(res.f0 - empty.f0) / empty.f0:.3g} "

@@ -39,6 +39,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def alias_of(path, how):
+    """`path` itself, or a new hardlink or symlink to it in the same directory."""
+    if how == "same":
+        return path
+    alias = path.with_name(f"{how}.csv")
+    (alias.hardlink_to if how == "hardlink" else alias.symlink_to)(path)
+    return alias
+
+
 def lorentzian_file(path, il, right_db=None):
     """A 4001-point Lorentzian (f0 7.5 GHz, Q_L 560) written as Touchstone.
 
@@ -188,7 +197,7 @@ class TestSynth:
             capsys, "--config", str(config_file(cavity={"mu_rs": [1.0, -2.0]})), "synth",
             "--materials", str(materials_file(roster)), "--out-dir", str(out_dir),
         )
-        assert (code, err) == (2, "error: predicted unloaded Q is not positive\n")
+        assert (code, err) == (2, "error: material 'huge': predicted unloaded Q is not positive\n")
         assert list(out_dir.glob("*.s2p")) == []
 
     def test_loaded_sweep_reaching_zero_hz_exit_2_names_the_material(
@@ -628,18 +637,20 @@ class TestCompare:
         rows = {row["material"]: row for row in json.loads(out)["rows"]}
         assert rows["U"]["mu_re_modified"] == 1.2000000000091524
 
-    def test_out_csv_same_as_materials_exit_2(self, capsys, config_file, materials_file):
+    @pytest.mark.parametrize("alias", ["same", "hardlink", "symlink"])
+    def test_out_csv_same_as_materials_exit_2(self, capsys, config_file, materials_file, alias):
         mats = materials_file()
         before = mats.read_bytes()
         code, out, err = run(capsys, "--config", str(config_file()), "compare",
-                             "--materials", str(mats), "--out-csv", str(mats))
+                             "--materials", str(mats), "--out-csv", str(alias_of(mats, alias)))
         assert (code, out) == (2, "")
         assert "--out-csv must differ from --materials" in err
         assert mats.read_bytes() == before
 
+    @pytest.mark.parametrize("alias", ["same", "hardlink", "symlink"])
     @pytest.mark.parametrize("given", ["flag", "env"])
     def test_out_csv_same_as_config_exit_2(
-        self, capsys, monkeypatch, config_file, materials_file, given
+        self, capsys, monkeypatch, config_file, materials_file, given, alias
     ):
         config = config_file()
         before = config.read_bytes()
@@ -647,7 +658,7 @@ class TestCompare:
             monkeypatch.setenv("PERMEAMETER_CONFIG", str(config))
         flags = ["--config", str(config)] if given == "flag" else []
         code, out, err = run(capsys, *flags, "compare",
-                             "--materials", str(materials_file()), "--out-csv", str(config))
+                             "--materials", str(materials_file()), "--out-csv", str(alias_of(config, alias)))
         assert (code, out) == (2, "")
         assert "--out-csv must differ from the config file" in err
         assert config.read_bytes() == before
@@ -1176,8 +1187,8 @@ def written_by(verb, tmp_path, materials):
 @pytest.mark.parametrize(
     "mu_re,verb,code,stderr",
     [
-        (70.0, "synth", 2, "error: |re| of a fractional shift must be < 1\n"),
-        (70.0, "compare", 2, "error: |re| of a fractional shift must be < 1\n"),
+        *((70.0, verb, 2, "error: material 'F': |re| of a fractional shift must be < 1\n")
+          for verb in ("synth", "compare")),
         *((40.0, verb, 2, "error: material 'F': its resonance lies 0.384 of the empty f0 away, "
                           "beyond 10%, the perturbation model's guard\n") for verb in ("synth", "compare")),
     ],
