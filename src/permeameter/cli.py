@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -132,8 +133,9 @@ def _pair_report(cfg: RunConfig, empties: list[Resonance], loadeds: list[Resonan
     return {"pairs": pairs}
 
 
-def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTrace]:
-    """Empty-cavity and per-material traces of the roster, in memory (see synth.empty_sweep)."""
+def _roster_traces(cfg: RunConfig, roster: list[dict]) -> Iterator[tuple[str, FrequencyTrace]]:
+    """Empty-cavity and per-material traces of the roster, each rendered when read
+    (see synth.empty_sweep and synth.campaign_traces)."""
     g = cfg.factors[0]  # first: a geometry error takes precedence over a sweep error
     try:  # campaign_traces is not renamed: a material may be named like a field
         empty, sweep = empty_sweep(resonant_frequency(cfg.cavity, cfg.mode), cfg.synth)
@@ -144,12 +146,14 @@ def _roster_traces(cfg: RunConfig, roster: list[dict]) -> dict[str, FrequencyTra
 
 
 def compare_rows(cfg: RunConfig, roster: list[dict]) -> list[dict]:
-    """Synthesize the roster, extract each material in memory, tabulate both methods."""
+    """Synthesize the roster, extract each material as its trace is rendered, tabulate both
+    methods; only the rows are kept, so memory does not grow with the roster."""
     traces = _roster_traces(cfg, roster)
-    empties = extract_trace_resonances(cfg, traces["empty"])
+    _, empty_trace = next(traces)
+    empties = extract_trace_resonances(cfg, empty_trace)
     rows = []
-    for m in roster:
-        loadeds = extract_trace_resonances(cfg, traces[m["name"]])
+    for m, (_, trace) in zip(roster, traces, strict=True):
+        loadeds = extract_trace_resonances(cfg, trace)
         pair = _pair_report(cfg, empties, loadeds)["pairs"][0]
         values = (
             m["name"],
@@ -250,7 +254,7 @@ def cmd_modes(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
     roster = load_materials(args.materials)
-    traces = _roster_traces(cfg, roster)
+    traces = dict(_roster_traces(cfg, roster))  # every trace before the first write: all or nothing
     try:
         files = synth_campaign(traces, args.out_dir)
     except OSError as exc:

@@ -6,7 +6,10 @@ each config section into its type, a key per field, and the values are
 type-checked: a number is a finite JSON number (not a string, boolean or
 null, nor the NaN and Infinity that Python's json reads), and the integer
 keys (mode.n, cells_per_axis, n_points, seed) take JSON integers only,
-within the float range too.  A malformed value, a key the schema does not
+within the float range too.  cells_per_axis lies in [8, 2**16]
+(perturbation.check_cells_per_axis), so that a start finer than the
+quadrature needs is refused before it is allocated.  A malformed value,
+a key the schema does not
 list, or a key repeated in one JSON object is a config error that names
 its key.  The choice keys (extraction.q_method, interaction, model) take
 one of the strings CHOICES lists, which ExtractionOptions checks; the

@@ -55,6 +55,10 @@ QUADRATURE_RTOL = 1e-6
 #: Maximum number of grid doublings before giving up.
 MAX_DOUBLINGS = 3
 
+#: Finest starting grid: the ladder converges from 64 cells, so a larger
+#: start gains nothing, and one large enough would exhaust memory.
+MAX_CELLS_PER_AXIS = 2**16
+
 #: Geometry-factor models that geometry_factor accepts by name.
 MODELS = ("quadrature", "derived")
 
@@ -292,9 +296,11 @@ def sample_energy_midpoint(
 
 
 def check_cells_per_axis(cells_per_axis: int) -> None:
-    """Reject a grid too coarse for sample_energy_quadrature to start from."""
+    """Reject a grid too coarse or too fine for sample_energy_quadrature to start from."""
     if cells_per_axis < 8:
         raise InvalidGeometryError("cells_per_axis must be >= 8")
+    if cells_per_axis > MAX_CELLS_PER_AXIS:
+        raise InvalidGeometryError(f"cells_per_axis must be <= {MAX_CELLS_PER_AXIS}")
 
 
 def sample_energy_quadrature(

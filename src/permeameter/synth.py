@@ -7,13 +7,18 @@ with optional seeded noise renders the scattering trace.  Coupling
 empty_sweep reads the config's synth section (SynthOptions) into the empty
 resonance and its window; each loaded trace spans that window in its own
 bandwidths, centred on its own resonance, as an operator re-centres the analyzer.
+campaign_traces checks every material before it renders any, then renders
+each loaded trace only when it is read: compare extracts them one at a time,
+and synth collects them all before it writes the first file.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -145,24 +150,30 @@ def campaign_traces(
     cfg: SynthConfig,
     g: GeometryFactor,
     mu_rs: complex,
-) -> dict[str, FrequencyTrace]:
-    """One trace per material plus the empty-cavity trace, in memory.
+) -> Iterator[tuple[str, FrequencyTrace]]:
+    """One trace per material plus the empty-cavity trace, each rendered when read.
 
     Each loaded resonance is the one loaded_resonance predicts for
-    geometry factor g and the cavity's mu_rs.  Returns {label: trace}; the empty
-    trace is keyed "empty".  Labels may not collide with it or each other.
+    geometry factor g and the cavity's mu_rs.  Yields (label, trace)
+    pairs, the empty trace first as "empty", then the table in order.
+    Labels may not collide with it or each other.
     The empty trace is rendered on cfg, and each loaded one on cfg's
     window re-centred on its own resonance in its own bandwidths bw =
     f0/Q_L, f -> f0 + (f - f0_empty) bw/bw_empty, as an operator
     re-centres the analyzer.  A resonance beyond PAIRING_GUARD of the empty
     f0, which extraction could not pair, a window reaching 0 Hz, or a
     loaded_resonance error other than a degenerate g names its material.
+    The labels, the empty trace and every material are checked before
+    this returns; a loaded trace is rendered only when the iterator
+    reaches it, so a caller that drops each trace after use holds one
+    at a time.
     """
     labels = [name for name, _ in sample_table]
     if len(set(labels)) != len(labels) or "empty" in labels:
         raise ConfigurationError("material labels must be unique and not 'empty'")
 
-    traces = {"empty": lorentzian_trace(empty, replace(cfg, seed=_item_seed(cfg.seed, "empty")))}
+    empty_trace = lorentzian_trace(empty, replace(cfg, seed=_item_seed(cfg.seed, "empty")))
+    sweeps = []
     for name, mu_r in sample_table:
         try:
             res = loaded_resonance(mu_r, mu_rs, g, empty)
@@ -184,8 +195,9 @@ def campaign_traces(
                 f"starts at {f_start:.6g} Hz; it must start above 0 Hz"
             )
         sweep = replace(cfg, f_start=f_start, f_stop=f_stop, seed=_item_seed(cfg.seed, name))
-        traces[name] = lorentzian_trace(res, sweep)
-    return traces
+        sweeps.append((name, res, sweep))
+    loaded = ((name, lorentzian_trace(res, sweep)) for name, res, sweep in sweeps)
+    return itertools.chain([("empty", empty_trace)], loaded)
 
 
 def _fits_file_name(label: str) -> bool:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +26,7 @@ from permeameter import (
 )
 from permeameter import errors
 from permeameter.cli import EXIT_CONFIG, EXIT_OK, EXIT_STATUS, extract_report, main
-from permeameter.config import ExtractionOptions, RunConfig, load_config
+from permeameter.config import ExtractionOptions, RunConfig, load_config, load_materials
 from permeameter.errors import FitFailureError, InvalidGeometryError, NoUsableResonanceError
 from permeameter.perturbation import InteractionChoice, geometry_factor
 from permeameter.traceio import fit_lorentzian, q_3db
@@ -588,6 +589,26 @@ class TestCompare:
         }
         assert code == 0, err
 
+    def test_memory_does_not_grow_with_the_roster(self, config_file, materials_file):
+        # each trace is extracted as it is rendered and only its row is kept:
+        # 200 materials at 4001 points would hold 201 traces of 24 B a point
+        # (4001 frequencies and 4001 complex S21) if rendered all at once
+        n_points, trace_bytes = 4001, 4001 * 24
+        cfg = load_config(config_file())
+        assert cfg.synth.n_points == n_points
+        roster = load_materials(materials_file([
+            {"name": f"M{i}", "mu_re": 1.2 + 0.05 * (i % 11), "tan_dm": 0.01 + 0.02 * (i % 7)}
+            for i in range(200)
+        ]))
+        tracemalloc.start()
+        try:
+            rows = permeameter.cli.compare_rows(cfg, roster)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 200
+        assert peak < 16 * trace_bytes, f"peak {peak / 1e6:.2f} MB"
+
     def test_empty_roster_header_only(self, capsys, tmp_path, config_file, materials_file):
         out_csv = tmp_path / "empty.csv"
         code, _, _ = run(
@@ -914,6 +935,9 @@ class TestQuadcheck:
         # checked at load for every model, not only where the quadrature runs
         ({"extraction": {"model": "derived", "cells_per_axis": 0}}, None,
          "error: extraction.cells_per_axis must be >= 8"),
+        # a start finer than the bound would exhaust memory; refused before anything is allocated
+        ({"extraction": {"cells_per_axis": 2**16 + 1}}, None,
+         "error: extraction.cells_per_axis must be <= 65536"),
         # every field a library message names is named by its key, wherever it stands
         ({"cavity": {"via_diameter_d_mm": 0.5, "via_pitch_p_mm": 0.4}}, None,
          "error: via geometry requires 0 < cavity.via_diameter_d_mm < cavity.via_pitch_p_mm"),
@@ -1451,6 +1475,20 @@ def test_nesting_past_the_recursion_limit_exit_2_names_the_file(capsys, tmp_path
     assert (code, out) == (2, "")
     assert err == f"error: materials file {str(mats)!r} nests arrays or objects too deeply\n"
     assert out_csv.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("verb", ["quadcheck", "extract", "compare"])
+def test_cells_per_axis_above_the_bound_exit_2_at_load(capsys, tmp_path, config_file, materials_file, verb):
+    traces = [lorentzian_file(tmp_path / f"{name}.s2p", 0.5) for name in ("empty", "loaded")]
+    argv = {
+        "extract": traces,
+        "compare": ["--materials", materials_file(), "--out-csv", tmp_path / "t.csv"],
+    }.get(verb, [])
+    before = sorted(path.name for path in tmp_path.iterdir())
+    config = config_file(extraction={"cells_per_axis": 2**16 + 1})
+    code, out, err = run(capsys, "--config", str(config), verb, *map(str, argv))
+    assert (code, out, err) == (2, "", "error: extraction.cells_per_axis must be <= 65536\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(before + ["config.json"])
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from permeameter import (
     wavenumbers,
 )
 from permeameter.errors import ConfigurationError, InvalidGeometryError, UnphysicalResultError
-from permeameter.perturbation import DEGENERATE_G, MODELS, loaded_resonance
+from permeameter.perturbation import DEGENERATE_G, MAX_CELLS_PER_AXIS, MODELS, loaded_resonance
 
 CHOICES = list(InteractionChoice)
 
@@ -370,6 +370,18 @@ class TestQuadratureShift:
         with pytest.raises(InvalidGeometryError, match="cells_per_axis"):
             sample_energy_quadrature(
                 worked_cavity, worked_sample, mode4, InteractionChoice.BOTH, 4
+            )
+
+    def test_cells_bound_is_the_finest_start(self, worked_cavity, worked_sample, mode4):
+        # the bound itself runs and agrees with the default start; one more is refused
+        at_bound = sample_energy_quadrature(
+            worked_cavity, worked_sample, mode4, InteractionChoice.BOTH, MAX_CELLS_PER_AXIS
+        )
+        default = sample_energy_quadrature(worked_cavity, worked_sample, mode4, InteractionChoice.BOTH)
+        assert at_bound == pytest.approx(default, rel=1e-6)
+        with pytest.raises(InvalidGeometryError, match=f"^cells_per_axis must be <= {MAX_CELLS_PER_AXIS}$"):
+            sample_energy_quadrature(
+                worked_cavity, worked_sample, mode4, InteractionChoice.BOTH, MAX_CELLS_PER_AXIS + 1
             )
 
     def test_bitwise_determinism(self, worked_cavity, worked_sample, mode4):

@@ -210,7 +210,7 @@ class TestCampaign:
 
     def traces(self, cavity, sample, mode, empty, table):
         g = geometry_factor(cavity, sample, mode)
-        return campaign_traces(table, empty, sweep_for(empty), g, cavity.mu_rs)
+        return dict(campaign_traces(table, empty, sweep_for(empty), g, cavity.mu_rs))
 
     def test_file_roster(
         self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance
@@ -252,7 +252,7 @@ class TestCampaign:
         table = self.table() + [("W", ComplexPermeability.from_loss_tangent(1.6, 0.1))]
         cfg = sweep_for(empty_resonance)
         g = geometry_factor(worked_cavity, worked_sample, mode4, choice=choice)
-        traces = campaign_traces(table, empty_resonance, cfg, g, worked_cavity.mu_rs)
+        traces = dict(campaign_traces(table, empty_resonance, cfg, g, worked_cavity.mu_rs))
         empty = traces["empty"].freqs
         assert np.array_equal(empty, np.linspace(cfg.f_start, cfg.f_stop, cfg.n_points))
 
@@ -278,7 +278,7 @@ class TestCampaign:
         for q_loaded in np.linspace(200.0, 5000.0, 25):
             empty = Resonance.from_loaded(f0, q_loaded, 0.3, "model")
             cfg = sweep_for(empty, n_points=101, span_bw=6.0)
-            traces = campaign_traces(table, empty, cfg, g, worked_cavity.mu_rs)
+            traces = dict(campaign_traces(table, empty, cfg, g, worked_cavity.mu_rs))
             assert len(traces) == 1 + len(table)
 
     def test_window_reaching_zero_hz_names_the_material(
@@ -304,9 +304,9 @@ class TestCampaign:
 
         monkeypatch.setattr(synth, "lorentzian_trace", record)
         g = geometry_factor(worked_cavity, worked_sample, mode4, choice=choice)
-        campaign_traces(
+        dict(campaign_traces(
             self.table(), empty_resonance, sweep_for(empty_resonance), g, worked_cavity.mu_rs
-        )
+        ))
         assert len(rendered) == 1 + len(self.table())
         for (_, mu), got in zip(self.table(), rendered[1:]):
             expected = perturbation.loaded_resonance(mu, worked_cavity.mu_rs, g, empty_resonance)
