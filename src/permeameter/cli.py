@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import warnings
-from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from .perturbation import (
     pair_resonances,
     sample_energy_quadrature,
 )
-from .synth import SynthOptions, campaign_traces, empty_sweep, synth_campaign
+from .synth import Campaign, SynthOptions, campaign_traces, empty_sweep, synth_campaign
 from .touchstone import FrequencyTrace, parse_touchstone
 from .traceio import Resonance, find_resonances, fit_lorentzian, q_3db
 
@@ -133,8 +132,8 @@ def _pair_report(cfg: RunConfig, empties: list[Resonance], loadeds: list[Resonan
     return {"pairs": pairs}
 
 
-def _roster_traces(cfg: RunConfig, roster: list[dict]) -> Iterator[tuple[str, FrequencyTrace]]:
-    """Empty-cavity and per-material traces of the roster, each rendered when read
+def _roster_traces(cfg: RunConfig, roster: list[dict]) -> Campaign:
+    """Empty-cavity and per-material traces of the roster, each rendered when called
     (see synth.empty_sweep and synth.campaign_traces)."""
     g = cfg.factors[0]  # first: a geometry error takes precedence over a sweep error
     try:  # campaign_traces is not renamed: a material may be named like a field
@@ -148,12 +147,11 @@ def _roster_traces(cfg: RunConfig, roster: list[dict]) -> Iterator[tuple[str, Fr
 def compare_rows(cfg: RunConfig, roster: list[dict]) -> list[dict]:
     """Synthesize the roster, extract each material as its trace is rendered, tabulate both
     methods; only the rows are kept, so memory does not grow with the roster."""
-    traces = _roster_traces(cfg, roster)
-    _, empty_trace = next(traces)
-    empties = extract_trace_resonances(cfg, empty_trace)
+    (_, render_empty), *loaded = _roster_traces(cfg, roster)
+    empties = extract_trace_resonances(cfg, render_empty())
     rows = []
-    for m, (_, trace) in zip(roster, traces, strict=True):
-        loadeds = extract_trace_resonances(cfg, trace)
+    for m, (_, render) in zip(roster, loaded, strict=True):
+        loadeds = extract_trace_resonances(cfg, render())
         pair = _pair_report(cfg, empties, loadeds)["pairs"][0]
         values = (
             m["name"],
@@ -253,8 +251,7 @@ def cmd_modes(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
-    roster = load_materials(args.materials)
-    traces = dict(_roster_traces(cfg, roster))  # every trace before the first write: all or nothing
+    traces = _roster_traces(cfg, load_materials(args.materials))
     try:
         files = synth_campaign(traces, args.out_dir)
     except OSError as exc:

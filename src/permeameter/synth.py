@@ -7,19 +7,21 @@ with optional seeded noise renders the scattering trace.  Coupling
 empty_sweep reads the config's synth section (SynthOptions) into the empty
 resonance and its window; each loaded trace spans that window in its own
 bandwidths, centred on its own resonance, as an operator re-centres the analyzer.
-campaign_traces checks every material before it renders any, then renders
-each loaded trace only when it is read: compare extracts them one at a time,
-and synth collects them all before it writes the first file.
+campaign_traces checks every material and renders the empty trace, then
+returns a renderer per loaded trace: compare extracts, and synth_campaign
+writes, one trace at a time.  A bad name or a model error leaves no files;
+an OS error while writing, or a MemoryError while rendering a loaded trace
+(the empty trace's size), can leave the files written before it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import zlib
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,10 @@ from .perturbation import geometry_factor_derived, sample_energy_quadrature  # n
 from .touchstone import FrequencyTrace, write_touchstone
 from .traceio import Resonance
 
+#: Most points a synthesized trace may have: ten times a 100 001-point analyzer sweep.
+MAX_N_POINTS = 1_000_001
+Campaign = list[tuple[str, Callable[[], FrequencyTrace]]]  # (label, render) pairs, "empty" first
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -57,6 +63,8 @@ class SynthConfig:
             raise ConfigurationError("f_start must be > 0 and < f_stop, and f_stop finite")
         if self.n_points < 101:
             raise ConfigurationError("n_points must be >= 101")
+        if self.n_points > MAX_N_POINTS:
+            raise ConfigurationError(f"n_points must be <= {MAX_N_POINTS}")
         if self.noise_floor_db is not None and not self.noise_floor_db < -20:
             raise ConfigurationError("noise_floor_db must be < -20 dB")
         if not 0 < self.il_linear < 1:
@@ -150,30 +158,30 @@ def campaign_traces(
     cfg: SynthConfig,
     g: GeometryFactor,
     mu_rs: complex,
-) -> Iterator[tuple[str, FrequencyTrace]]:
-    """One trace per material plus the empty-cavity trace, each rendered when read.
+) -> Campaign:
+    """One trace per material plus the empty-cavity trace, each rendered when called.
 
-    Each loaded resonance is the one loaded_resonance predicts for
-    geometry factor g and the cavity's mu_rs.  Yields (label, trace)
-    pairs, the empty trace first as "empty", then the table in order.
-    Labels may not collide with it or each other.
+    Each loaded resonance is the one loaded_resonance predicts for g and
+    the cavity's mu_rs.  Returns (label, render) pairs, "empty" first, then
+    the table in order; labels may not collide with it or each other.
     The empty trace is rendered on cfg, and each loaded one on cfg's
     window re-centred on its own resonance in its own bandwidths bw =
     f0/Q_L, f -> f0 + (f - f0_empty) bw/bw_empty, as an operator
     re-centres the analyzer.  A resonance beyond PAIRING_GUARD of the empty
     f0, which extraction could not pair, a window reaching 0 Hz, or a
     loaded_resonance error other than a degenerate g names its material.
-    The labels, the empty trace and every material are checked before
-    this returns; a loaded trace is rendered only when the iterator
-    reaches it, so a caller that drops each trace after use holds one
-    at a time.
+    The labels and every material are checked, and the empty trace
+    rendered, before this returns, so a model error leaves no files; each
+    loaded trace, the empty one's size, is rendered when its render is
+    called, so a caller that drops each after use holds one at a time
+    and only a MemoryError can stop it part way.
     """
     labels = [name for name, _ in sample_table]
     if len(set(labels)) != len(labels) or "empty" in labels:
         raise ConfigurationError("material labels must be unique and not 'empty'")
 
     empty_trace = lorentzian_trace(empty, replace(cfg, seed=_item_seed(cfg.seed, "empty")))
-    sweeps = []
+    campaign: Campaign = [("empty", lambda: empty_trace)]
     for name, mu_r in sample_table:
         try:
             res = loaded_resonance(mu_r, mu_rs, g, empty)
@@ -195,9 +203,8 @@ def campaign_traces(
                 f"starts at {f_start:.6g} Hz; it must start above 0 Hz"
             )
         sweep = replace(cfg, f_start=f_start, f_stop=f_stop, seed=_item_seed(cfg.seed, name))
-        sweeps.append((name, res, sweep))
-    loaded = ((name, lorentzian_trace(res, sweep)) for name, res, sweep in sweeps)
-    return itertools.chain([("empty", empty_trace)], loaded)
+        campaign.append((name, partial(lorentzian_trace, res, sweep)))
+    return campaign
 
 
 def _fits_file_name(label: str) -> bool:
@@ -209,15 +216,15 @@ def _fits_file_name(label: str) -> bool:
     return "/" not in label and "\0" not in label
 
 
-def synth_campaign(traces: dict[str, FrequencyTrace], out_dir: str | Path) -> dict[str, Path]:
-    """Write each trace as campaign_<label>.s2p in RI format; returns {label: path}."""
-    for label in traces:  # all before the first write, so a bad name leaves no files
+def synth_campaign(traces: Campaign, out_dir: str | Path) -> dict[str, Path]:
+    """Render and write each trace, one at a time, as campaign_<label>.s2p (RI); returns {label: path}."""
+    for label, _ in traces:  # all before the first write, so a bad name leaves no files
         if not _fits_file_name(label):
             raise ConfigurationError(f"material name {label!r} cannot be part of a file name")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-    for label, trace in traces.items():
+    for label, render in traces:
         written[label] = out / f"campaign_{label}.s2p"
-        written[label].write_bytes(write_touchstone(trace))
+        written[label].write_bytes(write_touchstone(render()))
     return written

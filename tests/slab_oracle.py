@@ -16,11 +16,14 @@ with beta0^2 = k0^2 eps_r - kc^2 in the host, beta1^2 = mu_t (k0^2 eps_s -
 kc^2 / mu_c) in the slab, kc the wavenumber along the axis the slab
 spans (pi/a, or n pi/l), mu_t the component across the faces' normal
 and mu_c the other one, and z1 = l/2 - w/2 (x1 = a/2 - w/2) the host's
-depth on either side.  Each equation is written without poles and solved
-by Newton's method in complex k0, with a continuation in the slab's
-values from the host's (mu = 1, eps_s = eps_r) so that it stays on the
-TE10n branch.  The host is non-magnetic (mu_rs = 1).  Pure cmath: no
-mesh, no numpy, and nothing of the package's field model.
+depth on either side.  Each equation is written without poles and even
+in beta0 and in beta1, through sin(beta d) / beta, so that it is analytic
+in k0 across either region's cutoff (beta^2 = 0, where cmath.sqrt's
+branch cut would flip its sign), and solved by Newton's method in complex
+k0, with a continuation in the slab's values from the host's (mu = 1,
+eps_s = eps_r) so that it stays on the TE10n branch.  The host is
+non-magnetic (mu_rs = 1).  Pure cmath: no mesh, no numpy, and nothing of
+the package's field model.
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ class Slab:
         beta0 = cmath.sqrt(k0 * k0 * self.eps_r - kc * kc)
         beta1 = cmath.sqrt(mu_t * (k0 * k0 * eps_s - kc * kc / mu_c))
         host_depth = (depth - self.width) / 2
-        h_cos, h_sin = cmath.cos(beta0 * host_depth), cmath.sin(beta0 * host_depth)
-        s_cos, s_sin = cmath.cos(beta1 * self.width / 2), cmath.sin(beta1 * self.width / 2)
-        if even:  # E_y odd about the slab's centre
-            return mu_t * beta0 * h_cos * s_sin + beta1 * h_sin * s_cos
-        return mu_t * beta0 * h_cos * s_cos - beta1 * h_sin * s_sin
+        h_cos, h_sin = cmath.cos(beta0 * host_depth), sin_over(beta0, host_depth)
+        s_cos, s_sin = cmath.cos(beta1 * self.width / 2), sin_over(beta1, self.width / 2)
+        if even:  # E_y odd about the slab's centre; divided by beta0 beta1
+            return mu_t * h_cos * s_sin + h_sin * s_cos
+        return mu_t * h_cos * s_cos - beta1 * beta1 * h_sin * s_sin  # divided by beta0
 
     def k0(self, k_start: complex, mu_xx: complex = 1, mu_zz: complex = 1,
            eps_s: complex | None = None, steps: int = 1) -> complex:
@@ -70,6 +73,11 @@ class Slab:
             values = (1 + t * (mu_xx - 1), 1 + t * (mu_zz - 1), self.eps_r + t * (eps_s - self.eps_r))
             k = newton(lambda k0: self.mismatch(k0, *values), k)
         return k
+
+
+def sin_over(beta: complex, length: float) -> complex:
+    """sin(beta length) / beta, even in beta; length at beta = 0."""
+    return cmath.sin(beta * length) / beta if beta else complex(length)
 
 
 def newton(f, k: complex, max_iterations: int = 60) -> complex:

@@ -232,6 +232,30 @@ class TestSynth:
         assert repr(name) in err
         assert not out_dir.exists()
 
+    def test_memory_does_not_grow_with_the_roster(self, tmp_path, config_file, materials_file):
+        # each trace is written as it is rendered and then dropped: 200 materials
+        # at 4001 points would hold 198 more traces of 24 B a point (4001
+        # frequencies and 4001 complex S21) than 2 do if rendered all at once
+        trace_bytes = 4001 * 24
+        cfg = str(config_file())
+        assert load_config(cfg).synth.n_points == 4001
+        peaks = []
+        for count in (2, 200):
+            mats = str(materials_file([
+                {"name": f"M{i}", "mu_re": 1.2 + 0.05 * (i % 11), "tan_dm": 0.01 + 0.02 * (i % 7)}
+                for i in range(count)
+            ]))
+            argv = ["--config", cfg, "synth", "--materials", mats, "--out-dir", str(tmp_path / str(count))]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(list((tmp_path / str(count)).glob("*.s2p"))) == count + 1
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 10 * trace_bytes, f"peaks {peaks[0] / 1e6:.2f}, {peaks[1] / 1e6:.2f} MB"
+
     def test_unwritable_out_dir_exit_2(self, capsys, tmp_path, config_file, materials_file):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
@@ -928,6 +952,8 @@ class TestQuadcheck:
         # a range error of a library type names the key the user wrote
         ({"cavity": {"width_a_mm": -1}}, None, "error: cavity.width_a_mm must be > 0"),
         ({"synth": {"n_points": 50}}, None, "error: synth.n_points must be >= 101"),
+        # an over-long trace would exhaust memory; refused before any trace is allocated
+        ({"synth": {"n_points": 1_000_002}}, None, "error: synth.n_points must be <= 1000001"),
         ({"synth": {"seed": -1}}, None, "error: synth.seed must fit in 64 bits"),
         ({"synth": {"noise_floor_db": -10}}, None, "error: synth.noise_floor_db must be < -20 dB"),
         ({"mode": {"n": 0}}, None, "error: mode.n must be an integer >= 1"),

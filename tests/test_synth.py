@@ -193,12 +193,18 @@ class TestEmptySweep:
             (dict(q0_empty=30.0, il_linear=0.5),
              r"^span_bandwidths = 40 bandwidths at q0_empty = 30 give a sweep of .* start above 0 Hz"),
             (dict(n_points=50), r"^n_points must be >= 101$"),
+            (dict(n_points=1_000_002), r"^n_points must be <= 1000001$"),
         ],
     )
     def test_errors_name_the_bare_fields(self, fields, message):
         # the CLI prefixes each with synth.
         with pytest.raises(ConfigurationError, match=message):
             empty_sweep(7.5e9, SynthOptions(**fields))
+
+
+def render_all(campaign):
+    """{label: trace} of a campaign, every trace rendered."""
+    return {label: render() for label, render in campaign}
 
 
 class TestCampaign:
@@ -208,27 +214,28 @@ class TestCampaign:
             ("X", ComplexPermeability.from_loss_tangent(1.5, 0.05)),
         ]
 
-    def traces(self, cavity, sample, mode, empty, table):
+    def campaign(self, cavity, sample, mode, empty, table):
         g = geometry_factor(cavity, sample, mode)
-        return dict(campaign_traces(table, empty, sweep_for(empty), g, cavity.mu_rs))
+        return campaign_traces(table, empty, sweep_for(empty), g, cavity.mu_rs)
 
     def test_file_roster(
         self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance
     ):
-        traces = self.traces(
+        campaign = self.campaign(
             worked_cavity, worked_sample, mode4, empty_resonance, self.table()
         )
+        traces = render_all(campaign)
         assert set(traces) == {"empty", "U", "X"}
         assert all(isinstance(t, FrequencyTrace) for t in traces.values())
-        files = synth_campaign(traces, tmp_path)
+        files = synth_campaign(campaign, tmp_path)
         assert set(files) == {"empty", "U", "X"}
         assert files["U"].name == "campaign_U.s2p"
         assert all(p.exists() for p in files.values())
 
     def test_empty_roster(self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance):
-        traces = self.traces(worked_cavity, worked_sample, mode4, empty_resonance, [])
-        assert set(traces) == {"empty"}
-        files = synth_campaign(traces, tmp_path)
+        campaign = self.campaign(worked_cavity, worked_sample, mode4, empty_resonance, [])
+        assert set(render_all(campaign)) == {"empty"}
+        files = synth_campaign(campaign, tmp_path)
         assert set(files) == {"empty"}
 
     def test_duplicate_labels_rejected(
@@ -236,9 +243,9 @@ class TestCampaign:
     ):
         table = [("A", ComplexPermeability(1.2, 0.0))] * 2
         with pytest.raises(ConfigurationError):
-            self.traces(worked_cavity, worked_sample, mode4, empty_resonance, table)
+            self.campaign(worked_cavity, worked_sample, mode4, empty_resonance, table)
         with pytest.raises(ConfigurationError):
-            self.traces(
+            self.campaign(
                 worked_cavity, worked_sample, mode4, empty_resonance,
                 [("empty", ComplexPermeability(1.2, 0.0))],
             )
@@ -252,7 +259,7 @@ class TestCampaign:
         table = self.table() + [("W", ComplexPermeability.from_loss_tangent(1.6, 0.1))]
         cfg = sweep_for(empty_resonance)
         g = geometry_factor(worked_cavity, worked_sample, mode4, choice=choice)
-        traces = dict(campaign_traces(table, empty_resonance, cfg, g, worked_cavity.mu_rs))
+        traces = render_all(campaign_traces(table, empty_resonance, cfg, g, worked_cavity.mu_rs))
         empty = traces["empty"].freqs
         assert np.array_equal(empty, np.linspace(cfg.f_start, cfg.f_stop, cfg.n_points))
 
@@ -278,7 +285,7 @@ class TestCampaign:
         for q_loaded in np.linspace(200.0, 5000.0, 25):
             empty = Resonance.from_loaded(f0, q_loaded, 0.3, "model")
             cfg = sweep_for(empty, n_points=101, span_bw=6.0)
-            traces = dict(campaign_traces(table, empty, cfg, g, worked_cavity.mu_rs))
+            traces = render_all(campaign_traces(table, empty, cfg, g, worked_cavity.mu_rs))
             assert len(traces) == 1 + len(table)
 
     def test_window_reaching_zero_hz_names_the_material(
@@ -304,7 +311,7 @@ class TestCampaign:
 
         monkeypatch.setattr(synth, "lorentzian_trace", record)
         g = geometry_factor(worked_cavity, worked_sample, mode4, choice=choice)
-        dict(campaign_traces(
+        render_all(campaign_traces(
             self.table(), empty_resonance, sweep_for(empty_resonance), g, worked_cavity.mu_rs
         ))
         assert len(rendered) == 1 + len(self.table())
@@ -319,7 +326,7 @@ class TestCampaign:
     ):
         # trace -> fit -> unload -> shift -> invert recovers the input mu
         files = synth_campaign(
-            self.traces(worked_cavity, worked_sample, mode4, empty_resonance, self.table()),
+            self.campaign(worked_cavity, worked_sample, mode4, empty_resonance, self.table()),
             tmp_path,
         )
         empty_trace = parse_touchstone(files["empty"].read_bytes())
