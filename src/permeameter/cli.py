@@ -28,7 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .cavity import ModeSpec, guided_wavelength, resonant_frequency, stored_field_norm
-from .config import RunConfig, in_float_range, load_config, load_materials, renamed
+from .config import RunConfig, in_float_range, load_config, load_materials
 from .errors import (
     ConfigurationError,
     FitFailureError,
@@ -47,7 +47,7 @@ from .perturbation import (
     pair_resonances,
     sample_energy_quadrature,
 )
-from .synth import Campaign, SynthOptions, campaign_traces, empty_sweep, synth_campaign
+from .synth import Campaign, campaign_traces, synth_campaign
 from .touchstone import FrequencyTrace, parse_touchstone
 from .traceio import Resonance, find_resonances, fit_lorentzian, q_3db
 
@@ -133,15 +133,10 @@ def _pair_report(cfg: RunConfig, empties: list[Resonance], loadeds: list[Resonan
 
 
 def _roster_traces(cfg: RunConfig, roster: list[dict]) -> Campaign:
-    """Empty-cavity and per-material traces of the roster, each rendered when called
-    (see synth.empty_sweep and synth.campaign_traces)."""
-    g = cfg.factors[0]  # first: a geometry error takes precedence over a sweep error
-    try:  # campaign_traces is not renamed: a material may be named like a field
-        empty, sweep = empty_sweep(resonant_frequency(cfg.cavity, cfg.mode), cfg.synth)
-    except PermeameterError as exc:
-        raise renamed(exc, ("synth", SynthOptions)) from None
+    """Empty-cavity and per-material traces of the roster, each rendered when called:
+    synth.campaign_traces over the config's sweep, which load_config has checked."""
     table = [(m["name"], m["mu"]) for m in roster]
-    return campaign_traces(table, empty, sweep, g, cfg.cavity.mu_rs)
+    return campaign_traces(table, *cfg.sweep, cfg.factors[0], cfg.cavity.mu_rs)
 
 
 def compare_rows(cfg: RunConfig, roster: list[dict]) -> list[dict]:

@@ -19,7 +19,8 @@ error too, and so is a modes --max-n whose frequency does.  A value
 that a library type rejects, and a sample that does not fit the cavity,
 name each key the message involves ("sample.thickness_mm exceeds
 cavity.height_h_mm"), and so do the errors of synth.empty_sweep, which
-synth and compare run.  A JSON string that is not Unicode text (a
+load_config runs (RunConfig.sweep), so that every verb checks the synth
+section at load.  A JSON string that is not Unicode text (a
 lone surrogate escape such as "\\ud800"), an integer of more digits than
 Python converts, and arrays or objects nested past the recursion limit
 are config errors too.
@@ -48,7 +49,8 @@ from .perturbation import (
     geometry_factor,
     geometry_factor_conventional,
 )
-from .synth import SynthOptions
+from .synth import SynthConfig, SynthOptions, empty_sweep
+from .traceio import Resonance
 
 MM = 1e-3
 
@@ -95,6 +97,15 @@ class RunConfig:
         cavity, sample, mode, ext = self.cavity, self.sample, self.mode, self.extraction
         g = geometry_factor(cavity, sample, mode, ext.model, ext.interaction, ext.cells_per_axis)
         return g, geometry_factor_conventional(cavity, sample, mode)
+
+    @functools.cached_property
+    def sweep(self) -> tuple[Resonance, SynthConfig]:
+        """synth.empty_sweep at the mode's TE10n frequency, the empty resonance and
+        the window centred on it: kept like factors, its errors named by synth key."""
+        try:
+            return empty_sweep(resonant_frequency(self.cavity, self.mode), self.synth)
+        except PermeameterError as exc:
+            raise renamed(exc, ("synth", SynthOptions)) from None
 
 
 def _read_json(path: str | Path, what: str):
@@ -233,7 +244,9 @@ def load_config(path: str | Path) -> RunConfig:
     extraction = _options(ExtractionOptions, _section(doc, "extraction", required=False), "extraction")
     synth = _options(SynthOptions, _section(doc, "synth", required=False), "synth")
     _reject_unknown(doc, "config")
-    return RunConfig(cavity, sample, mode, extraction, synth)
+    cfg = RunConfig(cavity, sample, mode, extraction, synth)
+    cfg.sweep  # the synth section is checked at load, like every other
+    return cfg
 
 
 def load_materials(path: str | Path) -> list[dict]:

@@ -116,7 +116,7 @@ def empty_sweep(f0: float, opts: SynthOptions) -> tuple[Resonance, SynthConfig]:
             f"q0_empty = {q0:g} give a sweep of {span:g} Hz; it must be finite, "
             f"start above 0 Hz and be wide enough that its edges around {f0:g} Hz differ"
         )
-    return empty, SynthConfig(f_start, f_stop, opts.n_points, opts.noise_floor_db, opts.seed)
+    return empty, SynthConfig(f_start, f_stop, opts.n_points, opts.noise_floor_db, opts.seed, opts.il_linear)
 
 
 def lorentzian_trace(res: Resonance, cfg: SynthConfig) -> FrequencyTrace:

@@ -22,6 +22,7 @@ v2 files ([Version] ...) are rejected.  All parse errors carry the
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,6 +36,9 @@ FORMATS = ("RI", "MA", "DB")
 #: What each option-line token sets; "R" is followed by the impedance.
 OPTION_TOKENS = {**dict.fromkeys(FREQ_UNITS, "unit"), **dict.fromkeys(FORMATS, "format"),
                  "S": "parameter type", "R": "reference impedance"}
+#: Rows write_touchstone formats at once, so that the Python floats it makes
+#: for them take a fixed size, not one that grows with the trace.
+WRITE_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -240,17 +244,20 @@ def write_touchstone(trace: FrequencyTrace) -> bytes:
 
     Values are written with 17 significant digits, so the file parses
     back to the same floats bit for bit.  S12 mirrors S21 and S22 mirrors
-    S11 (reciprocal, symmetric network assumed).
+    S11 (reciprocal, symmetric network assumed).  Rows are formatted
+    WRITE_BLOCK_ROWS at a time.
     """
-    lines = []
+    out = io.BytesIO()
     if trace.s11 is None:
-        lines.append("! s11 synthesized as zero")
+        out.write(b"! s11 synthesized as zero\n")
         s11 = np.zeros_like(trace.s21)
     else:
         s11 = trace.s11
-    lines.append(f"# HZ S RI R {trace.z0:.17g}")
+    out.write(f"# HZ S RI R {trace.z0:.17g}\n".encode("ascii"))
     p11, p21 = (s11.real, s11.imag), (trace.s21.real, trace.s21.imag)
-    rows = np.column_stack((trace.freqs, *p11, *p21, *p21, *p11))  # v1 order: S11 S21 S12 S22
-    template = " ".join(["%.17g"] * 9)
-    lines += [template % tuple(row) for row in rows.tolist()]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    columns = (trace.freqs, *p11, *p21, *p21, *p11)  # v1 order: S11 S21 S12 S22
+    row = " ".join(["%.17g"] * 9) + "\n"
+    for start in range(0, len(trace.freqs), WRITE_BLOCK_ROWS):
+        block = np.column_stack([column[start:start + WRITE_BLOCK_ROWS] for column in columns])
+        out.write((row * len(block) % tuple(block.ravel().tolist())).encode("ascii"))
+    return out.getvalue()

@@ -233,14 +233,14 @@ class TestSynth:
         assert not out_dir.exists()
 
     def test_memory_does_not_grow_with_the_roster(self, tmp_path, config_file, materials_file):
-        # each trace is written as it is rendered and then dropped: 200 materials
-        # at 4001 points would hold 198 more traces of 24 B a point (4001
+        # each trace is written as it is rendered and then dropped: 40 materials
+        # at 4001 points would hold 38 more traces of 24 B a point (4001
         # frequencies and 4001 complex S21) than 2 do if rendered all at once
         trace_bytes = 4001 * 24
         cfg = str(config_file())
         assert load_config(cfg).synth.n_points == 4001
         peaks = []
-        for count in (2, 200):
+        for count in (2, 40):
             mats = str(materials_file([
                 {"name": f"M{i}", "mu_re": 1.2 + 0.05 * (i % 11), "tan_dm": 0.01 + 0.02 * (i % 7)}
                 for i in range(count)
@@ -789,6 +789,15 @@ class TestRunConfigFactors:
                 extract_report(thick, empty, loaded)
         assert calls["sample_energy_quadrature"] == 3
 
+    def test_sweep_is_kept_and_a_replaced_seed_gets_its_own(self, config_file):
+        # main's --seed replaces the synth section, and the new config's sweep reads it
+        cfg = load_config(config_file())
+        assert cfg.sweep is cfg.sweep
+        seeded = replace(cfg, synth=replace(cfg.synth, seed=7))
+        assert cfg.synth.seed != 7
+        assert (seeded.sweep[1].seed, cfg.sweep[1].seed) == (7, cfg.synth.seed)
+        assert seeded.sweep[0] == cfg.sweep[0]
+
     def test_kept_factors_leave_equality_hash_and_repr_alone(self, config_file):
         path = config_file()
         cfg = load_config(path)
@@ -1045,6 +1054,27 @@ def test_sweep_reaching_zero_hz_exit_2_names_both_keys(capsys, tmp_path, config_
     assert (code, out) == (2, "")
     assert "synth.span_bandwidths" in err and "synth.q0_empty" in err
     assert "start above 0 Hz" in err
+
+
+@pytest.mark.parametrize("verb", ["modes", "quadcheck", "extract"])
+@pytest.mark.parametrize(
+    "synth, keys",
+    [
+        ({"q0_empty": -1}, ["synth.q0_empty"]),
+        ({"span_bandwidths": 5.99}, ["synth.span_bandwidths"]),
+        ({"n_points": 50}, ["synth.n_points"]),
+        ({"q0_empty": 30, "il_linear": 0.5}, ["synth.span_bandwidths", "synth.q0_empty"]),
+    ],
+    ids=["q0", "span", "n-points", "zero-hz"],
+)
+def test_every_verb_checks_the_synth_section_at_load(capsys, tmp_path, config_file, verb, synth, keys):
+    # the verbs that synthesize nothing refuse the config that synth and compare
+    # refuse, before they read a trace
+    trace = lorentzian_file(tmp_path / "t.s2p", 0.3)
+    operands = [trace, trace] if verb == "extract" else []
+    code, out, err = run(capsys, "--config", str(config_file(synth=synth)), verb, *operands)
+    assert (code, out) == (2, "")
+    assert all(key in err for key in keys), err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -181,7 +181,7 @@ class TestEmptySweep:
         assert empty.q_loaded == 640.0 * (1.0 - 0.25)
         span = 30.0 * f0 / empty.q_loaded
         assert (cfg.f_start, cfg.f_stop) == (f0 - span / 2, f0 + span / 2)
-        assert (cfg.n_points, cfg.noise_floor_db, cfg.seed) == (4001, None, 0)
+        assert (cfg.n_points, cfg.noise_floor_db, cfg.seed, cfg.il_linear) == (4001, None, 0, 0.25)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -197,7 +197,7 @@ class TestEmptySweep:
         ],
     )
     def test_errors_name_the_bare_fields(self, fields, message):
-        # the CLI prefixes each with synth.
+        # RunConfig.sweep prefixes each with synth.
         with pytest.raises(ConfigurationError, match=message):
             empty_sweep(7.5e9, SynthOptions(**fields))
 

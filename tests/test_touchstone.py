@@ -1,6 +1,7 @@
 """Touchstone v1.0 files: the trace type, the reader and the writer."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from touchstone_reference import reference_parse_touchstone, reference_write_tou
 
 from permeameter import FrequencyTrace, parse_touchstone, write_touchstone
 from permeameter.errors import InvalidGeometryError, TouchstoneParseError
-from permeameter.touchstone import FORMATS, FREQ_UNITS
+from permeameter.touchstone import FORMATS, FREQ_UNITS, WRITE_BLOCK_ROWS
 
 FLOAT_MAX = np.finfo(float).max
 
@@ -464,6 +465,36 @@ class TestWriteDifferential:
     def test_ri_bytes_match_the_per_value_writer(self, data):
         trace = _written_trace(data.draw)
         assert write_touchstone(trace) == reference_write_touchstone(trace, "RI")
+
+    @pytest.mark.parametrize("s11", [True, False], ids=["s11", "no-s11"])
+    @pytest.mark.parametrize(
+        "n",
+        [WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1, 2 * WRITE_BLOCK_ROWS + 1],
+        ids=["block-1", "block", "block+1", "2block+1"],
+    )
+    def test_lengths_around_the_block_size(self, n, s11):
+        # the rows are formatted in blocks: a block's last row, a last block of
+        # one row and the seams between blocks write as the per-value writer does
+        rng = np.random.default_rng(n)
+        parts = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-300, 300, (4, n))
+        freqs = np.cumsum(rng.uniform(1.0, 1e6, n)) + 1e9
+        trace = FrequencyTrace(freqs, parts[0] + 1j * parts[1], parts[2] + 1j * parts[3] if s11 else None)
+        assert write_touchstone(trace) == reference_write_touchstone(trace, "RI")
+
+    def test_memory_per_point_stays_bounded(self):
+        # the rows are formatted WRITE_BLOCK_ROWS at a time, so the Python floats
+        # made for them take a fixed size; formatted all at once, they held ~600 B
+        # a point for the ~108 B a point of output
+        n = 20001
+        f = np.linspace(7e9, 8e9, n)
+        trace = FrequencyTrace(f, 0.3 / (1.0 + 2j * 600.0 * (f - 7.5e9) / 7.5e9))
+        tracemalloc.start()
+        try:
+            written = write_touchstone(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * n, f"{peak / n:.0f} B a point for {len(written) / n:.0f} B a point of output"
 
 
 class TestTraceType:
