@@ -12,8 +12,9 @@ quadrature needs is refused before it is allocated.  A malformed value,
 a key the schema does not
 list, or a key repeated in one JSON object is a config error that names
 its key.  The choice keys (extraction.q_method, interaction, model) take
-one of the strings CHOICES lists, which ExtractionOptions checks; the
-error reads "extraction.<key> must be one of [...]".  A cavity and mode
+one of the strings CHOICES lists or, for interaction, an InteractionChoice
+value, which ExtractionOptions checks; the error reads
+"extraction.<key> must be one of [...]".  A cavity and mode
 whose TE10n frequency or field norm leaves the float range are a config
 error too, and so is a modes --max-n whose frequency does.  A value
 that a library type rejects, and a sample that does not fit the cavity,
@@ -58,10 +59,10 @@ MM = 1e-3
 LENGTHS = {"width_a", "length_l", "height_h", "via_diameter_d", "via_pitch_p",
            "extent_x_l1", "extent_z_a1", "thickness"}
 
-# the allowed values of each ExtractionOptions field that names a choice
+# the allowed values of each ExtractionOptions string field that names a
+# choice; InteractionChoice checks interaction itself
 CHOICES = {
     "q_method": ("lorentzian-fit", "three-db"),
-    "interaction": tuple(choice.value for choice in InteractionChoice),
     "model": MODELS,
 }
 

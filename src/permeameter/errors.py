@@ -34,11 +34,8 @@ class TouchstoneParseError(PermeameterError, ValueError):
 
 class NoUsableResonanceError(PermeameterError, ValueError):
     """No resonance to extract from: none found, none pairable, or one
-    whose Q cannot be read (net gain, or no half-power crossing)."""
-
-
-class InsufficientSpanError(NoUsableResonanceError):
-    """Trace does not bracket a half-power crossing."""
+    whose Q cannot be read (net gain, a peak at the trace edge or no
+    half-power crossing)."""
 
 
 class FitFailureError(NoUsableResonanceError, ArithmeticError):

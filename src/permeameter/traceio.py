@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import (
     FitFailureError,
-    InsufficientSpanError,
     InvalidGeometryError,
     NearCriticalCouplingWarning,
     NoUsableResonanceError,
@@ -288,7 +287,7 @@ def q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     f = trace.freqs
     i = peak_index
     if i <= 0 or i >= len(f) - 1:
-        raise InsufficientSpanError("peak at trace edge")
+        raise NoUsableResonanceError("peak at trace edge")
     half = max(64, len(f) // 64)
     while True:
         lo, hi = max(i - half, 0), min(i + half + 1, len(f))
@@ -303,7 +302,7 @@ def q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
         half *= 4
     if not (left.size and right.size):
         side = "right" if left.size else "left"
-        raise InsufficientSpanError(f"no half-power crossing on the {side} side")
+        raise NoUsableResonanceError(f"no half-power crossing on the {side} side")
     f = f[lo:hi]
     f_lo = _crossing(f, db, left[-1], target, -1)
     f_hi = _crossing(f, db, k + 1 + right[0], target, +1)
@@ -339,8 +338,8 @@ def fit_lorentzian(trace: FrequencyTrace, peak_index: int) -> Resonance:
     try:
         fallback = q_3db(trace, peak_index)
         f_s, bandwidth = fallback.f0, fallback.f0 / fallback.q_loaded
-    except (InsufficientSpanError, InvalidGeometryError):
-        # crude starting window; the fit either rescues it or reports failure
+    except (NoUsableResonanceError, InvalidGeometryError):
+        # any failed 3-dB read, net gain too: a crude start window the fit rescues or reports failed
         f_s, bandwidth = f[min(max(peak_index, 0), len(f) - 1)], f[-1] - f[0]
     h = 0.5 * FIT_WINDOW_BANDWIDTHS * bandwidth
     # freqs strictly increase, so the samples in [f_s - h, f_s + h] are one slice

@@ -24,7 +24,11 @@ so pool the lines of several invocations before reading it as one.  It
 also applies the benchmark's reject rules: per metric, whether the
 tree's median is worse than REF's by more than that metric's `bound` in
 BENCHMARK.json (a fraction of REF's median), and whether any pair shows
-a higher failed share on the tree than on REF.  It exits 1 if, on any
+a higher failed share on the tree than on REF.  The header gives the
+pair count and --seconds; below 10 pairs, or below BENCHMARK.json's
+run_seconds, every gain and bound line ends "advisory: below the claim
+rule", since so few or so short runs can read equal-cost code as worse
+or better than it is.  It exits 1 if, on any
 workload, a run fails, a run reads `correct: false`, a median is worse
 than its bound allows or a pair's failed share rises.  The script is not
 named test_*, so pytest does not collect it.
@@ -80,7 +84,8 @@ def failed_share(result: dict) -> float:
     return result["failed"] / result["attempted"] if result["attempted"] else 0.0
 
 
-def report(pairs: list[tuple[int, dict, dict]], ref: str) -> int:
+def report(pairs: list[tuple[int, dict, dict]], ref: str, note: str) -> int:
+    """Print the pairs and each metric's verdicts, each verdict line ending in note."""
     metrics = {m["name"]: m for m in BENCHMARK["end_to_end"]}
     names = [name for name in metrics if name in pairs[0][1]["metrics"]]
     rejected = False
@@ -105,12 +110,13 @@ def report(pairs: list[tuple[int, dict, dict]], ref: str) -> int:
               f" {ref} quartile spread {o3 - o1:.4g}")
         gain = 10 * wins >= 9 * len(pairs) and sign * (n2 - o2) > o3 - o1 and not risen
         print(f"{name}: a claimed gain {'holds' if gain else 'does not hold'} over these {len(pairs)} pairs"
-              f" (tree better in >= 9/10 of them, by more than {ref}'s quartile spread, no failed share higher)")
+              f" (tree better in >= 9/10 of them, by more than {ref}'s quartile spread, no failed share higher)"
+              + note)
         bound = metrics[name]["bound"]
         worse = sign * (o2 - n2) > bound * abs(o2)
         rejected |= worse
         print(f"{name}: tree median {'WORSE' if worse else 'not worse'} than {ref}'s"
-              f" by more than the bound {bound:.0%}")
+              f" by more than the bound {bound:.0%}" + note)
     rejected |= bool(risen)
     print(f"failed share higher on the tree than on {ref} in {len(risen)} of {len(pairs)} pairs"
           + (f" (seeds {', '.join(map(str, risen))})" if risen else ""))
@@ -129,6 +135,8 @@ def main() -> int:
     args = parser.parse_args()
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two pairs")
+    advisory = len(args.seeds) < 10 or args.seconds < BENCHMARK["run_seconds"]
+    note = "; advisory: below the claim rule" if advisory else ""
     pairs = {workload: [] for workload in args.workload}
     with tempfile.TemporaryDirectory() as name:
         archive = subprocess.run(["git", "archive", args.against], cwd=ROOT, check=True,
@@ -141,10 +149,12 @@ def main() -> int:
                 sides = {side: run(trees[side], workload, seed, args.seconds) for side in order}
                 pairs[workload].append((seed, sides[0], sides[1]))
             print(f"pair {k + 1} of {len(args.seeds)} done", file=sys.stderr, flush=True)
+    print(f"{len(args.seeds)} pairs, --seconds {args.seconds:g}, against {args.against}"
+          + (f"{note} (10 pairs at --seconds {BENCHMARK['run_seconds']:g})" if advisory else ""))
     status = 0
     for workload, runs in pairs.items():
         print(f"== {workload}")
-        status |= report(runs, args.against)
+        status |= report(runs, args.against, note)
     return status
 
 

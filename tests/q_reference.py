@@ -4,18 +4,21 @@ These are `permeameter.traceio.q_3db` and `fit_lorentzian` as they were
 before they became peak-local: `q_3db` converted the whole trace to dB
 and walked to each half-power crossing one sample at a time, and the
 fit selected its window with a boolean mask over the whole trace.  They
-are kept unchanged apart from their names and their InsufficientSpanError
-calls, which spell the message out as the error no longer does.  So that they pin the bits of
-the current code on their own, they also keep their own copies of the
-dB conversion and of the least-squares pass, as they were before those
-were made leaner.
+are kept unchanged apart from their names, their edge-peak and
+missing-crossing errors, which spell the message out as the error no
+longer does and are NoUsableResonanceError, the one class the package
+raises for them now, and the fit's catch of its 3-dB start, which takes
+every NoUsableResonanceError (a net-gain start too) as the package's fit
+does.  So that they pin the bits of the current code on their own, they
+also keep their own copies of the dB conversion and of the least-squares
+pass, as they were before those were made leaner.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from permeameter.errors import FitFailureError, InsufficientSpanError, InvalidGeometryError
+from permeameter.errors import FitFailureError, InvalidGeometryError, NoUsableResonanceError
 from permeameter.traceio import (
     FIT_WINDOW_BANDWIDTHS,
     HALF_POWER_DB,
@@ -54,7 +57,7 @@ def _crossing(
     while True:
         j += step
         if j < 0 or j >= len(db):
-            raise InsufficientSpanError(f"no half-power crossing on the {side} side")
+            raise NoUsableResonanceError(f"no half-power crossing on the {side} side")
         if db[j] <= target:
             # linear interpolation in (f, dB) between j and the sample before it
             f_a, f_b = f[j - step], f[j]
@@ -68,7 +71,7 @@ def reference_q_3db(trace: FrequencyTrace, peak_index: int) -> Resonance:
     f = trace.freqs
     i = peak_index
     if i <= 0 or i >= len(f) - 1:
-        raise InsufficientSpanError("peak at trace edge")
+        raise NoUsableResonanceError("peak at trace edge")
     target = db[i] - HALF_POWER_DB
     f_lo = _crossing(f, db, i, target, -1)
     f_hi = _crossing(f, db, i, target, +1)
@@ -86,7 +89,7 @@ def reference_fit_lorentzian(trace: FrequencyTrace, peak_index: int) -> Resonanc
     try:
         fallback = reference_q_3db(trace, peak_index)
         f_s, bandwidth = fallback.f0, fallback.f0 / fallback.q_loaded
-    except (InsufficientSpanError, InvalidGeometryError):
+    except (NoUsableResonanceError, InvalidGeometryError):
         # crude starting window; the fit either rescues it or reports failure
         f_s, bandwidth = f[min(max(peak_index, 0), len(f) - 1)], f[-1] - f[0]
     h = 0.5 * FIT_WINDOW_BANDWIDTHS * bandwidth

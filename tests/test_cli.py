@@ -432,7 +432,12 @@ class TestExtract:
         cfg = str(config_file(extraction={"q_method": q_method}))
         code, out, err = run(capsys, "--config", cfg, "extract", trace, trace)
         assert (code, out) == (3, "")
-        assert err == "error: il_linear = 1.2 >= 1; trace shows net gain, unloading undefined\n"
+        assert err == {
+            # the 3-dB start reads gain, so the fit starts from the crude
+            # window and refuses its own IL >= 1
+            "lorentzian-fit": "error: resonance fit failed: fit left the valid region (f0=7.5e+09, Q=560, IL=1.2)\n",
+            "three-db": "error: il_linear = 1.2 >= 1; trace shows net gain, unloading undefined\n",
+        }[q_method]
 
     @pytest.mark.parametrize("q_method", ["lorentzian-fit", "three-db"])
     def test_near_critical_warning_one_line_per_message(self, capsys, tmp_path, config_file, q_method):
@@ -1005,6 +1010,14 @@ class TestQuadcheck:
          "must exceed cavity.via_diameter_d_mm\n"),
         # mu_rs = mu' - j mu'': a positive imaginary part is a substrate with gain
         ({"cavity": {"mu_rs": [1.0, 0.002]}}, None, "error: cavity.mu_rs imaginary part must be <= 0\n"),
+        # InteractionChoice checks interaction itself, a number or a bool too,
+        # after CHOICES has checked q_method and model
+        ({"extraction": {"interaction": 1}}, None,
+         "error: extraction.interaction must be one of ['axial-hx', 'transverse-hz', 'both-components']\n"),
+        ({"extraction": {"interaction": True}}, None,
+         "error: extraction.interaction must be one of ['axial-hx', 'transverse-hz', 'both-components']\n"),
+        ({"extraction": {"interaction": "radial", "model": "exact"}}, None,
+         "error: extraction.model must be one of ['quadrature', 'derived']\n"),
     ],
 )
 def test_malformed_value_exit_2_names_key(
@@ -1134,7 +1147,6 @@ def test_common_flag_before_or_after_verb(capsys, tmp_path, config_file, materia
 STATUS = {
     "NoUsableResonanceError": 3,
     "FitFailureError": 3,
-    "InsufficientSpanError": 3,
     "UnphysicalResultError": 4,
 }
 ERRORS = [
@@ -1191,7 +1203,7 @@ def _no_usable_resonance(tmp_path, config_file, case):
         ("unpairable", "no loaded resonance within 10% of an empty one"),
         ("edge-peak", "peak at trace edge"),
         ("missing-crossing", "no half-power crossing on the right side"),
-        ("net-gain-lorentzian-fit", "il_linear = 1.2 >= 1; trace shows net gain"),
+        ("net-gain-lorentzian-fit", "resonance fit failed: fit left the valid region (f0=7.5e+09, Q=560, IL=1.2)"),
         ("net-gain-three-db", "il_linear = 1.2 >= 1; trace shows net gain"),
         ("fit-failure", "resonance fit failed: singular normal equations"),
     ],
