@@ -61,6 +61,9 @@ EXIT_STATUS = ((NoUsableResonanceError, EXIT_NO_RESONANCE), (UnphysicalResultErr
 
 CONFIG_ENV = "PERMEAMETER_CONFIG"
 
+#: Most rows `modes` lists; each costs ~1.2 KB with --json.
+MAX_MODES = 10_000
+
 
 # ---------------------------------------------------------------------------
 # Shared pipeline pieces
@@ -178,12 +181,8 @@ def compare_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COMPARE_COLUMNS)
-    for row in rows:
-        cells = []
-        for col in COMPARE_COLUMNS:
-            v = row[col]
-            cells.append(f"{v:.10g}" if isinstance(v, float) else ("" if v is None else str(v)))
-        writer.writerow(cells)
+    for row in rows:  # csv writes None as an empty field and any other value as str() does
+        writer.writerow(f"{row[c]:.10g}" if isinstance(row[c], float) else row[c] for c in COMPARE_COLUMNS)
     return buf.getvalue()
 
 
@@ -224,6 +223,8 @@ def _text(lines: list[str]) -> str:
 def cmd_modes(cfg: RunConfig, args: argparse.Namespace) -> tuple[dict, str]:
     if args.max_n < 0:
         raise ConfigurationError("--max-n must be >= 0")
+    if args.max_n > MAX_MODES:
+        raise ConfigurationError(f"--max-n must be <= {MAX_MODES}")
     if args.max_n:  # the frequency grows with n, so the highest is the one to check
         in_float_range(f"cavity and --max-n {args.max_n} give a TE10n frequency",
                         cfg.cavity, ModeSpec(args.max_n), resonant_frequency)

@@ -7,11 +7,11 @@ with optional seeded noise renders the scattering trace.  Coupling
 empty_sweep reads the config's synth section (SynthOptions) into the empty
 resonance and its window; each loaded trace spans that window in its own
 bandwidths, centred on its own resonance, as an operator re-centres the analyzer.
-campaign_traces checks every material and renders the empty trace, then
-returns a renderer per loaded trace: compare extracts, and synth_campaign
-writes, one trace at a time.  A bad name or a model error leaves no files;
-an OS error while writing, or a MemoryError while rendering a loaded trace
-(the empty trace's size), can leave the files written before it.
+campaign_traces checks every material, then returns a renderer per trace,
+the empty one first: compare extracts, and synth_campaign writes, one
+trace at a time.  A bad name or a model error leaves no files; an OS
+error while writing, or a MemoryError while rendering, can leave the
+files written before it.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from .traceio import Resonance
 
 #: Most points a synthesized trace may have: ten times a 100 001-point analyzer sweep.
 MAX_N_POINTS = 1_000_001
+#: Longest file name, in bytes, that Linux and macOS file systems take (NAME_MAX).
+MAX_FILE_NAME_BYTES = 255
 Campaign = list[tuple[str, Callable[[], FrequencyTrace]]]  # (label, render) pairs, "empty" first
 
 
@@ -170,18 +172,18 @@ def campaign_traces(
     re-centres the analyzer.  A resonance beyond PAIRING_GUARD of the empty
     f0, which extraction could not pair, a window reaching 0 Hz, or a
     loaded_resonance error other than a degenerate g names its material.
-    The labels and every material are checked, and the empty trace
-    rendered, before this returns, so a model error leaves no files; each
-    loaded trace, the empty one's size, is rendered when its render is
-    called, so a caller that drops each after use holds one at a time
-    and only a MemoryError can stop it part way.
+    The labels and every material are checked before this returns, so a
+    model error leaves no files; each trace is rendered when its render
+    is called, so a caller that drops each after use holds one at a time.
+    An (empty, cfg) pair short of its margins raises at the first render,
+    the empty trace's; after it only a MemoryError can stop a caller.
     """
     labels = [name for name, _ in sample_table]
     if len(set(labels)) != len(labels) or "empty" in labels:
         raise ConfigurationError("material labels must be unique and not 'empty'")
 
-    empty_trace = lorentzian_trace(empty, replace(cfg, seed=_item_seed(cfg.seed, "empty")))
-    campaign: Campaign = [("empty", lambda: empty_trace)]
+    window = replace(cfg, seed=_item_seed(cfg.seed, "empty"))
+    campaign: Campaign = [("empty", lambda: lorentzian_trace(empty, window))]
     for name, mu_r in sample_table:
         try:
             res = loaded_resonance(mu_r, mu_rs, g, empty)
@@ -208,12 +210,12 @@ def campaign_traces(
 
 
 def _fits_file_name(label: str) -> bool:
-    """No / or NUL, and the file-system encoding (ASCII in the C locale) holds it."""
+    """No / or NUL, encodable (ASCII in the C locale), and campaign_<label>.s2p within MAX_FILE_NAME_BYTES."""
     try:
-        os.fsencode(label)
+        name = os.fsencode(f"campaign_{label}.s2p")
     except UnicodeEncodeError:
         return False
-    return "/" not in label and "\0" not in label
+    return "/" not in label and "\0" not in label and len(name) <= MAX_FILE_NAME_BYTES
 
 
 def synth_campaign(traces: Campaign, out_dir: str | Path) -> dict[str, Path]:

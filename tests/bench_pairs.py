@@ -8,10 +8,11 @@ runs the ungated extract-vna.  Each pair runs, for every listed workload
 W in turn, `perfbench/run.py --workload W --seed s --seconds S --trace
 0` once on REF and once on the working tree, one run at a time; which
 side goes first alternates from pair to pair.  REF is extracted with
-`git archive` into a temporary directory, as `output_grid.py --against`
-does, and its own perfbench/ runs its own src/.  Per workload, for every
-pair the script prints each end-to-end metric of both sides, whether the
-run was correct, its failed share and its count of KNOWN lines.  Then,
+`git archive` into a temporary directory by tests/git_tree.py, as for
+`output_grid.py --against`, and its own perfbench/ runs its own src/.
+Per workload, for every pair the script prints each end-to-end metric
+of both sides, whether the run was correct, its failed share and its
+count of KNOWN lines.  Then,
 per metric: each side's median and quartiles, the number of pairs the
 working tree wins (BENCHMARK.json says which way is better), and whether
 the gap between the medians is wider than REF's quartile spread, and
@@ -41,10 +42,10 @@ import json
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from git_tree import ROOT, checked_out
+
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
@@ -138,11 +139,8 @@ def main() -> int:
     advisory = len(args.seeds) < 10 or args.seconds < BENCHMARK["run_seconds"]
     note = "; advisory: below the claim rule" if advisory else ""
     pairs = {workload: [] for workload in args.workload}
-    with tempfile.TemporaryDirectory() as name:
-        archive = subprocess.run(["git", "archive", args.against], cwd=ROOT, check=True,
-                                 stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", name], input=archive, check=True)
-        trees = [Path(name), ROOT]
+    with checked_out(args.against) as tree:
+        trees = [tree, ROOT]
         for k, seed in enumerate(args.seeds):
             order = (0, 1) if k % 2 == 0 else (1, 0)
             for workload in args.workload:

@@ -40,11 +40,11 @@ regenerates it with
     python tests/output_grid.py --slice > tests/output_slice.txt
 
 To check that a change keeps outputs byte-identical, pass `--against`
-a git revision such as HEAD: its `src/` is extracted with `git archive`
-into a temporary directory, the grid runs on that copy and on the
-working tree's `src/` (in two processes at once), and the lines that
-differ are printed; the exit code is 1 if any do.  The script is not
-named test_*, so pytest does not collect it.
+a git revision such as HEAD: tests/git_tree.py extracts its `src/`
+with `git archive` into a temporary directory, the grid runs on that
+copy and on the working tree's `src/` (in two processes at once), and
+the lines that differ are printed; the exit code is 1 if any do.  The
+script is not named test_*, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ import numpy as np
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 from conftest import BASE_CONFIG, TABLE_MATERIALS  # noqa: E402
+from git_tree import ROOT, checked_out  # noqa: E402
 from permeameter.cli import main  # noqa: E402
 
 MODELS = ("quadrature", "derived")
@@ -207,15 +208,11 @@ def grid() -> None:
 
 def against(ref: str) -> int:
     """Run the grid on REF's src/ and on the working tree's; print the lines that differ."""
-    root = Path(__file__).resolve().parents[1]
-    with tempfile.TemporaryDirectory() as name:
-        archive = subprocess.run(["git", "archive", ref, "src"], cwd=root, check=True,
-                                 stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", name], input=archive, check=True)
+    with checked_out(ref, "src") as tree:
         runs = [
             subprocess.Popen([sys.executable, __file__], stdout=subprocess.PIPE, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)})
-            for src in (Path(name) / "src", root / "src")
+            for src in (tree / "src", ROOT / "src")
         ]
         outputs = [run.communicate()[0].splitlines() for run in runs]
     if any(run.returncode for run in runs):

@@ -90,6 +90,15 @@ class TestModes:
         assert (code, out) == (2, "")
         assert "--max-n must be >= 0" in err
 
+    def test_max_n_at_the_bound(self, capsys, config_file):
+        code, out, _ = run(capsys, "--config", str(config_file()), "modes", "--max-n", "10000")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 10_000
+
+    def test_max_n_above_the_bound_exit_2(self, capsys, config_file):
+        code, out, err = run(capsys, "--config", str(config_file()), "modes", "--max-n", "10001")
+        assert (code, out, err) == (2, "", "error: --max-n must be <= 10000\n")
+
     def test_negative_dimension_exit_2(self, capsys, config_file):
         cfg = config_file(cavity={"width_a_mm": -30.0})
         code, _, err = run(capsys, "--config", str(cfg), "modes")
@@ -218,7 +227,7 @@ class TestSynth:
         assert "material 'lossy'" in err and "above 0 Hz" in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("name", ["Ni/Zn", "a\u0000b"], ids=["slash", "nul"])
+    @pytest.mark.parametrize("name", ["Ni/Zn", "a\u0000b", "L" * 300], ids=["slash", "nul", "too-long"])
     def test_name_that_cannot_be_a_file_name_writes_no_files(
         self, capsys, tmp_path, config_file, materials_file, name
     ):
@@ -637,6 +646,23 @@ class TestCompare:
             tracemalloc.stop()
         assert len(rows) == 200
         assert peak < 16 * trace_bytes, f"peak {peak / 1e6:.2f} MB"
+
+    def test_one_trace_is_held_at_a_time(self, config_file, materials_file):
+        # the empty trace's resonances are kept, not the trace: at 200 001
+        # noiseless points, 24 B a point, the peak is 2 traces (the one
+        # rendered and its extraction), and 3 if the empty one were held too
+        n_points = 200_001
+        cfg = load_config(config_file(synth={"n_points": n_points}))
+        roster = load_materials(materials_file())
+        assert len(roster) == 6
+        tracemalloc.start()
+        try:
+            rows = permeameter.cli.compare_rows(cfg, roster)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 6
+        assert peak < 2.5 * n_points * 24, f"peak {peak / (n_points * 24):.2f} traces"
 
     def test_empty_roster_header_only(self, capsys, tmp_path, config_file, materials_file):
         out_csv = tmp_path / "empty.csv"

@@ -299,6 +299,44 @@ class TestCampaign:
                 table, empty_resonance, sweep_for(empty_resonance), g, worked_cavity.mu_rs
             )
 
+    def test_no_trace_is_rendered_before_its_render_is_called(
+        self, monkeypatch, worked_cavity, worked_sample, mode4, empty_resonance
+    ):
+        rendered = []
+        monkeypatch.setattr(synth, "lorentzian_trace", lambda res, cfg: rendered.append(res))
+        campaign = self.campaign(worked_cavity, worked_sample, mode4, empty_resonance, self.table())
+        assert rendered == []
+        campaign[0][1]()
+        assert rendered == [empty_resonance]
+
+    def test_window_short_of_the_margins_raises_at_the_first_render_and_writes_no_files(
+        self, tmp_path, worked_cavity, worked_sample, mode4, empty_resonance
+    ):
+        # 4 bandwidths leave each resonance 2 of the 3 it needs on each side;
+        # campaign_traces does not render, so the empty trace's render raises
+        cfg = sweep_for(empty_resonance, span_bw=4.0)
+        g = geometry_factor(worked_cavity, worked_sample, mode4)
+        campaign = campaign_traces(self.table(), empty_resonance, cfg, g, worked_cavity.mu_rs)
+        with pytest.raises(ConfigurationError, match="needs 3 bandwidths"):
+            synth_campaign(campaign, tmp_path / "camp")
+        assert list((tmp_path / "camp").iterdir()) == []
+
+    def small_campaign(self, empty_resonance, label):
+        trace = lorentzian_trace(empty_resonance, sweep_for(empty_resonance, n_points=101))
+        return [("empty", lambda: trace), (label, lambda: trace)]
+
+    def test_longest_label_that_fits_a_file_name_is_written(self, tmp_path, empty_resonance):
+        # campaign_<label>.s2p may have 255 bytes, NAME_MAX on Linux and macOS
+        files = synth_campaign(self.small_campaign(empty_resonance, "L" * 242), tmp_path)
+        assert len(files["L" * 242].name) == 255 and files["L" * 242].exists()
+
+    @pytest.mark.parametrize("label", ["L" * 243, "\ud800"], ids=["256-byte-file-name", "lone-surrogate"])
+    def test_label_that_cannot_be_a_file_name_writes_no_files(self, tmp_path, empty_resonance, label):
+        # the file-system encoding cannot hold a lone surrogate, which JSON input never yields
+        with pytest.raises(ConfigurationError, match="cannot be part of a file name"):
+            synth_campaign(self.small_campaign(empty_resonance, label), tmp_path / "camp")
+        assert not (tmp_path / "camp").exists()
+
     @pytest.mark.parametrize("choice", list(InteractionChoice))
     def test_loaded_resonances_are_forward_load_bit_for_bit(
         self, monkeypatch, worked_cavity, worked_sample, mode4, empty_resonance, choice
