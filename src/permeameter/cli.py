@@ -3,8 +3,8 @@
 Verbs: modes, synth, extract, compare, quadcheck.  One JSON config file
 (lengths in millimeters) describes the cavity, sample, mode, and method
 options; permeameter.config reads it, and the README gives its schema.
-The config path comes from --config or the PERMEAMETER_CONFIG environment
-variable.  The common flags (--config, --seed, --json) work before or
+The config path comes from --config alone; no environment variable is
+read.  The common flags (--config, --seed, --json) work before or
 after the verb; a value given after the verb overrides one given before
 it.  A --seed outside [0, 2**64) is a config error that names the flag.
 
@@ -58,8 +58,6 @@ EXIT_UNPHYSICAL = 4
 
 # the status main returns for an error: the first class it is an instance of, else EXIT_CONFIG
 EXIT_STATUS = ((NoUsableResonanceError, EXIT_NO_RESONANCE), (UnphysicalResultError, EXIT_UNPHYSICAL))
-
-CONFIG_ENV = "PERMEAMETER_CONFIG"
 
 #: Most rows `modes` lists; each costs ~1.2 KB with --json.
 MAX_MODES = 10_000
@@ -323,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     # nothing is set unless given, so a value given after the verb
     # overrides one given before it
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", "-c", help=f"run-config JSON path (or set ${CONFIG_ENV})")
+    common.add_argument("--config", "-c", help="run-config JSON path (required)")
     common.add_argument("--seed", type=int, help="override synth seed")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     parser = argparse.ArgumentParser(
@@ -375,9 +373,9 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always", NearCriticalCouplingWarning)
         warnings.showwarning = show_once
         try:
-            args.config = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
+            args.config = getattr(args, "config", None)
             if not args.config:
-                raise ConfigurationError(f"no config given; use --config or set ${CONFIG_ENV}")
+                raise ConfigurationError("no config given; use --config")
             cfg = load_config(args.config)
             seed = getattr(args, "seed", None)
             if seed is not None:

@@ -150,8 +150,8 @@ def lorentzian_trace(res: Resonance, cfg: SynthConfig) -> FrequencyTrace:
 
 
 def _item_seed(base_seed: int, label: str) -> int:
-    """Stable per-item seed: campaign seed mixed with the material label."""
-    return (base_seed ^ zlib.crc32(label.encode("utf-8"))) % 2**64
+    """Stable per-item seed: campaign seed mixed with the material label (a lone surrogate hashes too)."""
+    return (base_seed ^ zlib.crc32(label.encode("utf-8", "surrogatepass"))) % 2**64
 
 
 def campaign_traces(

@@ -105,8 +105,7 @@ class TestModes:
         assert code == 2
         assert "width_a" in err
 
-    def test_missing_config_exit_2(self, capsys, monkeypatch):
-        monkeypatch.delenv("PERMEAMETER_CONFIG", raising=False)
+    def test_missing_config_exit_2(self, capsys):
         code, _, err = run(capsys, "modes")
         assert code == 2 and "config" in err
 
@@ -148,10 +147,16 @@ class TestModes:
         assert (code, out) == (2, "")
         assert message in err
 
-    def test_env_var_config(self, capsys, config_file, monkeypatch):
+    def test_env_var_config(self, capsys, tmp_path, config_file, materials_file, monkeypatch):
+        # the config comes from --config alone; the variable that once named it is ignored
         monkeypatch.setenv("PERMEAMETER_CONFIG", str(config_file()))
-        code, out, _ = run(capsys, "modes", "--max-n", "2")
-        assert code == 0 and len(out.strip().splitlines()) == 3
+        mats, pair = str(materials_file()), [lorentzian_file(tmp_path / f"{n}.s2p", 0.3) for n in "el"]
+        for verb in (["modes"], ["quadcheck"], ["extract", *pair],
+                     ["synth", "--materials", mats, "--out-dir", str(tmp_path / "camp")],
+                     ["compare", "--materials", mats, "--out-csv", str(tmp_path / "t.csv")]):
+            code, out, err = run(capsys, *verb)
+            assert (code, out, err) == (2, "", "error: no config given; use --config\n"), verb
+        assert not (tmp_path / "camp").exists() and not (tmp_path / "t.csv").exists()
 
 
 class TestSynth:
@@ -730,13 +735,16 @@ class TestCompare:
     ):
         config = config_file()
         before = config.read_bytes()
-        if given == "env":
+        if given == "env":  # ignored: the run has no config, so it writes nothing
             monkeypatch.setenv("PERMEAMETER_CONFIG", str(config))
         flags = ["--config", str(config)] if given == "flag" else []
         code, out, err = run(capsys, *flags, "compare",
                              "--materials", str(materials_file()), "--out-csv", str(alias_of(config, alias)))
         assert (code, out) == (2, "")
-        assert "--out-csv must differ from the config file" in err
+        if given == "flag":
+            assert "--out-csv must differ from the config file" in err
+        else:
+            assert err == "error: no config given; use --config\n"
         assert config.read_bytes() == before
 
     def test_unwritable_out_csv_exit_2(self, capsys, tmp_path, config_file, materials_file):

@@ -1,5 +1,6 @@
-"""Every name a package module imports from the package is one it uses, and
-only permeameter.config knows a config key."""
+"""Every name a package module imports from the package is one it uses,
+only permeameter.config knows a config key, and no module reads the
+environment."""
 
 import ast
 import pkgutil
@@ -36,3 +37,31 @@ def test_only_config_renames_errors_to_config_keys():
     }
     assert callers == {"config"}
     assert not names_imported_from(module_tree("cli"), "synth") & {"SynthOptions", "empty_sweep"}
+
+
+#: The os names that read the process environment.
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
+def test_no_module_reads_the_environment(module):
+    # the command line names every input of a run, so no variable can change one unseen
+    tree = module_tree(module)
+    os_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "os"
+    }
+    reads = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in os_names
+    } | {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os"
+        for alias in node.names
+    }
+    assert not reads & ENVIRONMENT_READERS

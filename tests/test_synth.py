@@ -332,9 +332,19 @@ class TestCampaign:
 
     @pytest.mark.parametrize("label", ["L" * 243, "\ud800"], ids=["256-byte-file-name", "lone-surrogate"])
     def test_label_that_cannot_be_a_file_name_writes_no_files(self, tmp_path, empty_resonance, label):
-        # the file-system encoding cannot hold a lone surrogate, which JSON input never yields
+        # the file-system encoding cannot hold a lone surrogate, which the config reader refuses
         with pytest.raises(ConfigurationError, match="cannot be part of a file name"):
             synth_campaign(self.small_campaign(empty_resonance, label), tmp_path / "camp")
+        assert not (tmp_path / "camp").exists()
+
+    def test_lone_surrogate_label_renders_but_writes_no_files(self, tmp_path):
+        # the item seed hashes any str, so only the file-name check can refuse the label
+        campaign = campaign_traces([("\ud800", ComplexPermeability(1.2, 0.0))],
+                                   *empty_sweep(7.5e9, SynthOptions()), GeometryFactor(1e-3, "x"), 1 + 0j)
+        assert [label for label, _ in campaign] == ["empty", "\ud800"]
+        assert all(isinstance(trace, FrequencyTrace) for trace in render_all(campaign).values())
+        with pytest.raises(ConfigurationError, match="cannot be part of a file name"):
+            synth_campaign(campaign, tmp_path / "camp")
         assert not (tmp_path / "camp").exists()
 
     @pytest.mark.parametrize("choice", list(InteractionChoice))
